@@ -88,6 +88,8 @@ def _json_text(obj: object) -> str:
 
 
 def _run_compute(args: argparse.Namespace) -> int:
+    if args.what != "cyclotomic" and (args.h < 0 or args.k < 0):
+        raise ValueError(f"--h and --k must be nonnegative, got h={args.h} k={args.k}")
     if args.what == "delannoy":
         value = delannoy(args.h, args.k)
         if args.json:

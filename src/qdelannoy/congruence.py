@@ -4,10 +4,19 @@ The two theorem checks reduce exact polynomial differences modulo Phi_n and
 never touch the orbit machinery, so they corroborate it independently.
 Reports carry both sides and the reduced residue, not just a boolean, so a
 failure localizes the discrepancy.
+
+Sweeps of thm2, thm1 and qlucas do not build full polynomials.  Phi_n
+divides q^n - 1, so each case is decided in Z[q]/(q^n - 1) (see `residue`):
+one table per modulus n answers every case of that n, and the residue of
+lhs - rhs is then reduced exactly mod Phi_n.  Only a case that fails there
+is re-run through the full-polynomial `run_case`, which builds its report;
+`run_case` stays the independent oracle, and a case it passes raises
+RuntimeError.  lucas, dlucas and interp run `run_case` for every case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
@@ -17,6 +26,7 @@ from .polyring import IntPoly
 from .qcore import delannoy, is_prime, q_binomial
 from .qdelannoy import q_delannoy_rec
 from .paths import sigma_poly
+from .residue import binomial_table, delannoy_table
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ class SweepConfig:
     """Finite parameter grid for one statement.
 
     max_n bounds the modulus index (for lucas/dlucas: the primes tried);
-    remainder parts b, d always range over the full [0, n-1].
+    remainder parts b, d always range over the full [0, n-1].  The grid is
+    split into shards: one per modulus, or one per row h for interp.
     """
 
     statement: str
@@ -153,37 +164,39 @@ class SweepConfig:
     max_k: int = 0
     jobs: int = 1
 
+    def __post_init__(self) -> None:
+        if self.statement not in STATEMENTS:
+            raise ValueError(f"unknown statement {self.statement!r}; expected one of {STATEMENTS}")
+        for name in ("max_n", "max_a", "max_c", "max_h", "max_k"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+
+    def shards(self) -> list[int]:
+        """Shard keys in grid order: the modulus n (prime p), or the row h for interp."""
+        if self.statement == "interp":
+            return list(range(self.max_h + 1))
+        if self.statement in ("lucas", "dlucas"):
+            return [p for p in range(2, self.max_n + 1) if is_prime(p)]
+        return list(range(1, self.max_n + 1))
+
+    def shard_cases(self, key: int) -> list[tuple[int, ...]]:
+        """The cases of one shard, in grid order."""
+        if self.statement == "interp":
+            return [(key, k) for k in range(self.max_k + 1)]
+        if self.statement == "thm2":
+            return [(key, h, k) for h in range(self.max_h + 1) for k in range(self.max_k + 1)]
+        return [
+            (key, a, b, c, d)
+            for a in range(self.max_a + 1)
+            for b in range(key)
+            for c in range(self.max_c + 1)
+            for d in range(key)
+        ]
+
     def cases(self) -> list[tuple[int, ...]]:
-        s = self.statement
-        if s == "thm2":
-            return [
-                (n, h, k)
-                for n in range(1, self.max_n + 1)
-                for h in range(self.max_h + 1)
-                for k in range(self.max_k + 1)
-            ]
-        if s in ("thm1", "qlucas"):
-            return [
-                (n, a, b, c, d)
-                for n in range(1, self.max_n + 1)
-                for a in range(self.max_a + 1)
-                for b in range(n)
-                for c in range(self.max_c + 1)
-                for d in range(n)
-            ]
-        if s in ("lucas", "dlucas"):
-            return [
-                (p, a, b, c, d)
-                for p in range(2, self.max_n + 1)
-                if is_prime(p)
-                for a in range(self.max_a + 1)
-                for b in range(p)
-                for c in range(self.max_c + 1)
-                for d in range(p)
-            ]
-        if s == "interp":
-            return [(h, k) for h in range(self.max_h + 1) for k in range(self.max_k + 1)]
-        raise ValueError(f"unknown statement {s!r}; expected one of {STATEMENTS}")
+        return [case for key in self.shards() for case in self.shard_cases(key)]
 
 
 def run_case(statement: str, case: tuple[int, ...]) -> CongruenceReport:
@@ -229,21 +242,83 @@ def _run_case_json(args: tuple[str, tuple[int, ...]]) -> dict:
     return run_case(*args).to_json()
 
 
+Residue = Callable[[tuple[int, ...]], list[int]]
+
+
+def _thm2_residue(config: SweepConfig, n: int) -> Residue:
+    t = delannoy_table(n, config.max_h + n + 1, config.max_k + n + 1)
+    sign = 1 if n % 2 else -1
+
+    def residue(case: tuple[int, ...]) -> list[int]:
+        _, h, k = case
+        return [w - x - y - sign * z for w, x, y, z in zip(t[h + n][k + n], t[h + n][k], t[h][k + n], t[h][k])]
+
+    return residue
+
+
+def _split_residue(
+    config: SweepConfig, n: int, table: Callable[[int, int, int], list[list[list[int]]]], factor: Callable[[int, int], int]
+) -> Residue:
+    t = table(n, (config.max_a + 1) * n, (config.max_c + 1) * n)
+
+    def residue(case: tuple[int, ...]) -> list[int]:
+        _, a, b, c, d = case
+        f = factor(a, c)
+        return [x - f * y for x, y in zip(t[a * n + b][c * n + d], t[b][d])]
+
+    return residue
+
+
+def _thm1_residue(config: SweepConfig, n: int) -> Residue:
+    return _split_residue(config, n, delannoy_table, delannoy if n % 2 else lambda a, c: 1)
+
+
+def _qlucas_residue(config: SweepConfig, n: int) -> Residue:
+    return _split_residue(config, n, binomial_table, comb)
+
+
+# lhs - rhs in Z[q]/(q^n - 1) for every case of modulus n, from one table per n.
+_RESIDUES = {"thm2": _thm2_residue, "thm1": _thm1_residue, "qlucas": _qlucas_residue}
+
+
+def _shard_failures(task: tuple[SweepConfig, int]) -> list[tuple[int, ...]]:
+    """The failing cases of one shard; pure, so shards may run in any order or process."""
+    config, key = task
+    cases = config.shard_cases(key)
+    build = _RESIDUES.get(config.statement)
+    if build is None:
+        return [case for case in cases if not run_case(config.statement, case).passed]
+    residue = build(config, key)
+    return [case for case in cases if not reduce_mod(IntPoly(residue(case)), key).is_zero()]
+
+
+def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
+    """The oracle's report of a case the residue engine failed; it must fail too."""
+    report = _run_case_json((statement, case))
+    if report["pass"]:
+        raise RuntimeError(f"{statement} case {case} fails mod q^n - 1 but passes as a full polynomial")
+    return report
+
+
 def sweep(config: SweepConfig) -> SweepSummary:
-    """Run every case of the grid; the summary is scheduling-independent."""
-    cases = config.cases()
-    tagged = [(config.statement, case) for case in cases]
-    if config.jobs > 1 and len(cases) > 1:
-        chunk = max(1, len(cases) // (config.jobs * 8))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_case_json, tagged, chunksize=chunk))
+    """Run every case of the grid; the summary is scheduling-independent.
+
+    Workers take whole shards and return only the failing cases, each of
+    which is then re-run through `run_case` to build its report.
+    """
+    tasks = [(config, key) for key in config.shards()]
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            failing = list(pool.map(_shard_failures, tasks))
     else:
-        results = [_run_case_json(t) for t in tagged]
-    failures = tuple(r for r in results if not r["pass"])
+        failing = [_shard_failures(task) for task in tasks]
+    failures = tuple(_failure_report(config.statement, case) for shard in failing for case in shard)
+    total = len(config.cases())
     return SweepSummary(
         statement=config.statement,
-        total=len(results),
-        passed=len(results) - len(failures),
+        total=total,
+        passed=total - len(failures),
         failed=len(failures),
         failures=failures,
     )

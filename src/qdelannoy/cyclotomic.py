@@ -27,7 +27,8 @@ class CyclotomicTable:
         for d in range(1, n // 2 + 1):
             if n % d == 0:
                 p, rem = p.divrem(self.poly(d))
-                assert rem.is_zero()
+                if not rem.is_zero():
+                    raise ArithmeticError(f"Phi_{d} leaves a remainder dividing q^{n} - 1; the table is corrupt")
         self._memo[n] = p
         return p
 

@@ -201,15 +201,18 @@ def blocks(path: Path, frame: CornerFrame) -> BlockDecomposition:
 def _blocks_of(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> BlockDecomposition:
     if cls is PathClass.Q1:
         leading, parts = _split_on_leads(dec.hat, (N, D))
-        assert not leading, "a Q1 hat must open with a y-raising step"
+        if leading:
+            raise AssertionError("a Q1 hat must open with a y-raising step")
     elif cls is PathClass.Q2:
         leading, parts = _split_on_leads(dec.hat, (E, D))
-        assert not leading, "a Q2 hat must open with an x-raising step"
+        if leading:
+            raise AssertionError("a Q2 hat must open with an x-raising step")
     elif cls is PathClass.Q4:
         leading, parts = _split_on_leads(dec.tail, (E, D))
     else:
         raise ClassError("Q3 paths carry no block structure")
-    assert len(parts) == frame.n
+    if len(parts) != frame.n:
+        raise AssertionError(f"expected {frame.n} blocks, found {len(parts)}")
     return BlockDecomposition(path_class=cls, leading=leading, blocks=parts)
 
 
@@ -269,7 +272,8 @@ def orbit(path: Path, frame: CornerFrame) -> Orbit:
     while cur != path:
         if len(members) > frame.n:
             raise AssertionError("action failed to return within n steps")
-        assert classify(cur, frame) is cls
+        if classify(cur, frame) is not cls:
+            raise AssertionError("the action moved a path out of its class")
         members.append(cur)
         cur = act(cur, frame)
     s_count = dec.tail.count(D) if cls is PathClass.Q4 else None

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qdelannoy.polyring import IntPoly
 from qdelannoy.cli import main
 
@@ -148,3 +150,20 @@ def test_audit_violations_exit_1(monkeypatch, capsys):
     code = main(["orbits", "audit", "--h", "0", "--k", "0", "--n", "1"])
     assert code == 1
     assert "VIOLATION synthetic violation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("what", ["delannoy", "qdelannoy", "qbinom", "sigma-poly"])
+def test_compute_negative_argument_exits_2(what, capsys):
+    assert main(["compute", what, "--h", "-1", "--k", "2"]) == 2
+    assert main(["compute", what, "--h", "2", "--k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 2
+
+
+@pytest.mark.parametrize("flags", [("--jobs", "0"), ("--jobs", "-3"), ("--max-n", "-2"), ("--max-h", "-1")])
+def test_verify_bad_bounds_exit_2(flags, capsys):
+    assert main(["verify", "thm2", "--max-n", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -1,11 +1,19 @@
+import json
+import multiprocessing
+
 import pytest
 
-from qdelannoy.cyclotomic import congruent
+from qdelannoy import congruence
+from qdelannoy.cli import main
+from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
-from qdelannoy.qcore import delannoy, delannoy_lucas_check
+from qdelannoy.qcore import delannoy, delannoy_lucas_check, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
+from qdelannoy.residue import binomial_table, delannoy_table
 from qdelannoy.congruence import (
+    _RESIDUES,
     SweepConfig,
+    _shard_failures,
     induction_consistency,
     run_case,
     sweep,
@@ -177,3 +185,115 @@ def test_run_case_shapes():
     payload = report.to_json()
     assert payload["pass"] is True
     assert payload["params"] == {"h": 2, "k": 2}
+
+
+# ---------------------------------------------------------------------------
+# Residue engine against the full-polynomial oracle
+# ---------------------------------------------------------------------------
+
+def _fold(poly, n):
+    """Image of a polynomial in Z[q]/(q^n - 1)."""
+    out = [0] * n
+    for e, c in enumerate(poly.coeffs):
+        out[e % n] += c
+    return out
+
+
+def test_residue_tables_match_full_polynomials():
+    for n in range(1, 8):
+        delannoy_t = delannoy_table(n, 21, 21)
+        binomial_t = binomial_table(n, 21, 21)
+        for h in range(21):
+            for k in range(21):
+                for entry, full in ((delannoy_t[h][k], q_delannoy_rec(h, k)), (binomial_t[h][k], q_binomial(h, k))):
+                    assert entry == _fold(full, n)
+                    assert reduce_mod(IntPoly(entry), n) == reduce_mod(full, n)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig("thm2", max_n=7, max_h=4, max_k=3),
+        SweepConfig("thm1", max_n=7, max_a=1, max_c=2),
+        SweepConfig("qlucas", max_n=7, max_a=2, max_c=1),
+    ],
+    ids=lambda config: config.statement,
+)
+def test_residue_engine_matches_oracle(config):
+    for n in config.shards():
+        residue = _RESIDUES[config.statement](config, n)
+        oracle_failures = []
+        for case in config.shard_cases(n):
+            report = run_case(config.statement, case)
+            assert reduce_mod(IntPoly(residue(case)), n) == report.residue
+            if not report.passed:
+                oracle_failures.append(case)
+        assert _shard_failures((config, n)) == oracle_failures
+
+
+def test_sweep_failure_is_the_oracle_report(monkeypatch, capsys):
+    # D(1,1) = 3 read as 4 breaks exactly one case: n=1, a=c=1 (even n drop the factor).
+    monkeypatch.setattr(congruence, "delannoy", lambda a, c: delannoy(a, c) + ((a, c) == (1, 1)))
+    config = SweepConfig("thm1", max_n=2, max_a=1, max_c=1)
+    summary = sweep(config)
+    assert (summary.total, summary.failed) == (4 + 16, 1)
+    assert summary.failures == (run_case("thm1", (1, 1, 0, 1, 0)).to_json(),)
+    assert summary.failures[0]["pass"] is False
+
+    argv = ["verify", "thm1", "--max-n", "2", "--max-a", "1", "--max-c", "1", "--json"]
+    outputs = []
+    for jobs in ("1", "2"):
+        if jobs == "2" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched factor only when forked")
+        assert main([*argv, "--jobs", jobs]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == summary.to_json()
+
+
+def test_sweep_rejects_engine_oracle_disagreement(monkeypatch):
+    def corrupt(n, rows, cols):
+        table = delannoy_table(n, rows, cols)
+        table[1][1] = [x + 1 for x in table[1][1]]
+        return table
+
+    monkeypatch.setattr(congruence, "delannoy_table", corrupt)
+    with pytest.raises(RuntimeError, match="passes as a full polynomial"):
+        sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1))
+
+
+# ---------------------------------------------------------------------------
+# Sweep configuration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(jobs=0), dict(jobs=-3), dict(max_n=-2), dict(max_a=-1), dict(max_c=-1), dict(max_h=-1), dict(max_k=-1)],
+)
+def test_sweep_config_rejects_bad_bounds(bad):
+    with pytest.raises(ValueError):
+        SweepConfig("thm2", **bad)
+
+
+def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(congruence, "ProcessPoolExecutor", RecordingPool)
+    summary = sweep(SweepConfig("thm2", max_n=3, max_h=1, max_k=1, jobs=10**9))
+    assert sizes == [3]
+    assert (summary.total, summary.failed) == (12, 0)
+    sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1, jobs=10**9))
+    assert sizes == [3]

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from qdelannoy.cyclotomic import (
     reduce_mod,
 )
 from qdelannoy.polyring import IntPoly, ONE, Q
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def totient(n):
@@ -113,3 +119,27 @@ def test_explicit_table_is_self_contained():
     assert table.poly(12) == cyclotomic(12)
     assert table.reduce(IntPoly.monomial(12), 12) == ONE
     assert table.congruent(IntPoly.monomial(5), ONE, 5)
+
+
+def test_corrupt_memo_entry_raises():
+    table = CyclotomicTable()
+    table._memo[2] = IntPoly([2, 1])
+    with pytest.raises(ArithmeticError):
+        table.poly(4)
+
+
+def test_corrupt_memo_entry_raises_under_optimize():
+    script = (
+        "from qdelannoy.cyclotomic import CyclotomicTable\n"
+        "from qdelannoy.polyring import IntPoly\n"
+        "table = CyclotomicTable()\n"
+        "table._memo[2] = IntPoly([2, 1])\n"
+        "try:\n"
+        "    table.poly(4)\n"
+        "except ArithmeticError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr
