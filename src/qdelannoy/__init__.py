@@ -14,7 +14,6 @@ from .qcore import (
     q_lucas_check,
 )
 from .qdelannoy import (
-    QDelannoyTable,
     q_delannoy,
     q_delannoy_alt,
     q_delannoy_def,

@@ -170,6 +170,24 @@ class IntPoly:
     def from_json_coeffs(cls, items: Iterable[str]) -> IntPoly:
         return cls(int(s) for s in items)
 
+    @classmethod
+    def from_packed(cls, value: int, width: int) -> IntPoly:
+        """The polynomial p with p(2**(8*width)) == value and every coefficient in [0, 2**(8*width)).
+
+        Such a p is unique: coefficient i is slot i of `width` bytes,
+        little-endian.  Evaluating at q = 2**(8*width) is a ring
+        homomorphism Z[q] -> Z, so a value built by adding, shifting and
+        multiplying packed integers reads back exactly whenever the final
+        coefficients fit their slots, however intermediate entries carried.
+        """
+        if value < 0:
+            raise ValueError(f"packed value must be nonnegative, got {value}")
+        if width < 1:
+            raise ValueError(f"slot width must be positive, got {width}")
+        size = -(-value.bit_length() // (8 * width)) * width
+        data = value.to_bytes(size, "little")
+        return cls(int.from_bytes(data[i : i + width], "little") for i in range(0, size, width))
+
     def __repr__(self) -> str:
         return f"IntPoly('{self.to_text()}')"
 

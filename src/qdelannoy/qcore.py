@@ -1,17 +1,42 @@
 """q-integers, Gaussian binomials, Delannoy numbers, and Lucas-type checks.
 
-Gaussian binomials are built by the Pascal-style recurrence
-[h,k] = q^k*[h-1,k] + [h-1,k-1] with memoization; the factorial-quotient
-form is exercised only as a test oracle.  Delannoy numbers come from the
-three-term recurrence with 1 on both axes.
+Gaussian binomials are filled row by row by the Pascal-style recurrence on
+packed integers: a polynomial with coefficients in [0, 2**bits) is stored
+as its value at q = 2**bits, so adding is integer addition and multiplying
+by q^j is a left shift by j*bits.  The coefficients of [h,k] are
+nonnegative and sum to C(h,k), which fixes the slot width; the
+factorial-quotient form is exercised only as a test oracle.  Delannoy
+numbers come from the closed form sum_j 2^j C(h,j) C(k,j).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from functools import lru_cache
 from math import comb
 
 from .cyclotomic import congruent
 from .polyring import ONE, IntPoly, ZERO
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per packed slot that hold every coefficient in [0, bound]; bound >= 1."""
+    return (bound.bit_length() + 7) // 8
+
+
+def gaussian_rows(bits: int, width: int, rows: int) -> Iterator[list[int]]:
+    """Rows b = 0..rows-1 of [a+b, a]_q for 0 <= a <= width, packed at q = 2**bits.
+
+    [a+b, a] = [a+b-1, a-1] + q^a [a+b-1, a], so each row is updated in
+    place from the one before: the same list is yielded every time, and a
+    caller keeps what it needs before asking for the next row.
+    """
+    row = [1] * (width + 1)
+    for b in range(rows):
+        if b:
+            for a in range(1, width + 1):
+                row[a] = row[a - 1] + (row[a] << (a * bits))
+        yield row
 
 
 def q_integer(n: int) -> IntPoly:
@@ -31,56 +56,29 @@ def neg_q_pochhammer(j: int) -> IntPoly:
     return p
 
 
-class QBinomialTable:
-    """Memoized Gaussian binomial coefficients."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], IntPoly] = {}
-
-    def get(self, h: int, k: int) -> IntPoly:
-        if h < 0:
-            raise ValueError(f"upper index must be nonnegative, got {h}")
-        if k < 0 or k > h:
-            return ZERO
-        if k == 0 or k == h:
-            return ONE
-        cached = self._memo.get((h, k))
-        if cached is None:
-            cached = self.get(h - 1, k).shift(k) + self.get(h - 1, k - 1)
-            self._memo[(h, k)] = cached
-        return cached
-
-
-class DelannoyTable:
-    """Memoized Delannoy numbers D(h,k); zero for negative arguments."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], int] = {}
-
-    def get(self, h: int, k: int) -> int:
-        if h < 0 or k < 0:
-            return 0
-        if h == 0 or k == 0:
-            return 1
-        cached = self._memo.get((h, k))
-        if cached is None:
-            cached = self.get(h, k - 1) + self.get(h - 1, k) + self.get(h - 1, k - 1)
-            self._memo[(h, k)] = cached
-        return cached
-
-
-_QBINOM = QBinomialTable()
-_DELANNOY = DelannoyTable()
-
-
+@lru_cache(maxsize=2048)
 def q_binomial(h: int, k: int) -> IntPoly:
-    """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h."""
-    return _QBINOM.get(h, k)
+    """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h.
+
+    [h,k] = [h,h-k], so the row spans the shorter side.  Results are kept
+    in a fixed-size LRU cache for callers that ask for the same entry often.
+    """
+    if h < 0:
+        raise ValueError(f"upper index must be nonnegative, got {h}")
+    if k < 0 or k > h:
+        return ZERO
+    k = min(k, h - k)
+    width = slot_bytes(comb(h, k))
+    for row in gaussian_rows(8 * width, k, h - k + 1):
+        pass
+    return IntPoly.from_packed(row[k], width)
 
 
 def delannoy(h: int, k: int) -> int:
-    """Number of E/N/D lattice paths from the origin to (h,k)."""
-    return _DELANNOY.get(h, k)
+    """Number of E/N/D lattice paths from the origin to (h,k): sum_j 2^j C(h,j) C(k,j)."""
+    if h < 0 or k < 0:
+        return 0
+    return sum((comb(h, j) * comb(k, j)) << j for j in range(min(h, k) + 1))
 
 
 def delannoy_series_table(size: int) -> list[list[int]]:

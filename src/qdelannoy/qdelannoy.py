@@ -8,60 +8,74 @@ All three routes agree exactly:
 
 Negative arguments give 0, both axes give 1, and evaluation at q=1 recovers
 the classical Delannoy number.
+
+Each route works on packed integers, as in `qcore`: a polynomial is stored
+as its value at q = 2**bits.  The coefficients of P(h,k) are nonnegative
+(it counts paths by a statistic) and sum to D(h,k), so slots of
+`slot_bytes(D(h,k))` bytes hold every one of them and the packed result
+reads back exactly, whatever the intermediate entries carried.
 """
 
 from __future__ import annotations
 
-from .polyring import ONE, IntPoly, ZERO
-from .qcore import neg_q_pochhammer, q_binomial
+from functools import lru_cache
+
+from .polyring import IntPoly, ZERO
+from .qcore import delannoy, gaussian_rows, slot_bytes
 
 
 def q_delannoy_def(h: int, k: int) -> IntPoly:
     """Defining route: sum_j q^(j(j+1)/2) * [k,j]_q * [h+k-j, k]_q."""
     if h < 0 or k < 0:
         return ZERO
-    total = ZERO
-    for j in range(min(h, k) + 1):
-        term = q_binomial(k, j) * q_binomial(h + k - j, k)
-        total = total + term.shift(j * (j + 1) // 2)
-    return total
+    m = min(h, k)
+    width = slot_bytes(delannoy(h, k))
+    bits = 8 * width
+    low, high = [], [0] * (m + 1)
+    # Row b holds [a+b, a] for a <= k: [k,j] = [(k-j)+j, k-j] sits in row j,
+    # and [h+k-j, k] = [k+(h-j), k] ends row h-j.
+    for b, row in enumerate(gaussian_rows(bits, k, h + 1)):
+        if b <= m:
+            low.append(row[k - b])
+        if b >= h - m:
+            high[h - b] = row[k]
+    total = sum((x * y) << (j * (j + 1) // 2 * bits) for j, (x, y) in enumerate(zip(low, high)))
+    return IntPoly.from_packed(total, width)
 
 
 def q_delannoy_alt(h: int, k: int) -> IntPoly:
     """Symmetric route: sum_j q^((h-j)(k-j)) * (-q;q)_j * [k,j]_q * [h,j]_q."""
     if h < 0 or k < 0:
         return ZERO
-    total = ZERO
-    for j in range(min(h, k) + 1):
-        term = neg_q_pochhammer(j) * q_binomial(k, j) * q_binomial(h, j)
-        total = total + term.shift((h - j) * (k - j))
-    return total
+    width = slot_bytes(delannoy(h, k))
+    bits = 8 * width
+    total, poch = 0, 1
+    # Row j holds [a+j, a], so [h,j] = [h,h-j] and [k,j] = [k,k-j] both sit in it.
+    for j, row in enumerate(gaussian_rows(bits, max(h, k), min(h, k) + 1)):
+        if j:
+            poch += poch << (j * bits)
+        total += (poch * row[h - j] * row[k - j]) << ((h - j) * (k - j) * bits)
+    return IntPoly.from_packed(total, width)
 
 
-class QDelannoyTable:
-    """Memoized table for the recurrence route; shareable read-only."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], IntPoly] = {}
-
-    def get(self, h: int, k: int) -> IntPoly:
-        if h < 0 or k < 0:
-            return ZERO
-        if h == 0 or k == 0:
-            return ONE
-        cached = self._memo.get((h, k))
-        if cached is None:
-            cached = self.get(h, k - 1) + (self.get(h - 1, k) + self.get(h - 1, k - 1)).shift(k)
-            self._memo[(h, k)] = cached
-        return cached
-
-
-_TABLE = QDelannoyTable()
-
-
+@lru_cache(maxsize=2048)
 def q_delannoy_rec(h: int, k: int) -> IntPoly:
-    """Recurrence route: P(h,k) = P(h,k-1) + q^k*P(h-1,k) + q^k*P(h-1,k-1)."""
-    return _TABLE.get(h, k)
+    """Recurrence route: P(h,k) = P(h,k-1) + q^k*P(h-1,k) + q^k*P(h-1,k-1).
+
+    One row over k is updated in place for each h; `diag` keeps the entry
+    P(h-1,j-1) that the update of column j-1 overwrote.  Results are kept in
+    a fixed-size LRU cache for callers that ask for the same entry often.
+    """
+    if h < 0 or k < 0:
+        return ZERO
+    width = slot_bytes(delannoy(h, k))
+    bits = 8 * width
+    row = [1] * (k + 1)
+    for _ in range(h):
+        diag = row[0]
+        for j in range(1, k + 1):
+            diag, row[j] = row[j], row[j - 1] + ((row[j] + diag) << (j * bits))
+    return IntPoly.from_packed(row[k], width)
 
 
 ROUTES = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -167,3 +168,43 @@ def test_verify_bad_bounds_exit_2(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+# sha256 of the output of the compute-routes benchmark's centre requests,
+# recorded from the memo-table implementation the packed fills replaced.
+GOLDEN = [
+    (("qdelannoy", "--route", "rec", "--h", "70", "--k", "70", "--json"),
+     "3347eeb2d67f699035a1242f14353a10a128cedc61f0fe11a9b841b282c294ed"),
+    (("qbinom", "--h", "140", "--k", "70", "--json"),
+     "f733369cf63d23c0284ade99783bd0637538ce0a7d6c9fe90fb5ee49b9152904"),
+    (("qdelannoy", "--route", "def", "--h", "36", "--k", "36"),
+     "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
+    (("qdelannoy", "--route", "alt", "--h", "36", "--k", "36"),
+     "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN, ids=["rec-70-70", "qbinom-140-70", "def-36-36", "alt-36-36"])
+def test_compute_golden_output(args, digest, tmp_path):
+    target = tmp_path / "out.txt"
+    assert main(["compute", *args, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "what, h, k, expected",
+    [
+        ("delannoy", 1200, 1, "2401"),
+        ("qbinom", 1500, 2, str(1500 * 1499 // 2)),
+        ("qdelannoy", 1200, 1, "2401"),
+    ],
+)
+def test_compute_deep_arguments_exit_0(what, h, k, expected):
+    result = run_cli("compute", what, "--h", str(h), "--k", str(k), "--json")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    payload = json.loads(result.stdout)
+    if what == "delannoy":
+        assert payload["value"] == expected
+    else:
+        assert str(sum(int(c) for c in payload["coeffs"])) == expected

@@ -229,3 +229,40 @@ def test_json_round_trip():
         p = random_poly(rnd)
         assert IntPoly.from_json_coeffs(p.to_json_coeffs()) == p
     assert IntPoly([10**30, -1]).to_json_coeffs() == [str(10**30), "-1"]
+
+
+def pack(coeffs, width):
+    return sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+
+
+def test_from_packed_examples():
+    assert IntPoly.from_packed(0, 3).is_zero()
+    assert IntPoly.from_packed(pack([1, 2, 2], 1), 1) == IntPoly([1, 2, 2])
+    assert IntPoly.from_packed(pack([255, 0, 0, 7], 1), 1) == IntPoly([255, 0, 0, 7])
+    assert IntPoly.from_packed(pack([0, 0, 2**64 - 1], 8), 8) == IntPoly([0, 0, 2**64 - 1])
+    # the value at q = 2**8 of a polynomial whose slots carried still reads back exactly
+    assert IntPoly.from_packed(IntPoly([300, 1]).evaluate(256), 1) == IntPoly([44, 2])
+    with pytest.raises(ValueError):
+        IntPoly.from_packed(-1, 1)
+    with pytest.raises(ValueError):
+        IntPoly.from_packed(5, 0)
+
+
+def test_from_packed_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def slots(draw):
+        width = draw(st.integers(1, 9))
+        top = 2 ** (8 * width) - 1
+        coeffs = draw(st.lists(st.one_of(st.sampled_from([0, top]), st.integers(0, top)), max_size=40))
+        return width, coeffs
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(slots())
+    def round_trip(case):
+        width, coeffs = case
+        assert IntPoly.from_packed(pack(coeffs, width), width) == IntPoly(coeffs)
+
+    round_trip()

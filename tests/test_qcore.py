@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
+import reference
 from qdelannoy.polyring import IntPoly, ONE, ZERO
 from qdelannoy.qcore import (
-    QBinomialTable,
     delannoy,
     delannoy_lucas_check,
     delannoy_series_table,
@@ -131,8 +131,22 @@ def test_q_binomial_rejects_negative_upper():
 
 
 def test_explicit_table():
-    table = QBinomialTable()
-    assert table.get(6, 3) == q_binomial(6, 3)
+    assert q_binomial(6, 3) == reference.q_binomial(6, 3)
+    assert q_binomial(6, 3) == IntPoly([1, 1, 2, 3, 3, 3, 3, 2, 1, 1])
+
+
+def test_q_binomial_matches_pascal_reference():
+    # k > h/2 included: the fill runs over the short side there.
+    for h in range(31):
+        for k in range(h + 1):
+            assert q_binomial(h, k) == reference.q_binomial(h, k), (h, k)
+
+
+def test_deep_arguments_have_no_recursion_limit():
+    assert q_binomial(1500, 2).evaluate(1) == comb(1500, 2)
+    assert q_binomial(1500, 1498) == q_binomial(1500, 2)
+    assert delannoy(1200, 1) == delannoy(1, 1200) == 2401
+    assert delannoy(200, 200) == delannoy_closed_form_1(200, 200)
 
 
 # ---------------------------------------------------------------------------

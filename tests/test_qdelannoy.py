@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
+import reference
 from qdelannoy.polyring import IntPoly, ONE
-from qdelannoy.qcore import delannoy
+from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import (
-    QDelannoyTable,
     q_delannoy,
     q_delannoy_alt,
     q_delannoy_def,
@@ -87,6 +89,44 @@ def test_route_dispatch():
 
 
 def test_explicit_table():
-    table = QDelannoyTable()
-    assert table.get(3, 3) == DQ_33
-    assert table.get(-1, 1).is_zero()
+    assert q_delannoy_rec(3, 3) == DQ_33
+    assert q_delannoy_rec(-1, 1).is_zero()
+
+
+ROUTE_PAIRS = [
+    (q_delannoy_def, reference.q_delannoy_def),
+    (q_delannoy_alt, reference.q_delannoy_alt),
+    (q_delannoy_rec, reference.q_delannoy_rec),
+]
+
+
+@pytest.mark.parametrize("route, oracle", ROUTE_PAIRS, ids=["def", "alt", "rec"])
+def test_routes_match_reference(route, oracle):
+    for h in range(13):
+        for k in range(13):
+            assert route(h, k) == oracle(h, k), (h, k)
+
+
+@pytest.mark.parametrize("h, k", [(60, 2), (2, 60), (0, 50), (50, 0)])
+@pytest.mark.parametrize("route, oracle", ROUTE_PAIRS, ids=["def", "alt", "rec"])
+def test_skewed_shapes_match_reference(route, oracle, h, k):
+    assert route(h, k) == oracle(h, k)
+
+
+def test_deep_recurrence_has_no_recursion_limit():
+    p = q_delannoy_rec(1200, 1)
+    assert p.evaluate(1) == delannoy(1200, 1) == 2401
+    assert p == q_delannoy_rec(1, 1200) == q_delannoy_def(1200, 1) == q_delannoy_alt(1, 1200)
+
+
+def test_fill_memory_is_bounded():
+    q_delannoy_rec.cache_clear()
+    q_binomial.cache_clear()
+    tracemalloc.start()
+    try:
+        q_delannoy_rec(60, 60)
+        q_binomial(120, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
