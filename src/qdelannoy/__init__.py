@@ -4,14 +4,11 @@ from .polyring import IntPoly, ModulusError, ONE, Q, ZERO
 from .cyclotomic import CyclotomicTable, congruent, cyclotomic, exponent_residue_factor, reduce_mod
 from .qcore import (
     delannoy,
-    delannoy_lucas_check,
     delannoy_series_table,
-    lucas_check,
     neg_q_pochhammer,
     q_binomial,
     q_binomial_theorem_check,
     q_integer,
-    q_lucas_check,
 )
 from .qdelannoy import (
     q_delannoy,
@@ -20,7 +17,7 @@ from .qdelannoy import (
     q_delannoy_rec,
     specialize_q1,
 )
-from .paths import concat, enumerate_paths, path_from_text, path_text, sigma, sigma_poly
+from .paths import enumerate_paths, path_from_text, path_text, sigma, sigma_poly
 from .orbits import (
     AuditReport,
     ClassError,
@@ -33,7 +30,6 @@ from .orbits import (
     blocks,
     classify,
     decompose,
-    fixed_point_sums,
     orbit,
 )
 from .congruence import (
@@ -42,6 +38,9 @@ from .congruence import (
     SweepSummary,
     induction_consistency,
     sweep,
+    verify_delannoy_lucas,
+    verify_lucas,
+    verify_q_lucas,
     verify_theorem1,
     verify_theorem2,
 )

@@ -1,9 +1,12 @@
 """Direct verification of the headline congruences, plus grid sweeps.
 
 The two theorem checks reduce exact polynomial differences modulo Phi_n and
-never touch the orbit machinery, so they corroborate it independently.
-Reports carry both sides and the reduced residue, not just a boolean, so a
-failure localizes the discrepancy.
+never touch the orbit machinery, so they corroborate it independently.  The
+q-Lucas check does the same for Gaussian binomials, and the integer Lucas
+and Delannoy-Lucas checks reduce mod a prime p.  Every check returns a
+report that carries both sides and the reduced residue, not just a boolean,
+so a failure localizes the discrepancy; `run_case` looks the check up by
+statement name.
 
 Sweeps of thm2, thm1 and qlucas do not build full polynomials.  Phi_n
 divides q^n - 1, so each case is decided in Z[q]/(q^n - 1) (see `residue`):
@@ -56,6 +59,11 @@ def _report(tag: str, params: dict, lhs: IntPoly, rhs: IntPoly, n: int | None) -
     return CongruenceReport(tag, params, lhs, rhs, residue, residue.is_zero())
 
 
+def _check_remainders(modulus: int, b: int, d: int) -> None:
+    if not 0 <= b <= modulus - 1 or not 0 <= d <= modulus - 1:
+        raise ValueError(f"remainder parts must lie in [0, {modulus - 1}], got b={b} d={d}")
+
+
 def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
     """Corner-step congruence: P(h+n,k+n) vs P(h+n,k) + P(h,k+n) +/- P(h,k) mod Phi_n.
 
@@ -82,8 +90,7 @@ def verify_theorem1(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
         raise ValueError(f"modulus index must be positive, got {n}")
     if a < 0 or c < 0:
         raise ValueError("quotient parts must be nonnegative")
-    if not 0 <= b <= n - 1 or not 0 <= d <= n - 1:
-        raise ValueError(f"remainder parts must lie in [0, {n - 1}], got b={b} d={d}")
+    _check_remainders(n, b, d)
     lhs = q_delannoy_rec(a * n + b, c * n + d)
     if n % 2:
         rhs = q_delannoy_rec(b, d) * delannoy(a, c)
@@ -102,8 +109,7 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
     three-term Delannoy recurrence assembles D(a+1,c+1), for even n the
     signs collapse to a single P(b,d).
     """
-    if not 0 <= b <= n - 1 or not 0 <= d <= n - 1:
-        raise ValueError(f"remainder parts must lie in [0, {n - 1}], got b={b} d={d}")
+    _check_remainders(n, b, d)
     sign = 1 if n % 2 else -1
     lhs = q_delannoy_rec((a + 1) * n + b, (c + 1) * n + d)
     via_corner = (
@@ -120,13 +126,23 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
     return step_ok and telescoped_ok
 
 
-def _qlucas_report(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
+def verify_q_lucas(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
+    """q-Lucas: [an+b, cn+d]_q vs C(a,c)*[b,d]_q mod Phi_n."""
+    if n < 1:
+        raise ValueError(f"modulus index must be positive, got {n}")
+    _check_remainders(n, b, d)
     lhs = q_binomial(a * n + b, c * n + d)
     rhs = q_binomial(b, d) * comb(a, c)
     return _report("q-lucas", {"n": n, "a": a, "b": b, "c": c, "d": d}, lhs, rhs, n)
 
 
-def _int_report(tag: str, p: int, a: int, b: int, c: int, d: int, lhs: int, rhs: int) -> CongruenceReport:
+def _lucas_report(tag: str, count: Callable[[int, int], int], p: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
+    """count(ap+b, cp+d) vs count(a,c)*count(b,d) mod the prime p, as constant polynomials."""
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    _check_remainders(p, b, d)
+    lhs = count(a * p + b, c * p + d)
+    rhs = count(a, c) * count(b, d)
     residue = IntPoly.const((lhs - rhs) % p)
     return CongruenceReport(
         tag,
@@ -138,13 +154,32 @@ def _int_report(tag: str, p: int, a: int, b: int, c: int, d: int, lhs: int, rhs:
     )
 
 
+def verify_lucas(p: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
+    """Lucas: C(ap+b, cp+d) vs C(a,c)*C(b,d) mod p."""
+    return _lucas_report("lucas", comb, p, a, b, c, d)
+
+
+def verify_delannoy_lucas(p: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
+    """Delannoy-Lucas: D(ap+b, cp+d) vs D(a,c)*D(b,d) mod p."""
+    return _lucas_report("delannoy-lucas", delannoy, p, a, b, c, d)
+
+
 def _interp_report(h: int, k: int) -> CongruenceReport:
     lhs = sigma_poly(h, k)
     rhs = q_delannoy_rec(h, k)
     return _report("interp", {"h": h, "k": k}, lhs, rhs, None)
 
 
-STATEMENTS = ("lucas", "dlucas", "qlucas", "thm1", "thm2", "interp")
+# Statement name -> the check that reports one grid case.
+_CHECKS: dict[str, Callable[..., CongruenceReport]] = {
+    "lucas": verify_lucas,
+    "dlucas": verify_delannoy_lucas,
+    "qlucas": verify_q_lucas,
+    "thm1": verify_theorem1,
+    "thm2": verify_theorem2,
+    "interp": _interp_report,
+}
+STATEMENTS = tuple(_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -201,23 +236,9 @@ class SweepConfig:
 
 def run_case(statement: str, case: tuple[int, ...]) -> CongruenceReport:
     """Evaluate one grid case; pure, so cases may run in any order."""
-    if statement == "thm2":
-        return verify_theorem2(*case)
-    if statement == "thm1":
-        return verify_theorem1(*case)
-    if statement == "qlucas":
-        return _qlucas_report(*case)
-    if statement == "lucas":
-        p, a, b, c, d = case
-        return _int_report("lucas", p, a, b, c, d, comb(a * p + b, c * p + d), comb(a, c) * comb(b, d))
-    if statement == "dlucas":
-        p, a, b, c, d = case
-        return _int_report(
-            "delannoy-lucas", p, a, b, c, d, delannoy(a * p + b, c * p + d), delannoy(a, c) * delannoy(b, d)
-        )
-    if statement == "interp":
-        return _interp_report(*case)
-    raise ValueError(f"unknown statement {statement!r}")
+    if statement not in _CHECKS:
+        raise ValueError(f"unknown statement {statement!r}")
+    return _CHECKS[statement](*case)
 
 
 @dataclass(frozen=True)

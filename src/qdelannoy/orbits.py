@@ -31,7 +31,10 @@ Each action preserves its class, has period dividing n, and changes sigma
 by an exact amount that is nonzero mod n away from the fixed points, which
 is why every non-singleton orbit's q^sigma sum vanishes mod Phi_n.  The
 audit verifies all of this exhaustively for one frame, plus the closed
-forms of the four fixed-point sums.
+forms of the four fixed-point sums.  `orbit` is the one orbit walker: it
+raises AssertionError when a law breaks, and `audit` calls it once per
+orbit, records any raise as a violation, and takes S1/S2/S4 from the
+singleton orbits.
 """
 
 from __future__ import annotations
@@ -49,9 +52,8 @@ from .paths import (
     E,
     N,
     Path,
-    STEP_DX,
-    STEP_DY,
     enumerate_paths,
+    path_points,
     path_text,
     sigma,
     x_of,
@@ -138,12 +140,7 @@ class Orbit:
 
 def decompose(path: Path, frame: CornerFrame) -> Decomposition:
     """Split a path around its anchor stretch."""
-    pts = [(0, 0)]
-    x = y = 0
-    for s in path:
-        x += STEP_DX[s]
-        y += STEP_DY[s]
-        pts.append((x, y))
+    pts = path_points(path)
     if pts[-1] != frame.target:
         raise FrameError(f"path ends at {pts[-1]}, frame expects {frame.target}")
     for first, p in enumerate(pts):
@@ -225,10 +222,8 @@ def _rebuild(dec: Decomposition, cls: PathClass, bd: BlockDecomposition, parts: 
     return dec.check + dec.bar + tuple(body)
 
 
-def _act_with_shift(path: Path, frame: CornerFrame) -> tuple[Path, int]:
+def _act_with_shift(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> tuple[Path, int]:
     """Apply the class action once; also return the exact predicted sigma shift."""
-    dec = decompose(path, frame)
-    cls = _classify(dec, frame)
     bd = _blocks_of(dec, cls, frame)
     parts = bd.blocks
     n = frame.n
@@ -249,7 +244,8 @@ def _act_with_shift(path: Path, frame: CornerFrame) -> tuple[Path, int]:
 
 def act(path: Path, frame: CornerFrame) -> Path:
     """One application of the cyclic action for the path's class."""
-    return _act_with_shift(path, frame)[0]
+    dec = decompose(path, frame)
+    return _act_with_shift(dec, _classify(dec, frame), frame)[0]
 
 
 def _weight(sigmas: list[int]) -> IntPoly:
@@ -262,52 +258,41 @@ def _weight(sigmas: list[int]) -> IntPoly:
 
 
 def orbit(path: Path, frame: CornerFrame) -> Orbit:
-    """Trajectory of a path under its action; the size always divides n."""
+    """Trajectory of a path under its action; the size always divides n.
+
+    Each member is decomposed once.  Raises AssertionError when a step
+    misses its predicted sigma shift or leaves the class, or when the
+    action does not return to the path within n steps.
+    """
     dec = decompose(path, frame)
     cls = _classify(dec, frame)
     if cls is PathClass.Q3:
         raise ClassError("Q3 paths carry no cyclic action")
     members = [path]
-    cur = act(path, frame)
-    while cur != path:
-        if len(members) > frame.n:
-            raise AssertionError("action failed to return within n steps")
-        if classify(cur, frame) is not cls:
-            raise AssertionError("the action moved a path out of its class")
-        members.append(cur)
-        cur = act(cur, frame)
-    s_count = dec.tail.count(D) if cls is PathClass.Q4 else None
+    sigmas = [sigma(path)]
+    cur = dec
+    while True:
+        nxt, predicted = _act_with_shift(cur, cls, frame)
+        s = sigma(nxt)
+        if s - sigmas[-1] != predicted:
+            raise AssertionError(f"sigma shift law failed at {path_text(members[-1])} ({cls.value})")
+        if nxt == path:
+            break
+        if len(members) == frame.n:
+            raise AssertionError(f"action not n-periodic at {path_text(path)} ({cls.value})")
+        if nxt in members:
+            raise AssertionError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
+        cur = decompose(nxt, frame)
+        if _classify(cur, frame) is not cls:
+            raise AssertionError(f"action left {cls.value} at {path_text(members[-1])}")
+        members.append(nxt)
+        sigmas.append(s)
     return Orbit(
         members=tuple(members),
         size=len(members),
-        weight=_weight([sigma(m) for m in members]),
+        weight=_weight(sigmas),
         path_class=cls,
-        s_count=s_count,
-    )
-
-
-@dataclass(frozen=True)
-class FixedPointSums:
-    """Exact q^sigma sums: s1/s2/s4 over fixed points, s3 over all of Q3."""
-
-    s1: IntPoly
-    s2: IntPoly
-    s3: IntPoly
-    s4: IntPoly
-
-
-def fixed_point_sums(frame: CornerFrame) -> FixedPointSums:
-    """Enumerate the frame and accumulate the four surviving sums."""
-    acc: dict[PathClass, IntPoly] = {cls: IntPoly() for cls in PathClass}
-    for path in enumerate_paths(frame.h + frame.n, frame.k + frame.n):
-        cls = classify(path, frame)
-        if cls is PathClass.Q3 or act(path, frame) == path:
-            acc[cls] = acc[cls] + IntPoly.monomial(sigma(path))
-    return FixedPointSums(
-        s1=acc[PathClass.Q1],
-        s2=acc[PathClass.Q2],
-        s3=acc[PathClass.Q3],
-        s4=acc[PathClass.Q4],
+        s_count=dec.tail.count(D) if cls is PathClass.Q4 else None,
     )
 
 
@@ -384,15 +369,14 @@ def audit(frame: CornerFrame) -> AuditReport:
         if len(violations) < 100:
             violations.append(msg)
 
-    class_paths: dict[PathClass, list[Path]] = {
-        PathClass.Q1: [],
-        PathClass.Q2: [],
-        PathClass.Q4: [],
-    }
     class_counts = {cls.value: 0 for cls in PathClass}
-    q3_exponents: list[int] = []
-    total_paths = 0
+    orbit_histograms: dict[str, dict[int, int]] = {cls.value: {} for cls in PathClass}
+    # sigma of every Q3 path, and of every fixed point of Q1, Q2 and Q4
+    fixed_exponents: dict[PathClass, list[int]] = {cls: [] for cls in PathClass}
     grand_exponents: list[int] = []
+    total_paths = 0
+    # members of finished orbits that the enumeration has not reached yet
+    ahead: set[Path] = set()
 
     for path in enumerate_paths(h + n, k + n):
         total_paths += 1
@@ -404,87 +388,44 @@ def audit(frame: CornerFrame) -> AuditReport:
         class_counts[cls.value] += 1
         grand_exponents.append(s)
         if cls is PathClass.Q3:
-            q3_exponents.append(s)
+            fixed_exponents[cls].append(s)
+            continue
+        if path in ahead:
+            ahead.remove(path)
+            continue
+        try:
+            o = orbit(path, frame)
+        except (AssertionError, ValueError) as exc:
+            violate(str(exc))
+            continue
+        ahead.update(o.members[1:])
+        hist = orbit_histograms[cls.value]
+        hist[o.size] = hist.get(o.size, 0) + 1
+        if n % o.size != 0:
+            violate(f"orbit size {o.size} does not divide n at {path_text(path)}")
+        if cls is PathClass.Q1:
+            is_fixed_char = x_of(dec.hat) == 0
+        elif cls is PathClass.Q2:
+            is_fixed_char = y_of(dec.hat) == 0
         else:
-            class_paths[cls].append(path)
+            is_fixed_char = o.s_count == n
+        if (o.size == 1) != is_fixed_char:
+            violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
+        if o.size == 1:
+            fixed_exponents[cls].append(s)
+        elif not reduce_mod(o.weight, n).is_zero():
+            violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
     if total_paths != delannoy(h + n, k + n):
         violate(f"enumerated {total_paths} paths, expected delannoy({h + n},{k + n})")
     if sum(class_counts.values()) != total_paths:
         violate("classification is not a partition of the path set")
-
-    orbit_histograms: dict[str, dict[int, int]] = {cls.value: {} for cls in PathClass}
-    fixed_counts = {cls.value: 0 for cls in PathClass}
-    fixed_exponents: dict[PathClass, list[int]] = {
-        PathClass.Q1: [],
-        PathClass.Q2: [],
-        PathClass.Q4: [],
-    }
-
-    for cls, members in class_paths.items():
-        member_set = set(members)
-        visited: set[Path] = set()
-        hist = orbit_histograms[cls.value]
-        for start in members:
-            if start in visited:
-                continue
-            orbit_members = [start]
-            cur = start
-            closed = False
-            for _ in range(n):
-                nxt, predicted = _act_with_shift(cur, frame)
-                if sigma(nxt) - sigma(cur) != predicted:
-                    violate(f"sigma shift law failed at {path_text(cur)} ({cls.value})")
-                if nxt not in member_set:
-                    violate(f"action left {cls.value} at {path_text(cur)}")
-                    closed = True
-                    break
-                if nxt == start:
-                    closed = True
-                    break
-                if nxt in visited or nxt in orbit_members:
-                    violate(f"orbits overlap at {path_text(nxt)} ({cls.value})")
-                    closed = True
-                    break
-                orbit_members.append(nxt)
-                cur = nxt
-            if not closed:
-                violate(f"action not n-periodic at {path_text(start)} ({cls.value})")
-            d = len(orbit_members)
-            if n % d != 0:
-                violate(f"orbit size {d} does not divide n at {path_text(start)}")
-            visited.update(orbit_members)
-            hist[d] = hist.get(d, 0) + 1
-
-            dec = decompose(start, frame)
-            if cls is PathClass.Q1:
-                is_fixed_char = x_of(dec.hat) == 0
-            elif cls is PathClass.Q2:
-                is_fixed_char = y_of(dec.hat) == 0
-            else:
-                is_fixed_char = dec.tail.count(D) == n
-            if (d == 1) != is_fixed_char:
-                violate(f"fixed-point characterization failed at {path_text(start)} ({cls.value})")
-
-            if d > 1:
-                weight = _weight([sigma(m) for m in orbit_members])
-                if not reduce_mod(weight, n).is_zero():
-                    violate(f"orbit sum not divisible by Phi_{n} at {path_text(start)}")
-            else:
-                fixed_counts[cls.value] += 1
-                fixed_exponents[cls].append(sigma(start))
-        if visited != member_set:
-            violate(f"orbits do not cover {cls.value}")
-
-    fixed_counts[PathClass.Q3.value] = class_counts[PathClass.Q3.value]
+    fixed_counts = {cls.value: len(exps) for cls, exps in fixed_exponents.items()}
 
     dq_hk = q_delannoy_rec(h, k)
     dq_h_kn = q_delannoy_rec(h, k + n)
     dq_hn_k = q_delannoy_rec(h + n, k)
-    s1 = _weight(fixed_exponents[PathClass.Q1])
-    s2 = _weight(fixed_exponents[PathClass.Q2])
-    s3 = _weight(q3_exponents)
-    s4 = _weight(fixed_exponents[PathClass.Q4])
+    s1, s2, s3, s4 = (_weight(fixed_exponents[cls]) for cls in PathClass)
 
     if s1 != (dq_hn_k - dq_hk).shift(n * (h + n)):
         violate("fixed sum S1 differs from its closed form")

@@ -3,7 +3,8 @@
 A path is a plain tuple of step symbols "E", "N", "D" read left to right;
 paths are origin-relative, and absolute positions are derived on demand.
 sigma(path) adds up, over every step that raises y, the x-coordinate of
-that step's endpoint when the path starts at the origin.
+that step's endpoint when the path starts at the origin.  Paths concatenate
+with `+`, and sigma(a + b) = sigma(a) + sigma(b) + x(a)*y(b).
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ def sigma(path: Path) -> int:
     return total
 
 
-def concat(first: Path, second: Path) -> Path:
-    """Concatenation; sigma(a+b) = sigma(a) + sigma(b) + x(a)*y(b)."""
-    return first + second
-
-
 def path_points(path: Path, start: tuple[int, int] = (0, 0)) -> list[tuple[int, int]]:
     """Every lattice point the path visits, start included."""
     x, y = start
@@ -63,26 +59,33 @@ def enumerate_paths(h: int, k: int) -> Iterator[Path]:
     """
     if h < 0 or k < 0:
         raise ValueError(f"target must be in the first quadrant, got ({h}, {k})")
-    prefix: list[str] = []
+    return _walk(h, k)
 
-    def walk(dh: int, dk: int) -> Iterator[Path]:
-        if dh == 0 and dk == 0:
-            yield tuple(prefix)
+
+def _walk(h: int, k: int) -> Iterator[Path]:
+    """Depth-first over an explicit stack of steps, so path length has no ceiling."""
+    steps: list[str] = []
+    dh, dk = h, k
+    while True:
+        while dh or dk:
+            s = E if dh else N
+            steps.append(s)
+            dh -= STEP_DX[s]
+            dk -= STEP_DY[s]
+        yield tuple(steps)
+        # Back up to the last step that has an untried successor: E -> N -> D.
+        while steps:
+            s = steps.pop()
+            dh += STEP_DX[s]
+            dk += STEP_DY[s]
+            if (s == E and dk) or (s == N and dh):
+                s = N if s == E else D
+                steps.append(s)
+                dh -= STEP_DX[s]
+                dk -= STEP_DY[s]
+                break
+        else:
             return
-        if dh:
-            prefix.append(E)
-            yield from walk(dh - 1, dk)
-            prefix.pop()
-        if dk:
-            prefix.append(N)
-            yield from walk(dh, dk - 1)
-            prefix.pop()
-        if dh and dk:
-            prefix.append(D)
-            yield from walk(dh - 1, dk - 1)
-            prefix.pop()
-
-    return walk(h, k)
 
 
 def sigma_poly(h: int, k: int) -> IntPoly:

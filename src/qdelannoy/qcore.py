@@ -1,4 +1,4 @@
-"""q-integers, Gaussian binomials, Delannoy numbers, and Lucas-type checks.
+"""q-integers, Gaussian binomials and Delannoy numbers.
 
 Gaussian binomials are filled row by row by the Pascal-style recurrence on
 packed integers: a polynomial with coefficients in [0, 2**bits) is stored
@@ -15,7 +15,6 @@ from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 
-from .cyclotomic import congruent
 from .polyring import ONE, IntPoly, ZERO
 
 
@@ -112,37 +111,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _check_split_args(modulus: int, b: int, d: int) -> None:
-    if not 0 <= b <= modulus - 1 or not 0 <= d <= modulus - 1:
-        raise ValueError(f"remainder parts must lie in [0, {modulus - 1}], got b={b} d={d}")
-
-
-def lucas_check(p: int, a: int, b: int, c: int, d: int) -> bool:
-    """Whether C(ap+b, cp+d) == C(a,c)*C(b,d) mod p, with exact integers."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    _check_split_args(p, b, d)
-    return (comb(a * p + b, c * p + d) - comb(a, c) * comb(b, d)) % p == 0
-
-
-def delannoy_lucas_check(p: int, a: int, b: int, c: int, d: int) -> bool:
-    """Whether D(ap+b, cp+d) == D(a,c)*D(b,d) mod p."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    _check_split_args(p, b, d)
-    return (delannoy(a * p + b, c * p + d) - delannoy(a, c) * delannoy(b, d)) % p == 0
-
-
-def q_lucas_check(n: int, a: int, b: int, c: int, d: int) -> bool:
-    """Whether [an+b, cn+d]_q == C(a,c)*[b,d]_q mod Phi_n."""
-    if n < 1:
-        raise ValueError(f"modulus index must be positive, got {n}")
-    _check_split_args(n, b, d)
-    lhs = q_binomial(a * n + b, c * n + d)
-    rhs = q_binomial(b, d) * comb(a, c)
-    return congruent(lhs, rhs, n)
 
 
 def q_binomial_theorem_check(j: int) -> bool:

@@ -4,7 +4,8 @@ Every value here is built from IntPoly arithmetic alone: schoolbook
 products, coefficient-wise sums and memoized recursion, with no packed
 integers; (-q;q)_j comes from `qcore.neg_q_pochhammer`, which multiplies
 IntPoly factors too.  These are the package's original routes, kept as the
-oracle the fast ones are checked against.
+oracle the fast ones are checked against, plus the original recursive path
+enumeration.
 """
 
 from functools import cache
@@ -48,3 +49,15 @@ def q_delannoy_alt(h, k):
         term = neg_q_pochhammer(j) * q_binomial(k, j) * q_binomial(h, j)
         total = total + term.shift((h - j) * (k - j))
     return total
+
+
+def enumerate_paths(h, k, prefix=()):
+    """Recursive depth-first enumeration trying E, then N, then D at each position."""
+    if h == 0 and k == 0:
+        yield prefix
+    if h:
+        yield from enumerate_paths(h - 1, k, prefix + ("E",))
+    if k:
+        yield from enumerate_paths(h, k - 1, prefix + ("N",))
+    if h and k:
+        yield from enumerate_paths(h - 1, k - 1, prefix + ("D",))

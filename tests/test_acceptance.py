@@ -13,17 +13,19 @@ from pathlib import Path
 
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly, ONE
-from qdelannoy.qcore import (
-    delannoy,
-    delannoy_lucas_check,
-    delannoy_series_table,
-    lucas_check,
-    q_lucas_check,
-)
+from qdelannoy.qcore import delannoy, delannoy_series_table
 from qdelannoy.qdelannoy import q_delannoy_alt, q_delannoy_def, q_delannoy_rec
 from qdelannoy.paths import sigma_poly
 from qdelannoy.orbits import CornerFrame, audit
-from qdelannoy.congruence import SweepConfig, induction_consistency, sweep, verify_theorem2
+from qdelannoy.congruence import (
+    SweepConfig,
+    induction_consistency,
+    sweep,
+    verify_delannoy_lucas,
+    verify_lucas,
+    verify_q_lucas,
+    verify_theorem2,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -96,14 +98,14 @@ def test_criterion_05_lucas_family():
                 for c in range(4):
                     for b in range(n):
                         for d in range(n):
-                            assert q_lucas_check(n, a, b, c, d)
+                            assert verify_q_lucas(n, a, b, c, d).passed
         for p in (2, 3, 5, 7):
             for a in range(5):
                 for c in range(5):
                     for b in range(p):
                         for d in range(p):
-                            assert lucas_check(p, a, b, c, d)
-                            assert delannoy_lucas_check(p, a, b, c, d)
+                            assert verify_lucas(p, a, b, c, d).passed
+                            assert verify_delannoy_lucas(p, a, b, c, d).passed
 
 
 def test_criterion_06_spot_values():

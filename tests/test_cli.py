@@ -208,3 +208,56 @@ def test_compute_deep_arguments_exit_0(what, h, k, expected):
         assert payload["value"] == expected
     else:
         assert str(sum(int(c) for c in payload["coeffs"])) == expected
+
+
+def test_sigma_poly_long_path_exit_0():
+    result = run_cli("compute", "sigma-poly", "--h", "1200", "--k", "0")
+    assert result.returncode == 0
+    assert result.stdout == b"1\n"
+    assert result.stderr == b""
+
+
+# sha256 of `orbits audit` output, text then --json, recorded from the audit
+# that walked orbits inline before it was rebuilt on `orbit()`.
+AUDIT_GOLDEN = [
+    ((0, 0, 1), "832c887d26d2aaecf4f2749be54ac9fae97adc69d91baf82fd005c0f59c02682",
+     "5fe82471ce07227d55d9ed681ffa13aec35251994bbe8ab57483b88aa21aae62"),
+    ((1, 1, 2), "d6a0c75a02ab928c1692e707cd06ad43432d563b048d4e8f69752fa6c0aec6d4",
+     "1089e34a50b45c84f799d771e3cf1de3c5f4e8a97dc5922c79f6e68f5fb06244"),
+    ((1, 0, 3), "2b454acb83e38cb1e3f33e84c22885c2a3d84c53a46c2a317c801f5565cc5026",
+     "386e6985650c87a72312131d5d5144ff4fe47486fcf52e14ac6c24a2cb0106e3"),
+    ((2, 1, 3), "952441c6cfe0cbaba40bd9bbae36bc992932963da48e3d872fbc5533d2a5d564",
+     "85c0e01cca932d9754ee807b7c2c535ad24e1c797fc3c742759607887ad50234"),
+    ((2, 2, 3), "44ee726c8015500a682bbbe9d9b26d713bdeca8453664af768de498e1ac718a2",
+     "c2f20f63e28c3ed2cb98108eb71b7b4c4c78a316a8014ee637d282074d73d379"),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "frame, text_digest, json_digest", AUDIT_GOLDEN, ids=["-".join(map(str, f)) for f, _, _ in AUDIT_GOLDEN]
+)
+def test_audit_golden_output(frame, text_digest, json_digest, as_json, tmp_path):
+    h, k, n = (str(v) for v in frame)
+    target = tmp_path / "out.txt"
+    flags = ["--json"] if as_json else []
+    assert main(["orbits", "audit", "--h", h, "--k", k, "--n", n, *flags, "--out", str(target)]) == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == (json_digest if as_json else text_digest)
+
+
+def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
+    import qdelannoy.orbits as orbits_module
+
+    act_with_shift = orbits_module._act_with_shift
+
+    def wrong_shift(dec, cls, frame):
+        path, shift = act_with_shift(dec, cls, frame)
+        return path, shift + 1
+
+    monkeypatch.setattr(orbits_module, "_act_with_shift", wrong_shift)
+    target = tmp_path / "out.txt"
+    assert main(["orbits", "audit", "--h", "1", "--k", "1", "--n", "2", "--json", "--out", str(target)]) == 1
+    payload = json.loads(target.read_text())
+    assert payload["ok"] is False
+    assert payload["violations"][0] == "sigma shift law failed at EEENNN (Q1)"

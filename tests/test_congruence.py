@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+from math import comb
 
 import pytest
 
@@ -7,7 +8,7 @@ from qdelannoy import congruence
 from qdelannoy.cli import main
 from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
-from qdelannoy.qcore import delannoy, delannoy_lucas_check, q_binomial
+from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.residue import binomial_table, delannoy_table
 from qdelannoy.congruence import (
@@ -17,6 +18,9 @@ from qdelannoy.congruence import (
     induction_consistency,
     run_case,
     sweep,
+    verify_delannoy_lucas,
+    verify_lucas,
+    verify_q_lucas,
     verify_theorem1,
     verify_theorem2,
 )
@@ -120,7 +124,7 @@ def test_specialization_to_integer_congruence():
                         report = verify_theorem1(p, a, b, c, d)
                         assert report.passed
                         assert (report.lhs.evaluate(1) - report.rhs.evaluate(1)) % p == 0
-                        assert delannoy_lucas_check(p, a, b, c, d)
+                        assert verify_delannoy_lucas(p, a, b, c, d).passed
                         lhs_q1 = report.lhs.evaluate(1)
                         assert (lhs_q1 - delannoy(a, c) * delannoy(b, d)) % p == 0
 
@@ -185,6 +189,46 @@ def test_run_case_shapes():
     payload = report.to_json()
     assert payload["pass"] is True
     assert payload["params"] == {"h": 2, "k": 2}
+
+
+def test_run_case_unknown_statement():
+    with pytest.raises(ValueError):
+        run_case("thm3", (2, 1, 1))
+
+
+def test_lucas_family_reports():
+    report = verify_lucas(3, 2, 1, 1, 1)
+    assert report == run_case("lucas", (3, 2, 1, 1, 1))
+    assert report.params == {"p": 3, "a": 2, "b": 1, "c": 1, "d": 1}
+    assert report.lhs == IntPoly.const(comb(7, 4)) and report.rhs == IntPoly.const(2)
+    assert report.residue == IntPoly.const((35 - 2) % 3)
+    report = verify_delannoy_lucas(3, 1, 1, 1, 1)
+    assert report == run_case("dlucas", (3, 1, 1, 1, 1))
+    assert report.tag == "delannoy-lucas" and report.passed
+    assert report.lhs == IntPoly.const(delannoy(4, 4))
+    report = verify_q_lucas(3, 1, 1, 0, 2)
+    assert report == run_case("qlucas", (3, 1, 1, 0, 2))
+    assert report.tag == "q-lucas" and report.passed
+    assert report.params == {"n": 3, "a": 1, "b": 1, "c": 0, "d": 2}
+
+
+@pytest.mark.parametrize(
+    "check, case",
+    [
+        (verify_lucas, (4, 1, 0, 1, 0)),
+        (verify_lucas, (1, 0, 0, 0, 0)),
+        (verify_lucas, (3, 1, 3, 1, 0)),
+        (verify_lucas, (3, 1, 0, 1, -1)),
+        (verify_delannoy_lucas, (6, 1, 0, 1, 0)),
+        (verify_delannoy_lucas, (5, 0, 0, 0, 5)),
+        (verify_q_lucas, (0, 1, 0, 1, 0)),
+        (verify_q_lucas, (3, 1, 3, 0, 0)),
+        (verify_q_lucas, (3, 1, 0, 0, -1)),
+    ],
+)
+def test_lucas_family_rejects_bad_args(check, case):
+    with pytest.raises(ValueError):
+        check(*case)
 
 
 # ---------------------------------------------------------------------------

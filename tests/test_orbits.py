@@ -14,7 +14,6 @@ from qdelannoy.orbits import (
     blocks,
     classify,
     decompose,
-    fixed_point_sums,
     orbit,
 )
 from qdelannoy.paths import path_from_text, path_text, sigma
@@ -231,35 +230,87 @@ def test_orbit_sizes_divide_n_and_sums_vanish():
             assert reduce_mod(o.weight, frame.n).is_zero()
 
 
+def test_orbit_raises_when_a_law_breaks(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    act_with_shift = orbits_module._act_with_shift
+
+    def no_shift(dec, cls, frame):
+        return act_with_shift(dec, cls, frame)[0], 0
+
+    monkeypatch.setattr(orbits_module, "_act_with_shift", no_shift)
+    with pytest.raises(AssertionError, match="sigma shift law failed at EDNNE"):
+        orbit(P("EDNNE"), CornerFrame(1, 1, 2))
+
+    # an action that sends everything to EDNEN, with an honest shift, never returns
+    def stuck(dec, cls, frame):
+        return P("EDNEN"), sigma(P("EDNEN")) - sigma(dec.check + dec.bar + dec.hat)
+
+    monkeypatch.setattr(orbits_module, "_act_with_shift", stuck)
+    with pytest.raises(AssertionError, match="not n-periodic"):
+        orbit(P("EDNNE"), CornerFrame(1, 1, 2))
+
+
+def test_orbit_action_invariants_on_random_frames():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def frame_paths(draw):
+        frame = CornerFrame(draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 7)))
+        x, y = frame.target
+        j = draw(st.integers(0, min(x, y)))
+        path = draw(st.permutations(["E"] * (x - j) + ["N"] * (y - j) + ["D"] * j))
+        return frame, tuple(path)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(frame_paths())
+    def invariants(case):
+        frame, path = case
+        cls = classify(path, frame)
+        hypothesis.assume(cls is not PathClass.Q3)
+        o = orbit(path, frame)
+        assert frame.n % o.size == 0
+        assert all(classify(m, frame) is cls for m in o.members)
+        if o.size > 1:
+            assert reduce_mod(o.weight, frame.n).is_zero()
+        cur = path
+        for _ in range(frame.n):
+            cur = act(cur, frame)
+        assert cur == path
+
+    invariants()
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point sums
 # ---------------------------------------------------------------------------
 
 def test_fixed_point_sums_smallest_frame():
-    sums = fixed_point_sums(CornerFrame(0, 0, 1))
-    assert sums.s1.is_zero() and sums.s2.is_zero()
-    assert sums.s3 == IntPoly([1, 1])
-    assert sums.s4 == IntPoly.monomial(1)
+    sums = audit(CornerFrame(0, 0, 1)).sums
+    assert sums["S1"].is_zero() and sums["S2"].is_zero()
+    assert sums["S3"] == IntPoly([1, 1])
+    assert sums["S4"] == IntPoly.monomial(1)
 
 
 def test_fixed_point_sums_q4_extra():
-    sums = fixed_point_sums(CornerFrame(1, 1, 2))
-    assert sums.s4 == q_delannoy_rec(1, 1).shift(5)  # q^(nh + n(n+1)/2) = q^5
+    sums = audit(CornerFrame(1, 1, 2)).sums
+    assert sums["S4"] == q_delannoy_rec(1, 1).shift(5)  # q^(nh + n(n+1)/2) = q^5
 
 
 def test_fixed_point_sums_empty_q1_when_k_zero():
-    sums = fixed_point_sums(CornerFrame(1, 0, 2))
-    assert sums.s1.is_zero()
+    sums = audit(CornerFrame(1, 0, 2)).sums
+    assert sums["S1"].is_zero()
 
 
 def test_fixed_point_sums_closed_forms():
     for h, k, n in ((0, 0, 2), (1, 1, 2), (2, 1, 3), (1, 2, 2)):
-        sums = fixed_point_sums(CornerFrame(h, k, n))
+        sums = audit(CornerFrame(h, k, n)).sums
         dq = q_delannoy_rec
-        assert sums.s1 == (dq(h + n, k) - dq(h, k)).shift(n * (h + n))
-        assert sums.s2 == dq(h, k + n) - dq(h, k).shift(n * h)
-        assert sums.s3 == (q_binomial(2 * n, n) * dq(h, k)).shift(n * h)
-        assert sums.s4 == dq(h, k).shift(n * h + n * (n + 1) // 2)
+        assert sums["S1"] == (dq(h + n, k) - dq(h, k)).shift(n * (h + n))
+        assert sums["S2"] == dq(h, k + n) - dq(h, k).shift(n * h)
+        assert sums["S3"] == (q_binomial(2 * n, n) * dq(h, k)).shift(n * h)
+        assert sums["S4"] == dq(h, k).shift(n * h + n * (n + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

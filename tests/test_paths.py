@@ -1,10 +1,11 @@
 import pytest
 
+import reference
+
 from qdelannoy.polyring import IntPoly, ONE
 from qdelannoy.qcore import delannoy
 from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.paths import (
-    concat,
     enumerate_paths,
     path_from_text,
     path_points,
@@ -39,13 +40,13 @@ def test_displacements():
 
 def test_concat_identity():
     p = path_from_text("DEN")
-    assert concat(p, ()) == p
-    assert sigma(concat(p, ())) == sigma(p)
+    assert p + () == p
+    assert sigma(p + ()) == sigma(p)
 
 
 def test_concat_sigma_examples():
-    assert sigma(concat(("E",), ("N",))) == 1
-    assert sigma(concat(("D",), ("D",))) == 3
+    assert sigma(("E",) + ("N",)) == 1
+    assert sigma(("D",) + ("D",)) == 3
 
 
 def test_concat_law_exhaustive():
@@ -82,6 +83,17 @@ def test_enumeration_yields_distinct_paths_to_target():
     assert len(seen) == delannoy(3, 3)
     for p in seen:
         assert x_of(p) == 3 and y_of(p) == 3
+
+
+def test_enumeration_matches_recursive_reference():
+    for h in range(6):
+        for k in range(6):
+            assert list(enumerate_paths(h, k)) == list(reference.enumerate_paths(h, k))
+
+
+def test_enumeration_has_no_recursion_limit():
+    assert list(enumerate_paths(5000, 0)) == [("E",) * 5000]
+    assert sum(1 for _ in enumerate_paths(1, 1500)) == delannoy(1, 1500)
 
 
 def test_enumeration_rejects_negative_targets():

@@ -4,17 +4,15 @@ import pytest
 
 import reference
 from qdelannoy.polyring import IntPoly, ONE, ZERO
+from qdelannoy.congruence import verify_delannoy_lucas, verify_lucas, verify_q_lucas
 from qdelannoy.qcore import (
     delannoy,
-    delannoy_lucas_check,
     delannoy_series_table,
     is_prime,
-    lucas_check,
     neg_q_pochhammer,
     q_binomial,
     q_binomial_theorem_check,
     q_integer,
-    q_lucas_check,
 )
 
 
@@ -189,16 +187,16 @@ def test_is_prime():
 
 
 def test_lucas_examples():
-    assert lucas_check(3, 2, 1, 1, 1)
-    assert lucas_check(2, 0, 1, 0, 0)
-    assert lucas_check(5, 1, 0, 0, 3)
+    assert verify_lucas(3, 2, 1, 1, 1).passed
+    assert verify_lucas(2, 0, 1, 0, 0).passed
+    assert verify_lucas(5, 1, 0, 0, 3).passed
 
 
 def test_lucas_rejects_bad_args():
     with pytest.raises(ValueError):
-        lucas_check(4, 1, 0, 1, 0)
+        verify_lucas(4, 1, 0, 1, 0)
     with pytest.raises(ValueError):
-        lucas_check(3, 1, 3, 1, 0)
+        verify_lucas(3, 1, 3, 1, 0)
 
 
 def test_lucas_small_grid():
@@ -207,25 +205,25 @@ def test_lucas_small_grid():
             for c in range(4):
                 for b in range(p):
                     for d in range(p):
-                        assert lucas_check(p, a, b, c, d)
-                        assert delannoy_lucas_check(p, a, b, c, d)
+                        assert verify_lucas(p, a, b, c, d).passed
+                        assert verify_delannoy_lucas(p, a, b, c, d).passed
 
 
 def test_delannoy_lucas_examples():
     assert delannoy(4, 4) == 321 and 321 % 3 == 0
-    assert delannoy_lucas_check(3, 1, 1, 1, 1)
+    assert verify_delannoy_lucas(3, 1, 1, 1, 1).passed
     for b in range(2):
         for d in range(2):
-            assert delannoy_lucas_check(2, 0, b, 0, d)
-    assert delannoy_lucas_check(5, 2, 0, 1, 0)
+            assert verify_delannoy_lucas(2, 0, b, 0, d).passed
+    assert verify_delannoy_lucas(5, 2, 0, 1, 0).passed
 
 
 def test_q_lucas_examples():
-    assert q_lucas_check(3, 1, 1, 0, 2)
+    assert verify_q_lucas(3, 1, 1, 0, 2).passed
     for b in range(5):
         for d in range(5):
-            assert q_lucas_check(5, 0, b, 0, d)
-    assert q_lucas_check(4, 1, 0, 1, 0)
+            assert verify_q_lucas(5, 0, b, 0, d).passed
+    assert verify_q_lucas(4, 1, 0, 1, 0).passed
 
 
 def test_q_lucas_small_grid():
@@ -234,4 +232,4 @@ def test_q_lucas_small_grid():
             for c in range(3):
                 for b in range(n):
                     for d in range(n):
-                        assert q_lucas_check(n, a, b, c, d)
+                        assert verify_q_lucas(n, a, b, c, d).passed
