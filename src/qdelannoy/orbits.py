@@ -27,14 +27,20 @@ Three cyclic actions of order n drive the congruence bookkeeping:
   (e_j, v_j), e_j the j-th x-raising step; rotate only the e labels,
   keeping every north run in place.
 
+So a Q1/Q2 action is two slices of the hat at its last lead step, and a Q4
+action rewrites the lead positions of the tail; `_leads` finds the lead
+steps for both, and for `blocks`.
+
 Each action preserves its class, has period dividing n, and changes sigma
 by an exact amount that is nonzero mod n away from the fixed points, which
 is why every non-singleton orbit's q^sigma sum vanishes mod Phi_n.  The
 audit verifies all of this exhaustively for one frame, plus the closed
-forms of the four fixed-point sums.  `orbit` is the one orbit walker: it
-raises AssertionError when a law breaks, and `audit` calls it once per
-orbit, records any raise as a violation, and takes S1/S2/S4 from the
-singleton orbits.
+forms of the four fixed-point sums.  `orbit` and `audit` share one orbit
+walk, which raises AssertionError when a law breaks.  The audit decomposes
+each path once: it runs the walk at the first path of each orbit, keeps
+the walk's record (bar bounds, sigma, class) of every later member for
+when the enumeration reaches it, records any raise as a violation, and
+takes S1/S2/S4 from the singleton orbits.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from .paths import (
     N,
     Path,
     enumerate_paths,
-    path_points,
     path_text,
     sigma,
     x_of,
@@ -98,12 +103,6 @@ class CornerFrame:
     def target(self) -> tuple[int, int]:
         return (self.h + self.n, self.k + self.n)
 
-    def on_anchor(self, point: tuple[int, int]) -> bool:
-        x, y = point
-        if y == self.k and self.h <= x <= self.h + self.n:
-            return True
-        return x == self.h and self.k <= y <= self.k + self.n
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -139,25 +138,36 @@ class Orbit:
 
 
 def decompose(path: Path, frame: CornerFrame) -> Decomposition:
-    """Split a path around its anchor stretch."""
-    pts = path_points(path)
-    if pts[-1] != frame.target:
-        raise FrameError(f"path ends at {pts[-1]}, frame expects {frame.target}")
-    for first, p in enumerate(pts):
-        if frame.on_anchor(p):
-            break
-    else:
-        raise AssertionError("every path to the far corner meets the anchor set")
+    """Split a path around its anchor stretch, in one walk that stops at the bar's end."""
+    end = (x_of(path), y_of(path))
+    if end != frame.target:
+        raise FrameError(f"path ends at {end}, frame expects {frame.target}")
+    h, k, n = frame.h, frame.k, frame.n
+    x = y = first = 0
+    # Steps raise x and y by at most one, so the first point with x >= h and
+    # y >= k lies on an arm, and it comes before the end (h+n, k+n): this
+    # walk stops inside the path.
+    while not (y == k and h <= x <= h + n or x == h and k <= y <= k + n):
+        s = path[first]
+        x += s != N
+        y += s != E
+        first += 1
+    bar_start = (x, y)
     last = first
-    while last + 1 < len(pts) and frame.on_anchor(pts[last + 1]):
+    while last < len(path):
+        s = path[last]
+        nx, ny = x + (s != N), y + (s != E)
+        if not (ny == k and h <= nx <= h + n or nx == h and k <= ny <= k + n):
+            break
+        x, y = nx, ny
         last += 1
     return Decomposition(
         check=path[:first],
         bar=path[first:last],
         hat=path[last:],
-        bar_start=pts[first],
-        bar_end=pts[last],
-        passes_corner=pts[first] == frame.corner,
+        bar_start=bar_start,
+        bar_end=(x, y),
+        passes_corner=bar_start == (h, k),
     )
 
 
@@ -174,72 +184,63 @@ def classify(path: Path, frame: CornerFrame) -> PathClass:
     return _classify(decompose(path, frame), frame)
 
 
-def _split_on_leads(segment: Path, leads: tuple[str, str]) -> tuple[Path, tuple[Path, ...]]:
-    """Cut a segment at its lead steps; anything before the first lead is the leading run."""
-    leading: list[str] = []
-    blocks: list[list[str]] = []
-    for s in segment:
-        if s in leads:
-            blocks.append([s])
-        elif blocks:
-            blocks[-1].append(s)
-        else:
-            leading.append(s)
-    return tuple(leading), tuple(tuple(b) for b in blocks)
+def _leads(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> tuple[Path, list[int]]:
+    """The segment the class action permutes, and the index of each block's lead step.
+
+    A block is a lead step plus the run after it; anything before the first
+    lead is the leading run.
+    """
+    if cls is PathClass.Q1:
+        segment, run = dec.hat, E
+        if segment and segment[0] == run:
+            raise AssertionError("a Q1 hat must open with a y-raising step")
+    elif cls is PathClass.Q2:
+        segment, run = dec.hat, N
+        if segment and segment[0] == run:
+            raise AssertionError("a Q2 hat must open with an x-raising step")
+    elif cls is PathClass.Q4:
+        segment, run = dec.tail, N
+    else:
+        raise ClassError("Q3 paths carry no block structure")
+    leads = [i for i, s in enumerate(segment) if s != run]
+    if len(leads) != frame.n:
+        raise AssertionError(f"expected {frame.n} blocks, found {len(leads)}")
+    return segment, leads
 
 
 def blocks(path: Path, frame: CornerFrame) -> BlockDecomposition:
     """Block structure feeding the cyclic action; rejects Q3 paths."""
     dec = decompose(path, frame)
     cls = _classify(dec, frame)
-    return _blocks_of(dec, cls, frame)
-
-
-def _blocks_of(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> BlockDecomposition:
-    if cls is PathClass.Q1:
-        leading, parts = _split_on_leads(dec.hat, (N, D))
-        if leading:
-            raise AssertionError("a Q1 hat must open with a y-raising step")
-    elif cls is PathClass.Q2:
-        leading, parts = _split_on_leads(dec.hat, (E, D))
-        if leading:
-            raise AssertionError("a Q2 hat must open with an x-raising step")
-    elif cls is PathClass.Q4:
-        leading, parts = _split_on_leads(dec.tail, (E, D))
-    else:
-        raise ClassError("Q3 paths carry no block structure")
-    if len(parts) != frame.n:
-        raise AssertionError(f"expected {frame.n} blocks, found {len(parts)}")
-    return BlockDecomposition(path_class=cls, leading=leading, blocks=parts)
-
-
-def _rebuild(dec: Decomposition, cls: PathClass, bd: BlockDecomposition, parts: tuple[Path, ...]) -> Path:
-    body: list[str] = list(bd.leading)
-    for p in parts:
-        body.extend(p)
-    if cls is PathClass.Q4:
-        return dec.check + tuple(body)
-    return dec.check + dec.bar + tuple(body)
+    segment, leads = _leads(dec, cls, frame)
+    bounds = zip(leads, leads[1:] + [len(segment)])
+    return BlockDecomposition(
+        path_class=cls,
+        leading=segment[: leads[0]],
+        blocks=tuple(segment[a:b] for a, b in bounds),
+    )
 
 
 def _act_with_shift(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> tuple[Path, int]:
     """Apply the class action once; also return the exact predicted sigma shift."""
-    bd = _blocks_of(dec, cls, frame)
-    parts = bd.blocks
+    segment, leads = _leads(dec, cls, frame)
     n = frame.n
     if cls is PathClass.Q4:
-        labels = [p[0] for p in parts]
+        # Rotate the lead labels one place along the lead positions.
+        labels = [segment[i] for i in leads]
         shift = labels.count(D) - n * (labels[-1] == D)
-        rotated_labels = [labels[-1]] + labels[:-1]
-        new_parts = tuple((lab,) + p[1:] for lab, p in zip(rotated_labels, parts))
+        tail = list(segment)
+        for i, label in zip(leads, labels[-1:] + labels[:-1]):
+            tail[i] = label
+        return dec.check + tuple(tail), shift
+    # Q1/Q2: the final block moves to the front of the hat.
+    cut = leads[-1]
+    last = segment[cut:]
+    if cls is PathClass.Q1:
+        shift = n * x_of(last) - x_of(segment)
     else:
-        last = parts[-1]
-        if cls is PathClass.Q1:
-            shift = n * x_of(last) - x_of(dec.hat)
-        else:
-            shift = y_of(dec.hat) - n * y_of(last)
-        new_parts = (last,) + parts[:-1]
-    return _rebuild(dec, cls, bd, new_parts), shift
+        shift = y_of(segment) - n * y_of(last)
+    return dec.check + dec.bar + last + segment[:cut], shift
 
 
 def act(path: Path, frame: CornerFrame) -> Path:
@@ -257,43 +258,74 @@ def _weight(sigmas: list[int]) -> IntPoly:
     return IntPoly(counts)
 
 
-def orbit(path: Path, frame: CornerFrame) -> Orbit:
-    """Trajectory of a path under its action; the size always divides n.
+# What the orbit walk knows about each member: the bar's start and end
+# indices in the path, its sigma and its class.
+Record = tuple[int, int, int, PathClass]
 
-    Each member is decomposed once.  Raises AssertionError when a step
-    misses its predicted sigma shift or leaves the class, or when the
-    action does not return to the path within n steps.
+
+def _record(dec: Decomposition, s: int, cls: PathClass) -> Record:
+    first = len(dec.check)
+    return (first, first + len(dec.bar), s, cls)
+
+
+def _walk_orbit(path: Path, dec: Decomposition, record: Record, frame: CornerFrame) -> dict[Path, Record]:
+    """Every member of the orbit of `path`, in action order, with its record.
+
+    `dec` and `record` describe `path` itself; each later member is
+    decomposed once.  Raises AssertionError when a step misses its
+    predicted sigma shift or leaves the class, or when the action does not
+    return to the path within n steps.
     """
-    dec = decompose(path, frame)
-    cls = _classify(dec, frame)
-    if cls is PathClass.Q3:
-        raise ClassError("Q3 paths carry no cyclic action")
-    members = [path]
-    sigmas = [sigma(path)]
-    cur = dec
+    cls = record[3]
+    members = {path: record}
+    cur, prev, s = dec, path, record[2]
     while True:
         nxt, predicted = _act_with_shift(cur, cls, frame)
-        s = sigma(nxt)
-        if s - sigmas[-1] != predicted:
-            raise AssertionError(f"sigma shift law failed at {path_text(members[-1])} ({cls.value})")
+        t = sigma(nxt)
+        if t - s != predicted:
+            raise AssertionError(f"sigma shift law failed at {path_text(prev)} ({cls.value})")
         if nxt == path:
-            break
+            return members
         if len(members) == frame.n:
             raise AssertionError(f"action not n-periodic at {path_text(path)} ({cls.value})")
         if nxt in members:
             raise AssertionError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
         cur = decompose(nxt, frame)
         if _classify(cur, frame) is not cls:
-            raise AssertionError(f"action left {cls.value} at {path_text(members[-1])}")
-        members.append(nxt)
-        sigmas.append(s)
+            raise AssertionError(f"action left {cls.value} at {path_text(prev)}")
+        members[nxt] = _record(cur, t, cls)
+        prev, s = nxt, t
+
+
+def orbit(path: Path, frame: CornerFrame) -> Orbit:
+    """Trajectory of a path under its action; the size always divides n.
+
+    Raises AssertionError when a law of the action breaks.
+    """
+    dec = decompose(path, frame)
+    cls = _classify(dec, frame)
+    if cls is PathClass.Q3:
+        raise ClassError("Q3 paths carry no cyclic action")
+    members = _walk_orbit(path, dec, _record(dec, sigma(path), cls), frame)
     return Orbit(
         members=tuple(members),
         size=len(members),
-        weight=_weight(sigmas),
+        weight=_weight([r[2] for r in members.values()]),
         path_class=cls,
         s_count=dec.tail.count(D) if cls is PathClass.Q4 else None,
     )
+
+
+def _orbit_sum_vanishes(sigmas: list[int], n: int) -> bool:
+    """Whether the sum of q^sigma is 0 mod Phi_n.
+
+    Exponents fold mod n first: Phi_n divides q^n - 1, so q^s and q^(s mod n)
+    agree mod Phi_n, and the folded sum has degree below n.
+    """
+    folded = [0] * n
+    for s in sigmas:
+        folded[s % n] += 1
+    return reduce_mod(IntPoly(folded), n).is_zero()
 
 
 # The partition convention the audit verifies.  Splitting corner paths off
@@ -343,17 +375,12 @@ class AuditReport:
         }
 
 
-def _reassembled_sigma(dec: Decomposition) -> int:
-    """sigma of check+bar+hat from the parts and the concatenation law."""
-    xc = x_of(dec.check)
-    xb = x_of(dec.bar)
-    return (
-        sigma(dec.check)
-        + sigma(dec.bar)
-        + sigma(dec.hat)
-        + xc * y_of(dec.bar)
-        + (xc + xb) * y_of(dec.hat)
-    )
+def _reassembled_sigma(path: Path, first: int, last: int) -> int:
+    """sigma of check+bar+hat, cut at the bar bounds, from the concatenation law."""
+    check, bar, hat = path[:first], path[first:last], path[last:]
+    xc = x_of(check)
+    xb = x_of(bar)
+    return sigma(check) + sigma(bar) + sigma(hat) + xc * y_of(bar) + (xc + xb) * y_of(hat)
 
 
 def audit(frame: CornerFrame) -> AuditReport:
@@ -371,61 +398,68 @@ def audit(frame: CornerFrame) -> AuditReport:
 
     class_counts = {cls.value: 0 for cls in PathClass}
     orbit_histograms: dict[str, dict[int, int]] = {cls.value: {} for cls in PathClass}
-    # sigma of every Q3 path, and of every fixed point of Q1, Q2 and Q4
-    fixed_exponents: dict[PathClass, list[int]] = {cls: [] for cls in PathClass}
-    grand_exponents: list[int] = []
+    # Paths per sigma: of every path, and of every Q3 path and every fixed
+    # point of Q1, Q2 and Q4.
+    degrees = (h + n) * (k + n) + 1
+    grand_counts = [0] * degrees
+    fixed_counts_by_sigma = {cls: [0] * degrees for cls in PathClass}
     total_paths = 0
-    # members of finished orbits that the enumeration has not reached yet
-    ahead: set[Path] = set()
+    # records of finished orbits' members that the enumeration has not reached yet
+    ahead: dict[Path, Record] = {}
 
     for path in enumerate_paths(h + n, k + n):
         total_paths += 1
-        dec = decompose(path, frame)
-        s = sigma(path)
-        if s != _reassembled_sigma(dec):
+        record = ahead.pop(path, None)
+        walked = record is not None
+        if not walked:
+            dec = decompose(path, frame)
+            record = _record(dec, sigma(path), _classify(dec, frame))
+        first, last, s, cls = record
+        if s != _reassembled_sigma(path, first, last):
             violate(f"sigma reassembly failed for {path_text(path)}")
-        cls = _classify(dec, frame)
         class_counts[cls.value] += 1
-        grand_exponents.append(s)
+        grand_counts[s] += 1
         if cls is PathClass.Q3:
-            fixed_exponents[cls].append(s)
+            fixed_counts_by_sigma[cls][s] += 1
             continue
-        if path in ahead:
-            ahead.remove(path)
+        if walked:
             continue
         try:
-            o = orbit(path, frame)
+            members = _walk_orbit(path, dec, record, frame)
         except (AssertionError, ValueError) as exc:
             violate(str(exc))
             continue
-        ahead.update(o.members[1:])
+        later = iter(members.items())
+        next(later)
+        ahead.update(later)
+        size = len(members)
         hist = orbit_histograms[cls.value]
-        hist[o.size] = hist.get(o.size, 0) + 1
-        if n % o.size != 0:
-            violate(f"orbit size {o.size} does not divide n at {path_text(path)}")
+        hist[size] = hist.get(size, 0) + 1
+        if n % size != 0:
+            violate(f"orbit size {size} does not divide n at {path_text(path)}")
         if cls is PathClass.Q1:
             is_fixed_char = x_of(dec.hat) == 0
         elif cls is PathClass.Q2:
             is_fixed_char = y_of(dec.hat) == 0
         else:
-            is_fixed_char = o.s_count == n
-        if (o.size == 1) != is_fixed_char:
+            is_fixed_char = dec.tail.count(D) == n
+        if (size == 1) != is_fixed_char:
             violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
-        if o.size == 1:
-            fixed_exponents[cls].append(s)
-        elif not reduce_mod(o.weight, n).is_zero():
+        if size == 1:
+            fixed_counts_by_sigma[cls][s] += 1
+        elif not _orbit_sum_vanishes([r[2] for r in members.values()], n):
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
     if total_paths != delannoy(h + n, k + n):
         violate(f"enumerated {total_paths} paths, expected delannoy({h + n},{k + n})")
     if sum(class_counts.values()) != total_paths:
         violate("classification is not a partition of the path set")
-    fixed_counts = {cls.value: len(exps) for cls, exps in fixed_exponents.items()}
+    fixed_counts = {cls.value: sum(counts) for cls, counts in fixed_counts_by_sigma.items()}
 
     dq_hk = q_delannoy_rec(h, k)
     dq_h_kn = q_delannoy_rec(h, k + n)
     dq_hn_k = q_delannoy_rec(h + n, k)
-    s1, s2, s3, s4 = (_weight(fixed_exponents[cls]) for cls in PathClass)
+    s1, s2, s3, s4 = (IntPoly(fixed_counts_by_sigma[cls]) for cls in PathClass)
 
     if s1 != (dq_hn_k - dq_hk).shift(n * (h + n)):
         violate("fixed sum S1 differs from its closed form")
@@ -438,7 +472,7 @@ def audit(frame: CornerFrame) -> AuditReport:
     if not congruent(s3, dq_hk * 2, n):
         violate("S3 does not reduce to twice the corner polynomial mod Phi_n")
 
-    grand_total = _weight(grand_exponents)
+    grand_total = IntPoly(grand_counts)
     sign = 1 if n % 2 else -1
     if not congruent(grand_total, dq_hn_k + dq_h_kn + dq_hk * sign, n):
         violate("grand total congruence failed")

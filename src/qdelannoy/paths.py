@@ -23,11 +23,11 @@ STEP_DY = {E: 0, N: 1, D: 1}
 
 
 def x_of(path: Path) -> int:
-    return sum(STEP_DX[s] for s in path)
+    return len(path) - path.count(N)
 
 
 def y_of(path: Path) -> int:
-    return sum(STEP_DY[s] for s in path)
+    return len(path) - path.count(E)
 
 
 def sigma(path: Path) -> int:

@@ -5,11 +5,14 @@ products, coefficient-wise sums and memoized recursion, with no packed
 integers; (-q;q)_j comes from `qcore.neg_q_pochhammer`, which multiplies
 IntPoly factors too.  These are the package's original routes, kept as the
 oracle the fast ones are checked against, plus the original recursive path
-enumeration.
+enumeration and the original corner decomposition and cyclic actions, which
+build the point list of a path and cut it into lists of blocks.
 """
 
 from functools import cache
 
+from qdelannoy.orbits import ClassError, Decomposition, PathClass
+from qdelannoy.paths import path_points
 from qdelannoy.polyring import ONE, ZERO
 from qdelannoy.qcore import neg_q_pochhammer
 
@@ -61,3 +64,98 @@ def enumerate_paths(h, k, prefix=()):
         yield from enumerate_paths(h, k - 1, prefix + ("N",))
     if h and k:
         yield from enumerate_paths(h - 1, k - 1, prefix + ("D",))
+
+
+def on_anchor(frame, point):
+    """Whether a point lies on L_E (east run from the corner) or L_N (north run)."""
+    x, y = point
+    if y == frame.k and frame.h <= x <= frame.h + frame.n:
+        return True
+    return x == frame.h and frame.k <= y <= frame.k + frame.n
+
+
+def decompose(path, frame):
+    """Scan the whole point list for the first anchor point, then extend the bar."""
+    pts = path_points(path)
+    if pts[-1] != frame.target:
+        raise ValueError(f"path ends at {pts[-1]}, frame expects {frame.target}")
+    first = next(i for i, p in enumerate(pts) if on_anchor(frame, p))
+    last = first
+    while last + 1 < len(pts) and on_anchor(frame, pts[last + 1]):
+        last += 1
+    return Decomposition(
+        check=path[:first],
+        bar=path[first:last],
+        hat=path[last:],
+        bar_start=pts[first],
+        bar_end=pts[last],
+        passes_corner=pts[first] == frame.corner,
+    )
+
+
+def classify(dec, frame):
+    if dec.passes_corner:
+        return PathClass.Q4 if "D" in dec.tail else PathClass.Q3
+    return PathClass.Q1 if dec.bar_end[1] == frame.k else PathClass.Q2
+
+
+def x_of(path):
+    return sum(s != "N" for s in path)
+
+
+def y_of(path):
+    return sum(s != "E" for s in path)
+
+
+def split_on_leads(segment, leads):
+    """Cut a segment at its lead steps; anything before the first lead is the leading run."""
+    leading, blocks = [], []
+    for s in segment:
+        if s in leads:
+            blocks.append([s])
+        elif blocks:
+            blocks[-1].append(s)
+        else:
+            leading.append(s)
+    return tuple(leading), [tuple(b) for b in blocks]
+
+
+def blocks(dec, cls, frame):
+    """The leading run and the blocks the class action permutes."""
+    if cls is PathClass.Q1:
+        leading, parts = split_on_leads(dec.hat, ("N", "D"))
+    elif cls is PathClass.Q2:
+        leading, parts = split_on_leads(dec.hat, ("E", "D"))
+    elif cls is PathClass.Q4:
+        leading, parts = split_on_leads(dec.tail, ("E", "D"))
+    else:
+        raise ClassError("Q3 paths carry no block structure")
+    if cls is not PathClass.Q4 and leading:
+        raise AssertionError(f"a {cls.value} hat opens with its run step")
+    if len(parts) != frame.n:
+        raise AssertionError(f"expected {frame.n} blocks, found {len(parts)}")
+    return leading, parts
+
+
+def act_with_shift(dec, cls, frame):
+    """Rotate the blocks (Q1, Q2) or the lead labels (Q4) and rebuild the path."""
+    n = frame.n
+    leading, parts = blocks(dec, cls, frame)
+    if cls is PathClass.Q4:
+        labels = [p[0] for p in parts]
+        shift = labels.count("D") - n * (labels[-1] == "D")
+        rotated = [labels[-1]] + labels[:-1]
+        parts = [(lab,) + p[1:] for lab, p in zip(rotated, parts)]
+        head = dec.check
+    else:
+        last = parts[-1]
+        if cls is PathClass.Q1:
+            shift = n * x_of(last) - x_of(dec.hat)
+        else:
+            shift = y_of(dec.hat) - n * y_of(last)
+        parts = [last] + parts[:-1]
+        head = dec.check + dec.bar
+    body = list(leading)
+    for p in parts:
+        body.extend(p)
+    return head + tuple(body), shift

@@ -217,8 +217,10 @@ def test_sigma_poly_long_path_exit_0():
     assert result.stderr == b""
 
 
-# sha256 of `orbits audit` output, text then --json, recorded from the audit
-# that walked orbits inline before it was rebuilt on `orbit()`.
+# sha256 of `orbits audit` output, text then --json.  The first five were
+# recorded from the audit that walked orbits inline before it was rebuilt on
+# `orbit()`; the orbit-audit benchmark's frames (3,3,4) and (2,2,5) from that
+# rebuilt audit, which still decomposed every path twice.
 AUDIT_GOLDEN = [
     ((0, 0, 1), "832c887d26d2aaecf4f2749be54ac9fae97adc69d91baf82fd005c0f59c02682",
      "5fe82471ce07227d55d9ed681ffa13aec35251994bbe8ab57483b88aa21aae62"),
@@ -230,6 +232,10 @@ AUDIT_GOLDEN = [
      "85c0e01cca932d9754ee807b7c2c535ad24e1c797fc3c742759607887ad50234"),
     ((2, 2, 3), "44ee726c8015500a682bbbe9d9b26d713bdeca8453664af768de498e1ac718a2",
      "c2f20f63e28c3ed2cb98108eb71b7b4c4c78a316a8014ee637d282074d73d379"),
+    ((3, 3, 4), "226aed460865ca9e87edd8ea10d45c4f8c682bbeec52e7b70744e91a63f22eb9",
+     "de1858a7cbad5b0e49cc142a5043a15148d192b8b732780a67cc35b97b44764f"),
+    ((2, 2, 5), "0735c8c6b1e660058224439bdf43b3bfa5f4a8a2089a8476048d3eb642629d75",
+     "60d0ce952d80729a9dea4572c03827e7a4e1059d976c6799ed49066a9babf448"),
 ]
 
 

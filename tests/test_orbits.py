@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+import reference
 from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
 from qdelannoy.qcore import q_binomial
@@ -16,7 +19,7 @@ from qdelannoy.orbits import (
     decompose,
     orbit,
 )
-from qdelannoy.paths import path_from_text, path_text, sigma
+from qdelannoy.paths import enumerate_paths, path_from_text, path_text, sigma
 
 
 def P(text):
@@ -65,6 +68,39 @@ def test_decompose_bar_with_steps():
 def test_decompose_rejects_wrong_endpoint():
     with pytest.raises(FrameError):
         decompose(P("EN"), CornerFrame(1, 1, 2))
+
+
+# Every frame with h,k <= 3 and n <= 4, plus (2,2,5), by segment length n.
+ORACLE_FRAMES = {n: [(h, k) for h in range(4) for k in range(4)] for n in range(1, 5)} | {5: [(2, 2)]}
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_FRAMES))
+def test_decompose_and_act_match_reference(n):
+    import qdelannoy.orbits as orbits_module
+
+    for h, k in ORACLE_FRAMES[n]:
+        frame = CornerFrame(h, k, n)
+        for path in enumerate_paths(h + n, k + n):
+            dec = decompose(path, frame)
+            assert dec == reference.decompose(path, frame), path_text(path)
+            cls = orbits_module._classify(dec, frame)
+            assert cls is reference.classify(dec, frame), path_text(path)
+            if cls is PathClass.Q3:
+                continue
+            assert orbits_module._act_with_shift(dec, cls, frame) == reference.act_with_shift(dec, cls, frame)
+
+
+def test_blocks_match_reference():
+    for n in range(1, 4):
+        for h in range(3):
+            for k in range(3):
+                frame = CornerFrame(h, k, n)
+                for path in enumerate_paths(h + n, k + n):
+                    dec = reference.decompose(path, frame)
+                    cls = reference.classify(dec, frame)
+                    if cls is not PathClass.Q3:
+                        bd = blocks(path, frame)
+                        assert (bd.leading, list(bd.blocks)) == reference.blocks(dec, cls, frame)
 
 
 def test_reassembly_covers_whole_path():
@@ -282,6 +318,56 @@ def test_orbit_action_invariants_on_random_frames():
     invariants()
 
 
+def test_folded_orbit_sum_matches_full_reduction(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    folded_decision = orbits_module._orbit_sum_vanishes
+    decided = []
+
+    def both_ways(sigmas, n):
+        folded = folded_decision(sigmas, n)
+        assert folded == reduce_mod(orbits_module._weight(sigmas), n).is_zero()
+        decided.append(folded)
+        return folded
+
+    monkeypatch.setattr(orbits_module, "_orbit_sum_vanishes", both_ways)
+    for n in range(1, 6):
+        for h in range(3):
+            for k in range(3):
+                assert orbits_module.audit(CornerFrame(h, k, n)).ok
+    assert decided and all(decided)
+
+
+def test_folded_orbit_sum_keeps_nonvanishing_weights():
+    import qdelannoy.orbits as orbits_module
+
+    assert not orbits_module._orbit_sum_vanishes([0, 1], 3)  # 1 + q
+    assert not orbits_module._orbit_sum_vanishes([4, 7], 3)  # folds onto 2q
+    assert orbits_module._orbit_sum_vanishes([0, 1, 2], 3)
+    assert orbits_module._orbit_sum_vanishes([6, 7, 8, 9], 4)  # q^6(1 + q + q^2 + q^3)
+
+
+def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    # Pair two Q1 paths whose sigmas differ by 2: 1 + q^2 is 2 mod Phi_2.
+    frame = CornerFrame(1, 1, 2)
+    q1 = [p for p in enumerate_paths(3, 3) if classify(p, frame) is PathClass.Q1]
+    a, b = next((a, b) for a in q1 for b in q1 if sigma(b) - sigma(a) == 2)
+    act_with_shift = orbits_module._act_with_shift
+
+    def swap(dec, cls, frame):
+        path = dec.check + dec.bar + dec.hat
+        if path in (a, b):
+            other = b if path == a else a
+            return other, sigma(other) - sigma(path)
+        return act_with_shift(dec, cls, frame)
+
+    monkeypatch.setattr(orbits_module, "_act_with_shift", swap)
+    report = orbits_module.audit(frame)
+    assert f"orbit sum not divisible by Phi_2 at {path_text(min(a, b, key=q1.index))}" in report.violations
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point sums
 # ---------------------------------------------------------------------------
@@ -370,3 +456,15 @@ def test_audit_reports_violations_instead_of_raising(monkeypatch):
     report = orbits_module.audit(CornerFrame(0, 0, 2))
     assert not report.ok
     assert any("S3" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
+def test_audit_memory_is_bounded(frame):
+    tracemalloc.start()
+    try:
+        report = audit(CornerFrame(*frame))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"

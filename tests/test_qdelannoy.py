@@ -130,3 +130,18 @@ def test_fill_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_symmetry_and_route_agreement_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(0, 15), st.integers(0, 15))
+    def laws(h, k):
+        p = q_delannoy_rec(h, k)
+        assert p == q_delannoy_rec(k, h)
+        assert q_delannoy_def(h, k) == p == q_delannoy_alt(h, k)
+        assert p.evaluate(1) == delannoy(h, k)
+
+    laws()
