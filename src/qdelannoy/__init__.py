@@ -1,21 +1,17 @@
 """Exact q-Delannoy numbers, cyclotomic congruence checks, and orbit audits."""
 
 from .polyring import IntPoly, ModulusError, ONE, Q, ZERO
-from .cyclotomic import CyclotomicTable, congruent, cyclotomic, exponent_residue_factor, reduce_mod
+from .cyclotomic import congruent, cyclotomic, reduce_mod
 from .qcore import (
     delannoy,
-    delannoy_series_table,
     neg_q_pochhammer,
     q_binomial,
-    q_binomial_theorem_check,
-    q_integer,
 )
 from .qdelannoy import (
     q_delannoy,
     q_delannoy_alt,
     q_delannoy_def,
     q_delannoy_rec,
-    specialize_q1,
 )
 from .paths import enumerate_paths, path_from_text, path_text, sigma, sigma_poly
 from .orbits import (

@@ -14,7 +14,6 @@ import sys
 from .congruence import STATEMENTS, SweepConfig, sweep
 from .cyclotomic import cyclotomic
 from .orbits import CornerFrame, audit
-from .polyring import IntPoly
 from .qcore import delannoy, q_binomial
 from .qdelannoy import ROUTES, q_delannoy
 from .paths import sigma_poly
@@ -47,13 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="sweep a statement over a parameter grid")
     vsub = verify.add_subparsers(dest="statement", required=True)
-    for name in STATEMENTS:
+    for name, entry in STATEMENTS.items():
         p = vsub.add_parser(name)
-        p.add_argument("--max-n", type=int, default=0, help="modulus bound (primes for lucas/dlucas)")
-        p.add_argument("--max-a", type=int, default=0)
-        p.add_argument("--max-c", type=int, default=0)
-        p.add_argument("--max-h", type=int, default=0)
-        p.add_argument("--max-k", type=int, default=0)
+        for axis in entry.axes:
+            note = "modulus bound (primes for lucas/dlucas)" if axis == "n" else None
+            p.add_argument(f"--max-{axis}", type=int, default=0, help=note)
         p.add_argument("--jobs", type=int, default=1)
         _add_output_flags(p)
 
@@ -114,16 +111,8 @@ def _run_compute(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        statement=args.statement,
-        max_n=args.max_n,
-        max_a=args.max_a,
-        max_c=args.max_c,
-        max_h=args.max_h,
-        max_k=args.max_k,
-        jobs=args.jobs,
-    )
-    summary = sweep(config)
+    bounds = {f"max_{axis}": getattr(args, f"max_{axis}") for axis in STATEMENTS[args.statement].axes}
+    summary = sweep(SweepConfig(args.statement, jobs=args.jobs, **bounds))
     if args.json:
         _emit(_json_text(summary.to_json()), args.out)
     else:

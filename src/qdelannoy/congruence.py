@@ -5,8 +5,12 @@ never touch the orbit machinery, so they corroborate it independently.  The
 q-Lucas check does the same for Gaussian binomials, and the integer Lucas
 and Delannoy-Lucas checks reduce mod a prime p.  Every check returns a
 report that carries both sides and the reduced residue, not just a boolean,
-so a failure localizes the discrepancy; `run_case` looks the check up by
-statement name.
+so a failure localizes the discrepancy.
+
+`STATEMENTS` holds one `Statement` entry per sweepable statement: its
+check, the grid bounds (axes) it reads, how its grid splits into shards,
+and an optional residue builder.  `SweepConfig`, `run_case`, `sweep` and
+the CLI read the entry and never branch on the statement's name.
 
 Sweeps of thm2, thm1 and qlucas do not build full polynomials.  Phi_n
 divides q^n - 1, so each case is decided in Z[q]/(q^n - 1) (see `residue`):
@@ -14,7 +18,8 @@ one table per modulus n answers every case of that n, and the residue of
 lhs - rhs is then reduced exactly mod Phi_n.  Only a case that fails there
 is re-run through the full-polynomial `run_case`, which builds its report;
 `run_case` stays the independent oracle, and a case it passes raises
-RuntimeError.  lucas, dlucas and interp run `run_case` for every case.
+RuntimeError.  Statements with no residue builder (lucas, dlucas, interp)
+run `run_case` for every case.
 """
 
 from __future__ import annotations
@@ -170,25 +175,15 @@ def _interp_report(h: int, k: int) -> CongruenceReport:
     return _report("interp", {"h": h, "k": k}, lhs, rhs, None)
 
 
-# Statement name -> the check that reports one grid case.
-_CHECKS: dict[str, Callable[..., CongruenceReport]] = {
-    "lucas": verify_lucas,
-    "dlucas": verify_delannoy_lucas,
-    "qlucas": verify_q_lucas,
-    "thm1": verify_theorem1,
-    "thm2": verify_theorem2,
-    "interp": _interp_report,
-}
-STATEMENTS = tuple(_CHECKS)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Finite parameter grid for one statement.
 
     max_n bounds the modulus index (for lucas/dlucas: the primes tried);
-    remainder parts b, d always range over the full [0, n-1].  The grid is
-    split into shards: one per modulus, or one per row h for interp.
+    remainder parts b, d always range over the full [0, n-1].  A statement
+    reads only the bounds on its registry axes, and any other bound must
+    stay 0.  The grid is split into shards: one per modulus, or one per row
+    h for interp.
     """
 
     statement: str
@@ -200,45 +195,34 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.statement not in STATEMENTS:
-            raise ValueError(f"unknown statement {self.statement!r}; expected one of {STATEMENTS}")
-        for name in ("max_n", "max_a", "max_c", "max_h", "max_k"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        entry = STATEMENTS.get(self.statement)
+        if entry is None:
+            raise ValueError(f"unknown statement {self.statement!r}; expected one of {tuple(STATEMENTS)}")
+        for axis in "nachk":
+            name = f"max_{axis}"
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if value and axis not in entry.axes:
+                bounds = ", ".join(f"max_{a}" for a in entry.axes)
+                raise ValueError(f"{self.statement} does not read {name} (got {value}); its bounds are {bounds}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def shards(self) -> list[int]:
         """Shard keys in grid order: the modulus n (prime p), or the row h for interp."""
-        if self.statement == "interp":
-            return list(range(self.max_h + 1))
-        if self.statement in ("lucas", "dlucas"):
-            return [p for p in range(2, self.max_n + 1) if is_prime(p)]
-        return list(range(1, self.max_n + 1))
+        return STATEMENTS[self.statement].keys(self)
 
     def shard_cases(self, key: int) -> list[tuple[int, ...]]:
         """The cases of one shard, in grid order."""
-        if self.statement == "interp":
-            return [(key, k) for k in range(self.max_k + 1)]
-        if self.statement == "thm2":
-            return [(key, h, k) for h in range(self.max_h + 1) for k in range(self.max_k + 1)]
-        return [
-            (key, a, b, c, d)
-            for a in range(self.max_a + 1)
-            for b in range(key)
-            for c in range(self.max_c + 1)
-            for d in range(key)
-        ]
-
-    def cases(self) -> list[tuple[int, ...]]:
-        return [case for key in self.shards() for case in self.shard_cases(key)]
+        return STATEMENTS[self.statement].cases(self, key)
 
 
 def run_case(statement: str, case: tuple[int, ...]) -> CongruenceReport:
     """Evaluate one grid case; pure, so cases may run in any order."""
-    if statement not in _CHECKS:
+    if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}")
-    return _CHECKS[statement](*case)
+    return STATEMENTS[statement].check(*case)
 
 
 @dataclass(frozen=True)
@@ -264,6 +248,55 @@ def _run_case_json(args: tuple[str, tuple[int, ...]]) -> dict:
 
 
 Residue = Callable[[tuple[int, ...]], list[int]]
+
+
+@dataclass(frozen=True)
+class Statement:
+    """Everything a sweep knows about one statement.
+
+    `check` reports one case from full polynomials and is the oracle.
+    `axes` names the grid bounds the statement reads, one letter per
+    `SweepConfig.max_*` field.  `keys` lists a grid's shard keys in order
+    and `cases` the cases of one shard.  `residue`, when set, builds from
+    one table per modulus n the residue of lhs - rhs in Z[q]/(q^n - 1) for
+    every case of that n; without it each case runs through `check`.
+    """
+
+    check: Callable[..., CongruenceReport]
+    axes: str
+    keys: Callable[[SweepConfig], list[int]]
+    cases: Callable[[SweepConfig, int], list[tuple[int, ...]]]
+    residue: Callable[[SweepConfig, int], Residue] | None = None
+
+
+def _moduli(config: SweepConfig) -> list[int]:
+    return list(range(1, config.max_n + 1))
+
+
+def _primes(config: SweepConfig) -> list[int]:
+    return [p for p in range(2, config.max_n + 1) if is_prime(p)]
+
+
+def _rows(config: SweepConfig) -> list[int]:
+    return list(range(config.max_h + 1))
+
+
+def _split_cases(config: SweepConfig, n: int) -> list[tuple[int, ...]]:
+    return [
+        (n, a, b, c, d)
+        for a in range(config.max_a + 1)
+        for b in range(n)
+        for c in range(config.max_c + 1)
+        for d in range(n)
+    ]
+
+
+def _corner_cases(config: SweepConfig, n: int) -> list[tuple[int, ...]]:
+    return [(n, h, k) for h in range(config.max_h + 1) for k in range(config.max_k + 1)]
+
+
+def _row_cases(config: SweepConfig, h: int) -> list[tuple[int, ...]]:
+    return [(h, k) for k in range(config.max_k + 1)]
 
 
 def _thm2_residue(config: SweepConfig, n: int) -> Residue:
@@ -298,19 +331,25 @@ def _qlucas_residue(config: SweepConfig, n: int) -> Residue:
     return _split_residue(config, n, binomial_table, comb)
 
 
-# lhs - rhs in Z[q]/(q^n - 1) for every case of modulus n, from one table per n.
-_RESIDUES = {"thm2": _thm2_residue, "thm1": _thm1_residue, "qlucas": _qlucas_residue}
+STATEMENTS: dict[str, Statement] = {
+    "lucas": Statement(verify_lucas, "nac", _primes, _split_cases),
+    "dlucas": Statement(verify_delannoy_lucas, "nac", _primes, _split_cases),
+    "qlucas": Statement(verify_q_lucas, "nac", _moduli, _split_cases, _qlucas_residue),
+    "thm1": Statement(verify_theorem1, "nac", _moduli, _split_cases, _thm1_residue),
+    "thm2": Statement(verify_theorem2, "nhk", _moduli, _corner_cases, _thm2_residue),
+    "interp": Statement(_interp_report, "hk", _rows, _row_cases),
+}
 
 
-def _shard_failures(task: tuple[SweepConfig, int]) -> list[tuple[int, ...]]:
-    """The failing cases of one shard; pure, so shards may run in any order or process."""
+def _shard_failures(task: tuple[SweepConfig, int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The case count and failing cases of one shard; pure, so shards may run in any order or process."""
     config, key = task
     cases = config.shard_cases(key)
-    build = _RESIDUES.get(config.statement)
+    build = STATEMENTS[config.statement].residue
     if build is None:
-        return [case for case in cases if not run_case(config.statement, case).passed]
+        return len(cases), [case for case in cases if not run_case(config.statement, case).passed]
     residue = build(config, key)
-    return [case for case in cases if not reduce_mod(IntPoly(residue(case)), key).is_zero()]
+    return len(cases), [case for case in cases if not reduce_mod(IntPoly(residue(case)), key).is_zero()]
 
 
 def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
@@ -331,11 +370,11 @@ def sweep(config: SweepConfig) -> SweepSummary:
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            failing = list(pool.map(_shard_failures, tasks))
+            shards = list(pool.map(_shard_failures, tasks))
     else:
-        failing = [_shard_failures(task) for task in tasks]
-    failures = tuple(_failure_report(config.statement, case) for shard in failing for case in shard)
-    total = len(config.cases())
+        shards = [_shard_failures(task) for task in tasks]
+    failures = tuple(_failure_report(config.statement, case) for _, failing in shards for case in failing)
+    total = sum(count for count, _ in shards)
     return SweepSummary(
         statement=config.statement,
         total=total,

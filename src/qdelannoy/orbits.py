@@ -96,10 +96,6 @@ class CornerFrame:
             raise ValueError(f"segment length must be positive, got {self.n}")
 
     @property
-    def corner(self) -> tuple[int, int]:
-        return (self.h, self.k)
-
-    @property
     def target(self) -> tuple[int, int]:
         return (self.h + self.n, self.k + self.n)
 

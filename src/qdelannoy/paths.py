@@ -40,17 +40,6 @@ def sigma(path: Path) -> int:
     return total
 
 
-def path_points(path: Path, start: tuple[int, int] = (0, 0)) -> list[tuple[int, int]]:
-    """Every lattice point the path visits, start included."""
-    x, y = start
-    pts = [(x, y)]
-    for s in path:
-        x += STEP_DX[s]
-        y += STEP_DY[s]
-        pts.append((x, y))
-    return pts
-
-
 def enumerate_paths(h: int, k: int) -> Iterator[Path]:
     """Yield every path from (0,0) to (h,k) exactly once.
 

@@ -1,9 +1,9 @@
 """Dense univariate polynomials with arbitrary-precision integer coefficients.
 
-Every q-object in this package (q-integers, Gaussian binomials, q-Delannoy
-numbers, cyclotomic moduli) lives in this ring.  Coefficients are stored
-ascending by degree; the zero polynomial stores no coefficients at all, and
-its degree is the sentinel -1.
+Every q-object in this package (Gaussian binomials, q-Delannoy numbers,
+cyclotomic moduli) lives in this ring.  Coefficients are stored ascending
+by degree; the zero polynomial stores no coefficients at all, and its
+degree is the sentinel -1.
 """
 
 from __future__ import annotations
@@ -165,10 +165,6 @@ class IntPoly:
     def to_json_coeffs(self) -> list[str]:
         """JSON form: decimal coefficient strings ascending by degree."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json_coeffs(cls, items: Iterable[str]) -> IntPoly:
-        return cls(int(s) for s in items)
 
     @classmethod
     def from_packed(cls, value: int, width: int) -> IntPoly:

@@ -1,4 +1,4 @@
-"""q-integers, Gaussian binomials and Delannoy numbers.
+"""Gaussian binomials, (-q;q)_j and Delannoy numbers.
 
 Gaussian binomials are filled row by row by the Pascal-style recurrence on
 packed integers: a polynomial with coefficients in [0, 2**bits) is stored
@@ -38,13 +38,6 @@ def gaussian_rows(bits: int, width: int, rows: int) -> Iterator[list[int]]:
         yield row
 
 
-def q_integer(n: int) -> IntPoly:
-    """[n]_q = 1 + q + ... + q^(n-1); [0]_q = 0."""
-    if n < 0:
-        raise ValueError(f"q-integer index must be nonnegative, got {n}")
-    return IntPoly([1] * n)
-
-
 def neg_q_pochhammer(j: int) -> IntPoly:
     """(-q;q)_j = (1+q)(1+q^2)...(1+q^j); the empty product is 1."""
     if j < 0:
@@ -80,27 +73,6 @@ def delannoy(h: int, k: int) -> int:
     return sum((comb(h, j) * comb(k, j)) << j for j in range(min(h, k) + 1))
 
 
-def delannoy_series_table(size: int) -> list[list[int]]:
-    """Coefficient table of the power series 1/(1-x-y-xy) up to degree size.
-
-    Entry [h][k] obeys c[h][k] = c[h-1][k] + c[h][k-1] + c[h-1][k-1] with
-    c[0][0] = 1 and out-of-range terms zero, and must match delannoy(h,k).
-    """
-    if size < 0:
-        raise ValueError(f"table size must be nonnegative, got {size}")
-    table = [[0] * (size + 1) for _ in range(size + 1)]
-    table[0][0] = 1
-    for h in range(size + 1):
-        for k in range(size + 1):
-            if h == 0 and k == 0:
-                continue
-            up = table[h - 1][k] if h else 0
-            left = table[h][k - 1] if k else 0
-            diag = table[h - 1][k - 1] if h and k else 0
-            table[h][k] = up + left + diag
-    return table
-
-
 def is_prime(p: int) -> bool:
     """Trial division; inputs here are tiny."""
     if p < 2:
@@ -111,11 +83,3 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def q_binomial_theorem_check(j: int) -> bool:
-    """Whether (-q;q)_j equals sum_i q^(i(i+1)/2) * [j choose i]_q exactly."""
-    rhs = ZERO
-    for i in range(j + 1):
-        rhs = rhs + q_binomial(j, i).shift(i * (i + 1) // 2)
-    return neg_q_pochhammer(j) == rhs

@@ -92,10 +92,3 @@ def q_delannoy(h: int, k: int, route: str = "rec") -> IntPoly:
     except KeyError:
         raise ValueError(f"unknown route {route!r}; expected one of {sorted(ROUTES)}") from None
     return fn(h, k)
-
-
-def specialize_q1(h: int, k: int) -> int:
-    """Evaluate the q-Delannoy polynomial at q=1; equals delannoy(h,k)."""
-    if h < 0 or k < 0:
-        raise ValueError("specialization expects nonnegative arguments")
-    return q_delannoy_rec(h, k).evaluate(1)

@@ -6,15 +6,19 @@ integers; (-q;q)_j comes from `qcore.neg_q_pochhammer`, which multiplies
 IntPoly factors too.  These are the package's original routes, kept as the
 oracle the fast ones are checked against, plus the original recursive path
 enumeration and the original corner decomposition and cyclic actions, which
-build the point list of a path and cut it into lists of blocks.
+build the point list of a path and cut it into lists of blocks.  The small
+helpers at the end (q-integers, the q-binomial theorem, the series table of
+1/(1-x-y-xy), evaluation at q=1, JSON read-back, path points) exist only
+for the tests.
 """
 
 from functools import cache
 
 from qdelannoy.orbits import ClassError, Decomposition, PathClass
-from qdelannoy.paths import path_points
-from qdelannoy.polyring import ONE, ZERO
-from qdelannoy.qcore import neg_q_pochhammer
+from qdelannoy.paths import STEP_DX, STEP_DY
+from qdelannoy.polyring import ONE, IntPoly, ZERO
+from qdelannoy.qcore import neg_q_pochhammer, q_binomial as packed_q_binomial
+from qdelannoy.qdelannoy import q_delannoy_rec as packed_q_delannoy_rec
 
 
 @cache
@@ -89,7 +93,7 @@ def decompose(path, frame):
         hat=path[last:],
         bar_start=pts[first],
         bar_end=pts[last],
-        passes_corner=pts[first] == frame.corner,
+        passes_corner=pts[first] == (frame.h, frame.k),
     )
 
 
@@ -159,3 +163,62 @@ def act_with_shift(dec, cls, frame):
     for p in parts:
         body.extend(p)
     return head + tuple(body), shift
+
+
+def path_points(path, start=(0, 0)):
+    """Every lattice point the path visits, start included."""
+    x, y = start
+    pts = [(x, y)]
+    for s in path:
+        x += STEP_DX[s]
+        y += STEP_DY[s]
+        pts.append((x, y))
+    return pts
+
+
+def q_integer(n):
+    """[n]_q = 1 + q + ... + q^(n-1); [0]_q = 0."""
+    if n < 0:
+        raise ValueError(f"q-integer index must be nonnegative, got {n}")
+    return IntPoly([1] * n)
+
+
+def q_binomial_theorem_check(j):
+    """Whether (-q;q)_j equals sum_i q^(i(i+1)/2) * [j choose i]_q exactly, for the package's [j,i]."""
+    rhs = ZERO
+    for i in range(j + 1):
+        rhs = rhs + packed_q_binomial(j, i).shift(i * (i + 1) // 2)
+    return neg_q_pochhammer(j) == rhs
+
+
+def delannoy_series_table(size):
+    """Coefficient table of the power series 1/(1-x-y-xy) up to degree size.
+
+    Entry [h][k] obeys c[h][k] = c[h-1][k] + c[h][k-1] + c[h-1][k-1] with
+    c[0][0] = 1 and out-of-range terms zero, and must match delannoy(h,k).
+    """
+    if size < 0:
+        raise ValueError(f"table size must be nonnegative, got {size}")
+    table = [[0] * (size + 1) for _ in range(size + 1)]
+    table[0][0] = 1
+    for h in range(size + 1):
+        for k in range(size + 1):
+            if h == 0 and k == 0:
+                continue
+            up = table[h - 1][k] if h else 0
+            left = table[h][k - 1] if k else 0
+            diag = table[h - 1][k - 1] if h and k else 0
+            table[h][k] = up + left + diag
+    return table
+
+
+def specialize_q1(h, k):
+    """The package's q-Delannoy polynomial at q=1; equals delannoy(h,k)."""
+    if h < 0 or k < 0:
+        raise ValueError("specialization expects nonnegative arguments")
+    return packed_q_delannoy_rec(h, k).evaluate(1)
+
+
+def poly_from_json(items):
+    """Read back IntPoly.to_json_coeffs: decimal coefficient strings, ascending."""
+    return IntPoly(int(s) for s in items)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly, ONE
-from qdelannoy.qcore import delannoy, delannoy_series_table
+from qdelannoy.qcore import delannoy
 from qdelannoy.qdelannoy import q_delannoy_alt, q_delannoy_def, q_delannoy_rec
 from qdelannoy.paths import sigma_poly
 from qdelannoy.orbits import CornerFrame, audit
@@ -26,6 +26,7 @@ from qdelannoy.congruence import (
     verify_q_lucas,
     verify_theorem2,
 )
+from reference import delannoy_series_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

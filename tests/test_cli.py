@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from qdelannoy.polyring import IntPoly
 from qdelannoy.cli import main
+from reference import poly_from_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,7 +61,7 @@ def test_compute_json_round_trips():
     result = run_cli("compute", "qdelannoy", "--h", "2", "--k", "2", "--json")
     payload = json.loads(result.stdout)
     assert payload["route"] == "rec"
-    poly = IntPoly.from_json_coeffs(payload["coeffs"])
+    poly = poly_from_json(payload["coeffs"])
     assert poly == IntPoly([1, 2, 4, 4, 2])
 
 
@@ -168,6 +170,83 @@ def test_verify_bad_bounds_exit_2(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "statement, flag",
+    [("thm2", "--max-a"), ("thm2", "--max-c"), ("thm1", "--max-h"), ("lucas", "--max-k"), ("interp", "--max-n")],
+)
+def test_verify_foreign_bound_is_usage_error(statement, flag, capsys):
+    # argparse knows only the statement's own bounds, so it exits 2 itself.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", statement, flag, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+# sha256 of `verify <statement>` output, text then --json, recorded from the
+# sweep whose statement knowledge was spread over name branches, before the
+# one-entry-per-statement registry replaced them.
+VERIFY_GOLDEN = [
+    (("thm2", "--max-n", "4", "--max-h", "3", "--max-k", "3"),
+     "25831d3655cf77815b790a1dd2bf62818d547d0ef95a3e6733568a1b2bc00655",
+     "360de6bbab6c2ebdb7237677a4787cbe24421254b42ee21e1e8ec397bfb40e4d"),
+    (("thm1", "--max-n", "5", "--max-a", "2", "--max-c", "2"),
+     "909fef56cacfe58af890fd6e8a5613bdc84261d975a8d4688d77947eee7f3340",
+     "a3768a0cd5868e3a88c5b065f7a15d2f59e7105c2e2a9f5006142316213ea9e2"),
+    (("qlucas", "--max-n", "5", "--max-a", "2", "--max-c", "2"),
+     "fb4c4fa2357fcac53d26ba68bf0943bcf320bfcae16b59cf657c810156586cf3",
+     "375741e929a9b147339a85ef76a9f629b628657ff3c8ebc77a573ed70024a404"),
+    (("lucas", "--max-n", "7", "--max-a", "2", "--max-c", "2"),
+     "63b80804bcd5c0a6f1f93882ff66de48aa1fd111ebd075d38a2336344e00a452",
+     "0153d06df252ba2fca0328bede90af90e949a923cde2869e20c24df86dece024"),
+    (("dlucas", "--max-n", "7", "--max-a", "2", "--max-c", "2"),
+     "38e79776ddfa8117ae223883ab2a1138fa43d0be60851fd17d2a59a8eee3e656",
+     "cdc94a22efedb2b54c8d157bb6b101a0aa2ac765eb470dee3eb927ac2b2c146d"),
+    (("interp", "--max-h", "4", "--max-k", "3"),
+     "729b65b3c425fcf86180eb4af884cc43e037247075beae5aea352922a5a97866",
+     "906fb7bc83febb151c60afa055546bc3171b2ce6187d3bf0353b337cb9c04d7c"),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "args, text_digest, json_digest", VERIFY_GOLDEN, ids=[args[0] for args, _, _ in VERIFY_GOLDEN]
+)
+def test_verify_golden_output(args, text_digest, json_digest, as_json, tmp_path):
+    target = tmp_path / "out.txt"
+    flags = ["--json"] if as_json else []
+    assert main(["verify", *args, *flags, "--out", str(target)]) == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == (json_digest if as_json else text_digest)
+
+
+def _readme_cli_commands():
+    """(argv, expected output or None) for each command in README's CLI block."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if not command.strip():
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "qdelannoy", line
+        comment = comment.strip()
+        commands.append((argv[1:], comment[2:].strip() if comment.startswith("=>") else None))
+    return commands
+
+
+def test_readme_cli_commands_run(tmp_path):
+    commands = _readme_cli_commands()
+    assert len(commands) == 13
+    for argv, expected in commands:
+        target = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(target)]) == 0, argv
+        if expected is not None:
+            assert target.read_text(encoding="utf-8") == expected + "\n", argv
 
 
 # sha256 of the output of the compute-routes benchmark's centre requests,

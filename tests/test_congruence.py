@@ -12,7 +12,7 @@ from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.residue import binomial_table, delannoy_table
 from qdelannoy.congruence import (
-    _RESIDUES,
+    STATEMENTS,
     SweepConfig,
     _shard_failures,
     induction_consistency,
@@ -265,14 +265,14 @@ def test_residue_tables_match_full_polynomials():
 )
 def test_residue_engine_matches_oracle(config):
     for n in config.shards():
-        residue = _RESIDUES[config.statement](config, n)
+        residue = STATEMENTS[config.statement].residue(config, n)
         oracle_failures = []
         for case in config.shard_cases(n):
             report = run_case(config.statement, case)
             assert reduce_mod(IntPoly(residue(case)), n) == report.residue
             if not report.passed:
                 oracle_failures.append(case)
-        assert _shard_failures((config, n)) == oracle_failures
+        assert _shard_failures((config, n))[1] == oracle_failures
 
 
 def test_sweep_failure_is_the_oracle_report(monkeypatch, capsys):
@@ -312,11 +312,46 @@ def test_sweep_rejects_engine_oracle_disagreement(monkeypatch):
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(jobs=0), dict(jobs=-3), dict(max_n=-2), dict(max_a=-1), dict(max_c=-1), dict(max_h=-1), dict(max_k=-1)],
+    [
+        dict(jobs=0),
+        dict(jobs=-3),
+        dict(max_n=-2),
+        dict(max_a=-1),
+        dict(max_c=-1),
+        dict(max_h=-1),
+        dict(max_k=-1),
+        # a nonzero bound the statement does not read
+        dict(max_a=3),
+        dict(max_c=1),
+        dict(statement="thm1", max_n=2, max_h=1),
+        dict(statement="lucas", max_n=3, max_k=2),
+        dict(statement="interp", max_n=1, max_h=2),
+        dict(statement="interp", max_a=1),
+    ],
 )
 def test_sweep_config_rejects_bad_bounds(bad):
     with pytest.raises(ValueError):
-        SweepConfig("thm2", **bad)
+        SweepConfig(**{"statement": "thm2", **bad})
+
+
+def test_each_statement_takes_its_own_bounds():
+    axes = {name: entry.axes for name, entry in STATEMENTS.items()}
+    assert axes == {"lucas": "nac", "dlucas": "nac", "qlucas": "nac", "thm1": "nac", "thm2": "nhk", "interp": "hk"}
+    for name, own in axes.items():
+        assert SweepConfig(name, **{f"max_{axis}": 2 for axis in own}).shards()
+
+
+def test_shard_counts_sum_to_grid_size():
+    grids = [
+        (SweepConfig("thm2", max_n=4, max_h=2, max_k=3), 4 * 3 * 4),
+        (SweepConfig("thm1", max_n=3, max_a=1, max_c=2), 2 * 3 * (1 + 4 + 9)),
+        (SweepConfig("lucas", max_n=7, max_a=1, max_c=1), 4 * (4 + 9 + 25 + 49)),
+        (SweepConfig("interp", max_h=3, max_k=2), 4 * 3),
+    ]
+    for config, size in grids:
+        counts = [_shard_failures((config, key))[0] for key in config.shards()]
+        assert counts == [len(config.shard_cases(key)) for key in config.shards()]
+        assert sum(counts) == size == sweep(config).total
 
 
 def test_sweep_pool_is_capped_at_shard_count(monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import random
@@ -7,14 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from qdelannoy.cyclotomic import (
-    CyclotomicTable,
-    congruent,
-    cyclotomic,
-    exponent_residue_factor,
-    reduce_mod,
-)
+from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly, ONE, Q
+
+# The package exports the function `cyclotomic`, which hides the submodule of that name.
+cyclotomic_module = importlib.import_module("qdelannoy.cyclotomic")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -103,39 +101,41 @@ def test_congruent_is_equivalence_and_respects_ops():
 
 
 def test_exponent_residue_examples():
-    assert exponent_residue_factor(3, 6) == ONE
-    assert exponent_residue_factor(4, 2) == IntPoly([-1])
-    assert exponent_residue_factor(2, 3) == IntPoly([-1])
+    # q^n = 1 mod Phi_n, so the exponent may be taken mod n first.
+    for n, e, expected in ((3, 6, ONE), (4, 2, IntPoly([-1])), (2, 3, IntPoly([-1])), (12, 12, ONE)):
+        assert reduce_mod(IntPoly.monomial(e), n) == expected
+        assert reduce_mod(IntPoly.monomial(e % n), n) == expected
 
 
 def test_exponent_residue_matches_direct_reduction():
     for n in range(1, 15):
         for e in range(0, 3 * n + 1):
-            assert exponent_residue_factor(n, e) == reduce_mod(IntPoly.monomial(e), n)
+            assert reduce_mod(IntPoly.monomial(e), n) == reduce_mod(IntPoly.monomial(e % n), n)
 
 
-def test_explicit_table_is_self_contained():
-    table = CyclotomicTable()
-    assert table.poly(12) == cyclotomic(12)
-    assert table.reduce(IntPoly.monomial(12), 12) == ONE
-    assert table.congruent(IntPoly.monomial(5), ONE, 5)
+def test_explicit_table_is_self_contained(monkeypatch):
+    # A fresh memo rebuilds every Phi_d it needs from Phi_1 alone.
+    monkeypatch.setattr(cyclotomic_module, "_PHI", {1: IntPoly((-1, 1))})
+    assert cyclotomic(12) == IntPoly([1, 0, -1, 0, 1])
+    assert sorted(cyclotomic_module._PHI) == [1, 2, 3, 4, 6, 12]
+    assert reduce_mod(IntPoly.monomial(12), 12) == ONE
+    assert congruent(IntPoly.monomial(5), ONE, 5)
 
 
-def test_corrupt_memo_entry_raises():
-    table = CyclotomicTable()
-    table._memo[2] = IntPoly([2, 1])
+def test_corrupt_memo_entry_raises(monkeypatch):
+    monkeypatch.setattr(cyclotomic_module, "_PHI", {1: IntPoly((-1, 1)), 2: IntPoly([2, 1])})
     with pytest.raises(ArithmeticError):
-        table.poly(4)
+        cyclotomic(4)
 
 
 def test_corrupt_memo_entry_raises_under_optimize():
     script = (
-        "from qdelannoy.cyclotomic import CyclotomicTable\n"
+        "import importlib\n"
         "from qdelannoy.polyring import IntPoly\n"
-        "table = CyclotomicTable()\n"
-        "table._memo[2] = IntPoly([2, 1])\n"
+        "module = importlib.import_module('qdelannoy.cyclotomic')\n"
+        "module._PHI[2] = IntPoly([2, 1])\n"
         "try:\n"
-        "    table.poly(4)\n"
+        "    module.cyclotomic(4)\n"
         "except ArithmeticError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -143,3 +143,22 @@ def test_corrupt_memo_entry_raises_under_optimize():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    for n in range(1, 101):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, q), q).all_coeffs()[::-1]
+        assert list(cyclotomic(n).coeffs) == [int(c) for c in expected]
+
+
+def test_reduce_mod_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    rnd = random.Random(1508)
+    for _ in range(100):
+        n = rnd.randint(1, 40)
+        p = IntPoly([rnd.randint(-50, 50) for _ in range(rnd.randint(0, 3 * n))])
+        rem = sympy.rem(sympy.Poly(p.coeffs[::-1], q), sympy.Poly(sympy.cyclotomic_poly(n, q), q))
+        assert reduce_mod(p, n) == IntPoly(int(c) for c in rem.all_coeffs()[::-1])

