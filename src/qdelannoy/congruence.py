@@ -3,30 +3,31 @@
 The two theorem checks reduce exact polynomial differences modulo Phi_n and
 never touch the orbit machinery, so they corroborate it independently.  The
 q-Lucas check does the same for Gaussian binomials, and the integer Lucas
-and Delannoy-Lucas checks reduce mod a prime p.  Every check returns a
-report that carries both sides and the reduced residue, not just a boolean,
-so a failure localizes the discrepancy.
+and Delannoy-Lucas checks reduce mod a prime p; thm1 and the three Lucas
+checks are one split check, count(am+b, cm+d) vs factor(a,c)*count(b,d).
+Every check returns a report that carries both sides and the reduced
+residue, so a failure localizes the discrepancy.
 
 `STATEMENTS` holds one `Statement` entry per sweepable statement: its
 check, the grid bounds (axes) it reads, how its grid splits into shards,
-and an optional residue builder.  `SweepConfig`, `run_case`, `sweep` and
-the CLI read the entry and never branch on the statement's name.
+and its residue builder.  `SweepConfig`, `run_case`, `sweep` and the CLI
+read the entry and never branch on the statement's name.
 
-Sweeps of thm2, thm1 and qlucas do not build full polynomials.  Phi_n
-divides q^n - 1, so each case is decided in Z[q]/(q^n - 1) (see `residue`):
-one table per modulus n answers every case of that n, and the residue of
-lhs - rhs is then reduced exactly mod Phi_n.  Only a case that fails there
-is re-run through the full-polynomial `run_case`, which builds its report;
-`run_case` stays the independent oracle, and a case it passes raises
-RuntimeError.  Statements with no residue builder (lucas, dlucas, interp)
-run `run_case` for every case.
+Sweeps decide each case from one table per shard (see `residue`): thm2,
+thm1 and qlucas in Z[q]/(q^n - 1), whose residues are then reduced exactly
+mod Phi_n, and lucas and dlucas at q = 1 with every entry reduced mod p.
+Only a case that fails there is re-run through `run_case`, the independent
+oracle, which builds its report; a case it passes raises RuntimeError.
+interp, whose statement is the path enumeration itself, runs `run_case`
+for every case.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .cyclotomic import reduce_mod
@@ -39,14 +40,17 @@ from .residue import binomial_table, delannoy_table
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    """One verified instance of a statement, with the reduced residue."""
+    """One verified instance of a statement, with the reduced residue; it passes when that is zero."""
 
     tag: str
     params: dict
     lhs: IntPoly
     rhs: IntPoly
     residue: IntPoly
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.residue.is_zero()
 
     def to_json(self) -> dict:
         return {
@@ -59,14 +63,36 @@ class CongruenceReport:
         }
 
 
-def _report(tag: str, params: dict, lhs: IntPoly, rhs: IntPoly, n: int | None) -> CongruenceReport:
-    residue = reduce_mod(lhs - rhs, n) if n is not None else lhs - rhs
-    return CongruenceReport(tag, params, lhs, rhs, residue, residue.is_zero())
-
-
-def _check_remainders(modulus: int, b: int, d: int) -> None:
+def _check_split(modulus: int, a: int, b: int, c: int, d: int) -> None:
+    if modulus < 1:
+        raise ValueError(f"modulus index must be positive, got {modulus}")
+    if a < 0 or c < 0:
+        raise ValueError("quotient parts must be nonnegative")
     if not 0 <= b <= modulus - 1 or not 0 <= d <= modulus - 1:
         raise ValueError(f"remainder parts must lie in [0, {modulus - 1}], got b={b} d={d}")
+
+
+def _split_report(
+    tag: str, key: str, count: Callable, factor: Callable[[int, int], int], m: int, a: int, b: int, c: int, d: int
+) -> CongruenceReport:
+    """count(am+b, cm+d) vs factor(a,c)*count(b,d), mod Phi_m (key "n") or mod the prime m (key "p").
+
+    The integer statements (key "p") report constant polynomials.
+    """
+    if key == "p" and not is_prime(m):
+        raise ValueError(f"modulus must be prime, got {m}")
+    _check_split(m, a, b, c, d)
+    params = {key: m, "a": a, "b": b, "c": c, "d": d}
+    lhs = count(a * m + b, c * m + d)
+    rhs = count(b, d) * factor(a, c)
+    if key == "n":
+        return CongruenceReport(tag, params, lhs, rhs, reduce_mod(lhs - rhs, m))
+    return CongruenceReport(tag, params, IntPoly.const(lhs), IntPoly.const(rhs), IntPoly.const((lhs - rhs) % m))
+
+
+def _thm1_factor(n: int) -> Callable[[int, int], int]:
+    """D(a,c) for odd n; for even n the factor drops out."""
+    return delannoy if n % 2 else lambda a, c: 1
 
 
 def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
@@ -82,7 +108,7 @@ def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
     lhs = q_delannoy_rec(h + n, k + n)
     rhs = q_delannoy_rec(h + n, k) + q_delannoy_rec(h, k + n) + q_delannoy_rec(h, k) * sign
     tag = "thm2-odd" if n % 2 else "thm2-even"
-    return _report(tag, {"n": n, "h": h, "k": k}, lhs, rhs, n)
+    return CongruenceReport(tag, {"n": n, "h": h, "k": k}, lhs, rhs, reduce_mod(lhs - rhs, n))
 
 
 def verify_theorem1(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
@@ -91,19 +117,8 @@ def verify_theorem1(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
     For even n the integer factor D(a,c) drops out and the right side is
     P(b,d) alone.
     """
-    if n < 1:
-        raise ValueError(f"modulus index must be positive, got {n}")
-    if a < 0 or c < 0:
-        raise ValueError("quotient parts must be nonnegative")
-    _check_remainders(n, b, d)
-    lhs = q_delannoy_rec(a * n + b, c * n + d)
-    if n % 2:
-        rhs = q_delannoy_rec(b, d) * delannoy(a, c)
-        tag = "thm1-odd"
-    else:
-        rhs = q_delannoy_rec(b, d)
-        tag = "thm1-even"
-    return _report(tag, {"n": n, "a": a, "b": b, "c": c, "d": d}, lhs, rhs, n)
+    tag = "thm1-odd" if n % 2 else "thm1-even"
+    return _split_report(tag, "n", q_delannoy_rec, _thm1_factor(n), n, a, b, c, d)
 
 
 def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
@@ -114,7 +129,7 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
     three-term Delannoy recurrence assembles D(a+1,c+1), for even n the
     signs collapse to a single P(b,d).
     """
-    _check_remainders(n, b, d)
+    _check_split(n, a, b, c, d)
     sign = 1 if n % 2 else -1
     lhs = q_delannoy_rec((a + 1) * n + b, (c + 1) * n + d)
     via_corner = (
@@ -122,10 +137,7 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
         + q_delannoy_rec(a * n + b, (c + 1) * n + d)
         + q_delannoy_rec(a * n + b, c * n + d) * sign
     )
-    if n % 2:
-        target = q_delannoy_rec(b, d) * delannoy(a + 1, c + 1)
-    else:
-        target = q_delannoy_rec(b, d)
+    target = q_delannoy_rec(b, d) * _thm1_factor(n)(a + 1, c + 1)
     step_ok = reduce_mod(lhs - via_corner, n).is_zero()
     telescoped_ok = reduce_mod(via_corner - target, n).is_zero()
     return step_ok and telescoped_ok
@@ -133,46 +145,23 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
 
 def verify_q_lucas(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
     """q-Lucas: [an+b, cn+d]_q vs C(a,c)*[b,d]_q mod Phi_n."""
-    if n < 1:
-        raise ValueError(f"modulus index must be positive, got {n}")
-    _check_remainders(n, b, d)
-    lhs = q_binomial(a * n + b, c * n + d)
-    rhs = q_binomial(b, d) * comb(a, c)
-    return _report("q-lucas", {"n": n, "a": a, "b": b, "c": c, "d": d}, lhs, rhs, n)
-
-
-def _lucas_report(tag: str, count: Callable[[int, int], int], p: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
-    """count(ap+b, cp+d) vs count(a,c)*count(b,d) mod the prime p, as constant polynomials."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    _check_remainders(p, b, d)
-    lhs = count(a * p + b, c * p + d)
-    rhs = count(a, c) * count(b, d)
-    residue = IntPoly.const((lhs - rhs) % p)
-    return CongruenceReport(
-        tag,
-        {"p": p, "a": a, "b": b, "c": c, "d": d},
-        IntPoly.const(lhs),
-        IntPoly.const(rhs),
-        residue,
-        residue.is_zero(),
-    )
+    return _split_report("q-lucas", "n", q_binomial, comb, n, a, b, c, d)
 
 
 def verify_lucas(p: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
     """Lucas: C(ap+b, cp+d) vs C(a,c)*C(b,d) mod p."""
-    return _lucas_report("lucas", comb, p, a, b, c, d)
+    return _split_report("lucas", "p", comb, comb, p, a, b, c, d)
 
 
 def verify_delannoy_lucas(p: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
     """Delannoy-Lucas: D(ap+b, cp+d) vs D(a,c)*D(b,d) mod p."""
-    return _lucas_report("delannoy-lucas", delannoy, p, a, b, c, d)
+    return _split_report("delannoy-lucas", "p", delannoy, delannoy, p, a, b, c, d)
 
 
 def _interp_report(h: int, k: int) -> CongruenceReport:
     lhs = sigma_poly(h, k)
     rhs = q_delannoy_rec(h, k)
-    return _report("interp", {"h": h, "k": k}, lhs, rhs, None)
+    return CongruenceReport("interp", {"h": h, "k": k}, lhs, rhs, lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -208,14 +197,6 @@ class SweepConfig:
                 raise ValueError(f"{self.statement} does not read {name} (got {value}); its bounds are {bounds}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-
-    def shards(self) -> list[int]:
-        """Shard keys in grid order: the modulus n (prime p), or the row h for interp."""
-        return STATEMENTS[self.statement].keys(self)
-
-    def shard_cases(self, key: int) -> list[tuple[int, ...]]:
-        """The cases of one shard, in grid order."""
-        return STATEMENTS[self.statement].cases(self, key)
 
 
 def run_case(statement: str, case: tuple[int, ...]) -> CongruenceReport:
@@ -254,18 +235,19 @@ Residue = Callable[[tuple[int, ...]], list[int]]
 class Statement:
     """Everything a sweep knows about one statement.
 
-    `check` reports one case from full polynomials and is the oracle.
-    `axes` names the grid bounds the statement reads, one letter per
-    `SweepConfig.max_*` field.  `keys` lists a grid's shard keys in order
-    and `cases` the cases of one shard.  `residue`, when set, builds from
-    one table per modulus n the residue of lhs - rhs in Z[q]/(q^n - 1) for
-    every case of that n; without it each case runs through `check`.
+    `check` reports one case and is the oracle.  `axes` names the grid
+    bounds the statement reads, one letter per `SweepConfig.max_*` field.
+    `keys` lists a grid's shard keys in grid order, smallest shard first,
+    and `cases` iterates the cases of one shard.  `residue`, when set,
+    builds from one table per shard key n the residue of lhs - rhs of every
+    case of that shard, which is zero mod Phi_n exactly when the case
+    passes; without it each case runs through `check`.
     """
 
     check: Callable[..., CongruenceReport]
     axes: str
     keys: Callable[[SweepConfig], list[int]]
-    cases: Callable[[SweepConfig, int], list[tuple[int, ...]]]
+    cases: Callable[[SweepConfig, int], Iterator[tuple[int, ...]]]
     residue: Callable[[SweepConfig, int], Residue] | None = None
 
 
@@ -281,22 +263,16 @@ def _rows(config: SweepConfig) -> list[int]:
     return list(range(config.max_h + 1))
 
 
-def _split_cases(config: SweepConfig, n: int) -> list[tuple[int, ...]]:
-    return [
-        (n, a, b, c, d)
-        for a in range(config.max_a + 1)
-        for b in range(n)
-        for c in range(config.max_c + 1)
-        for d in range(n)
-    ]
+def _split_cases(config: SweepConfig, n: int) -> Iterator[tuple[int, ...]]:
+    return ((n, *abcd) for abcd in product(range(config.max_a + 1), range(n), range(config.max_c + 1), range(n)))
 
 
-def _corner_cases(config: SweepConfig, n: int) -> list[tuple[int, ...]]:
-    return [(n, h, k) for h in range(config.max_h + 1) for k in range(config.max_k + 1)]
+def _corner_cases(config: SweepConfig, n: int) -> Iterator[tuple[int, ...]]:
+    return ((n, h, k) for h in range(config.max_h + 1) for k in range(config.max_k + 1))
 
 
-def _row_cases(config: SweepConfig, h: int) -> list[tuple[int, ...]]:
-    return [(h, k) for k in range(config.max_k + 1)]
+def _row_cases(config: SweepConfig, h: int) -> Iterator[tuple[int, ...]]:
+    return ((h, k) for k in range(config.max_k + 1))
 
 
 def _thm2_residue(config: SweepConfig, n: int) -> Residue:
@@ -311,29 +287,39 @@ def _thm2_residue(config: SweepConfig, n: int) -> Residue:
 
 
 def _split_residue(
-    config: SweepConfig, n: int, table: Callable[[int, int, int], list[list[list[int]]]], factor: Callable[[int, int], int]
+    config: SweepConfig, m: int, table: Callable[..., list], factor: Callable[[int, int], int], mod: int | None = None
 ) -> Residue:
-    t = table(n, (config.max_a + 1) * n, (config.max_c + 1) * n)
+    """count(am+b, cm+d) - factor(a,c)*count(b,d) from one table: in Z[q]/(q^m - 1), or at q = 1 mod `mod`."""
+    t = table(1 if mod else m, (config.max_a + 1) * m, (config.max_c + 1) * m, mod=mod)
 
     def residue(case: tuple[int, ...]) -> list[int]:
         _, a, b, c, d = case
         f = factor(a, c)
-        return [x - f * y for x, y in zip(t[a * n + b][c * n + d], t[b][d])]
+        r = [x - f * y for x, y in zip(t[a * m + b][c * m + d], t[b][d])]
+        return [x % mod for x in r] if mod else r
 
     return residue
 
 
 def _thm1_residue(config: SweepConfig, n: int) -> Residue:
-    return _split_residue(config, n, delannoy_table, delannoy if n % 2 else lambda a, c: 1)
+    return _split_residue(config, n, delannoy_table, _thm1_factor(n))
 
 
 def _qlucas_residue(config: SweepConfig, n: int) -> Residue:
     return _split_residue(config, n, binomial_table, comb)
 
 
+def _lucas_residue(config: SweepConfig, p: int) -> Residue:
+    return _split_residue(config, p, binomial_table, comb, p)
+
+
+def _dlucas_residue(config: SweepConfig, p: int) -> Residue:
+    return _split_residue(config, p, delannoy_table, delannoy, p)
+
+
 STATEMENTS: dict[str, Statement] = {
-    "lucas": Statement(verify_lucas, "nac", _primes, _split_cases),
-    "dlucas": Statement(verify_delannoy_lucas, "nac", _primes, _split_cases),
+    "lucas": Statement(verify_lucas, "nac", _primes, _split_cases, _lucas_residue),
+    "dlucas": Statement(verify_delannoy_lucas, "nac", _primes, _split_cases, _dlucas_residue),
     "qlucas": Statement(verify_q_lucas, "nac", _moduli, _split_cases, _qlucas_residue),
     "thm1": Statement(verify_theorem1, "nac", _moduli, _split_cases, _thm1_residue),
     "thm2": Statement(verify_theorem2, "nhk", _moduli, _corner_cases, _thm2_residue),
@@ -344,41 +330,43 @@ STATEMENTS: dict[str, Statement] = {
 def _shard_failures(task: tuple[SweepConfig, int]) -> tuple[int, list[tuple[int, ...]]]:
     """The case count and failing cases of one shard; pure, so shards may run in any order or process."""
     config, key = task
-    cases = config.shard_cases(key)
-    build = STATEMENTS[config.statement].residue
-    if build is None:
-        return len(cases), [case for case in cases if not run_case(config.statement, case).passed]
-    residue = build(config, key)
-    return len(cases), [case for case in cases if not reduce_mod(IntPoly(residue(case)), key).is_zero()]
+    entry = STATEMENTS[config.statement]
+    residue = entry.residue(config, key) if entry.residue else None
+    count, failing = 0, []
+    for count, case in enumerate(entry.cases(config, key), 1):
+        if residue is None:
+            passed = run_case(config.statement, case).passed
+        else:
+            passed = reduce_mod(IntPoly(residue(case)), key).is_zero()
+        if not passed:
+            failing.append(case)
+    return count, failing
 
 
 def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
     """The oracle's report of a case the residue engine failed; it must fail too."""
     report = _run_case_json((statement, case))
     if report["pass"]:
-        raise RuntimeError(f"{statement} case {case} fails mod q^n - 1 but passes as a full polynomial")
+        raise RuntimeError(f"{statement} case {case} fails in the residue engine but passes the oracle check")
     return report
 
 
 def sweep(config: SweepConfig) -> SweepSummary:
     """Run every case of the grid; the summary is scheduling-independent.
 
-    Workers take whole shards and return only the failing cases, each of
-    which is then re-run through `run_case` to build its report.
+    Workers take whole shards, largest first so that the longest shard does
+    not start last, and return only the failing cases; the shards are put
+    back in grid order and each failing case is re-run through `run_case`
+    to build its report.
     """
-    tasks = [(config, key) for key in config.shards()]
+    tasks = [(config, key) for key in reversed(STATEMENTS[config.statement].keys(config))]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_shard_failures, tasks))
     else:
         shards = [_shard_failures(task) for task in tasks]
+    shards.reverse()
     failures = tuple(_failure_report(config.statement, case) for _, failing in shards for case in failing)
     total = sum(count for count, _ in shards)
-    return SweepSummary(
-        statement=config.statement,
-        total=total,
-        passed=total - len(failures),
-        failed=len(failures),
-        failures=failures,
-    )
+    return SweepSummary(config.statement, total, total - len(failures), len(failures), failures)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import multiprocessing
+import tracemalloc
 from math import comb
 
 import pytest
@@ -103,6 +105,12 @@ def test_induction_examples():
     assert induction_consistency(3, 0, 0, 0, 0)
     assert induction_consistency(5, 1, 2, 0, 3)
     assert induction_consistency(2, 1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("case", [(0, 0, 0, 0, 0), (3, -1, 0, 0, 0), (3, 0, 0, -2, 1), (3, 0, 3, 0, 0)])
+def test_induction_rejects_bad_args(case):
+    with pytest.raises(ValueError):
+        induction_consistency(*case)
 
 
 def test_induction_grid():
@@ -224,6 +232,11 @@ def test_lucas_family_reports():
         (verify_q_lucas, (0, 1, 0, 1, 0)),
         (verify_q_lucas, (3, 1, 3, 0, 0)),
         (verify_q_lucas, (3, 1, 0, 0, -1)),
+        # negative quotient parts
+        (verify_delannoy_lucas, (3, -1, 0, 0, 0)),
+        (verify_lucas, (3, 0, 0, -1, 0)),
+        (verify_q_lucas, (3, -1, 2, 0, 0)),
+        (verify_theorem1, (3, 0, 0, -1, 0)),
     ],
 )
 def test_lucas_family_rejects_bad_args(check, case):
@@ -260,14 +273,17 @@ def test_residue_tables_match_full_polynomials():
         SweepConfig("thm2", max_n=7, max_h=4, max_k=3),
         SweepConfig("thm1", max_n=7, max_a=1, max_c=2),
         SweepConfig("qlucas", max_n=7, max_a=2, max_c=1),
+        SweepConfig("lucas", max_n=11, max_a=3, max_c=2),
+        SweepConfig("dlucas", max_n=11, max_a=2, max_c=3),
     ],
     ids=lambda config: config.statement,
 )
 def test_residue_engine_matches_oracle(config):
-    for n in config.shards():
-        residue = STATEMENTS[config.statement].residue(config, n)
+    entry = STATEMENTS[config.statement]
+    for n in entry.keys(config):
+        residue = entry.residue(config, n)
         oracle_failures = []
-        for case in config.shard_cases(n):
+        for case in entry.cases(config, n):
             report = run_case(config.statement, case)
             assert reduce_mod(IntPoly(residue(case)), n) == report.residue
             if not report.passed:
@@ -302,8 +318,90 @@ def test_sweep_rejects_engine_oracle_disagreement(monkeypatch):
         return table
 
     monkeypatch.setattr(congruence, "delannoy_table", corrupt)
-    with pytest.raises(RuntimeError, match="passes as a full polynomial"):
+    with pytest.raises(RuntimeError, match="passes the oracle check"):
         sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1))
+
+
+# The mod-p engines: one table at q = 1 per prime, with its count and factor.
+MOD_P = {"lucas": ("binomial_table", binomial_table, comb), "dlucas": ("delannoy_table", delannoy_table, delannoy)}
+
+
+@pytest.mark.parametrize("statement", MOD_P)
+def test_mod_p_engine_rejects_corrupt_table_entry(monkeypatch, statement):
+    name, table, _ = MOD_P[statement]
+
+    def corrupt(n, rows, cols, mod=None):
+        t = table(n, rows, cols, mod=mod)
+        t[1][1] = [(t[1][1][0] + 1) % mod]
+        return t
+
+    monkeypatch.setattr(congruence, name, corrupt)
+    with pytest.raises(RuntimeError, match=f"{statement} case .* passes the oracle check"):
+        sweep(SweepConfig(statement, max_n=5, max_a=1, max_c=1))
+
+
+@pytest.mark.parametrize("statement", MOD_P)
+def test_mod_p_engine_failure_is_the_oracle_report(monkeypatch, capsys, statement):
+    # A factor one too large at (a,c) = (1,1), given to the engine and the oracle alike.
+    _, table, count = MOD_P[statement]
+
+    def factor(a, c):
+        return count(a, c) + ((a, c) == (1, 1))
+
+    entry = STATEMENTS[statement]
+    tag = entry.check(2, 0, 0, 0, 0).tag
+
+    def check(p, a, b, c, d):
+        return congruence._split_report(tag, "p", count, factor, p, a, b, c, d)
+
+    def residue(config, p):
+        return congruence._split_residue(config, p, table, factor, p)
+
+    monkeypatch.setitem(STATEMENTS, statement, dataclasses.replace(entry, check=check, residue=residue))
+    config = SweepConfig(statement, max_n=5, max_a=1, max_c=1)
+    expected = [
+        run_case(statement, case).to_json()
+        for p in entry.keys(config)
+        for case in entry.cases(config, p)
+        if not run_case(statement, case).passed
+    ]
+    summary = sweep(config)
+    assert expected and summary.failures == tuple(expected)
+    assert (summary.total, summary.failed) == (4 * (4 + 9 + 25), len(expected))
+
+    argv = ["verify", statement, "--max-n", "5", "--max-a", "1", "--max-c", "1", "--json"]
+    outputs = []
+    for jobs in ("1", "2"):
+        if jobs == "2" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched registry only when forked")
+        assert main([*argv, "--jobs", jobs]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == summary.to_json()
+
+
+@pytest.mark.parametrize("statement", MOD_P)
+def test_passing_mod_p_sweep_runs_no_oracle_case(monkeypatch, statement):
+    calls = []
+    monkeypatch.setattr(congruence, "run_case", lambda *args: calls.append(args))
+    summary = sweep(SweepConfig(statement, max_n=13, max_a=3, max_c=3))
+    assert (summary.total, summary.failed) == (16 * (4 + 9 + 25 + 49 + 121 + 169), 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("statement", MOD_P)
+def test_mod_p_shard_memory_is_one_table(statement):
+    # The largest shard of the 60/4/4 grid (p = 59, 87 025 cases) sets a serial sweep's
+    # peak.  Its 295 x 295 table takes about 8 MB; holding its case list as well would
+    # take about 7 MB more.
+    tracemalloc.start()
+    try:
+        count, failing = _shard_failures((SweepConfig(statement, max_n=60, max_a=4, max_c=4), 59))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, failing) == (87_025, [])
+    assert peak <= 10 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +436,7 @@ def test_each_statement_takes_its_own_bounds():
     axes = {name: entry.axes for name, entry in STATEMENTS.items()}
     assert axes == {"lucas": "nac", "dlucas": "nac", "qlucas": "nac", "thm1": "nac", "thm2": "nhk", "interp": "hk"}
     for name, own in axes.items():
-        assert SweepConfig(name, **{f"max_{axis}": 2 for axis in own}).shards()
+        assert STATEMENTS[name].keys(SweepConfig(name, **{f"max_{axis}": 2 for axis in own}))
 
 
 def test_shard_counts_sum_to_grid_size():
@@ -349,13 +447,14 @@ def test_shard_counts_sum_to_grid_size():
         (SweepConfig("interp", max_h=3, max_k=2), 4 * 3),
     ]
     for config, size in grids:
-        counts = [_shard_failures((config, key))[0] for key in config.shards()]
-        assert counts == [len(config.shard_cases(key)) for key in config.shards()]
+        entry = STATEMENTS[config.statement]
+        counts = [_shard_failures((config, key))[0] for key in entry.keys(config)]
+        assert counts == [len(list(entry.cases(config, key))) for key in entry.keys(config)]
         assert sum(counts) == size == sweep(config).total
 
 
 def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
-    sizes = []
+    sizes, orders = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -368,11 +467,15 @@ def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
             return False
 
         def map(self, fn, items):
+            orders.append([key for _, key in items])
             return map(fn, items)
 
     monkeypatch.setattr(congruence, "ProcessPoolExecutor", RecordingPool)
     summary = sweep(SweepConfig("thm2", max_n=3, max_h=1, max_k=1, jobs=10**9))
     assert sizes == [3]
+    assert orders == [[3, 2, 1]]  # largest shard first
     assert (summary.total, summary.failed) == (12, 0)
     sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1, jobs=10**9))
     assert sizes == [3]
+    sweep(SweepConfig("lucas", max_n=7, max_a=1, max_c=1, jobs=2))
+    assert sizes == [3, 2] and orders[-1] == [7, 5, 3, 2]
