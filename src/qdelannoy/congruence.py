@@ -13,21 +13,20 @@ check, the grid bounds (axes) it reads, how its grid splits into shards,
 and its residue builder.  `SweepConfig`, `run_case`, `sweep` and the CLI
 read the entry and never branch on the statement's name.
 
-Sweeps decide each case from one table per shard (see `residue`): thm2,
-thm1 and qlucas in Z[q]/(q^n - 1), whose residues are then reduced exactly
-mod Phi_n, and lucas and dlucas at q = 1 with every entry reduced mod p.
-Only a case that fails there is re-run through `run_case`, the independent
-oracle, which builds its report; a case it passes raises RuntimeError.
-interp, whose statement is the path enumeration itself, runs `run_case`
-for every case.
+Sweeps decide each case from one table per shard: thm2, thm1 and qlucas
+in Z[q]/(q^n - 1) (see `residue`), whose residues are then reduced exactly
+mod Phi_n; lucas and dlucas at q = 1 with every entry reduced mod p; and
+interp from the path counts of one walk over the prefix trie of its row's
+box, compared exactly with P(h,k).  Only a case that fails there is re-run
+through `run_case`, the independent oracle, which builds its report; a case
+it passes raises RuntimeError.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 
 from .cyclotomic import reduce_mod
@@ -228,7 +227,7 @@ def _run_case_json(args: tuple[str, tuple[int, ...]]) -> dict:
     return run_case(*args).to_json()
 
 
-Residue = Callable[[tuple[int, ...]], list[int]]
+Residue = Callable[[tuple[int, ...]], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -238,17 +237,17 @@ class Statement:
     `check` reports one case and is the oracle.  `axes` names the grid
     bounds the statement reads, one letter per `SweepConfig.max_*` field.
     `keys` lists a grid's shard keys in grid order, smallest shard first,
-    and `cases` iterates the cases of one shard.  `residue`, when set,
-    builds from one table per shard key n the residue of lhs - rhs of every
-    case of that shard, which is zero mod Phi_n exactly when the case
-    passes; without it each case runs through `check`.
+    and `cases` iterates the cases of one shard.  `residue` builds from one
+    table per shard key the residue of every case of that shard, reduced as
+    `check` reduces it (mod Phi_n, mod p, or not at all), so the coefficients
+    of the report's residue; a case passes exactly when it is all zero.
     """
 
     check: Callable[..., CongruenceReport]
     axes: str
     keys: Callable[[SweepConfig], list[int]]
     cases: Callable[[SweepConfig, int], Iterator[tuple[int, ...]]]
-    residue: Callable[[SweepConfig, int], Residue] | None = None
+    residue: Callable[[SweepConfig, int], Residue]
 
 
 def _moduli(config: SweepConfig) -> list[int]:
@@ -279,9 +278,10 @@ def _thm2_residue(config: SweepConfig, n: int) -> Residue:
     t = delannoy_table(n, config.max_h + n + 1, config.max_k + n + 1)
     sign = 1 if n % 2 else -1
 
-    def residue(case: tuple[int, ...]) -> list[int]:
+    def residue(case: tuple[int, ...]) -> Sequence[int]:
         _, h, k = case
-        return [w - x - y - sign * z for w, x, y, z in zip(t[h + n][k + n], t[h + n][k], t[h][k + n], t[h][k])]
+        r = [w - x - y - sign * z for w, x, y, z in zip(t[h + n][k + n], t[h + n][k], t[h][k + n], t[h][k])]
+        return reduce_mod(IntPoly(r), n).coeffs
 
     return residue
 
@@ -289,14 +289,18 @@ def _thm2_residue(config: SweepConfig, n: int) -> Residue:
 def _split_residue(
     config: SweepConfig, m: int, table: Callable[..., list], factor: Callable[[int, int], int], mod: int | None = None
 ) -> Residue:
-    """count(am+b, cm+d) - factor(a,c)*count(b,d) from one table: in Z[q]/(q^m - 1), or at q = 1 mod `mod`."""
+    """count(am+b, cm+d) - factor(a,c)*count(b,d) from one table.
+
+    The table is in Z[q]/(q^m - 1) and the residue is then reduced mod Phi_m,
+    or, with `mod` set, it is at q = 1 and the residue is reduced mod `mod`.
+    """
     t = table(1 if mod else m, (config.max_a + 1) * m, (config.max_c + 1) * m, mod=mod)
 
-    def residue(case: tuple[int, ...]) -> list[int]:
+    def residue(case: tuple[int, ...]) -> Sequence[int]:
         _, a, b, c, d = case
         f = factor(a, c)
         r = [x - f * y for x, y in zip(t[a * m + b][c * m + d], t[b][d])]
-        return [x % mod for x in r] if mod else r
+        return [x % mod for x in r] if mod else reduce_mod(IntPoly(r), m).coeffs
 
     return residue
 
@@ -317,13 +321,47 @@ def _dlucas_residue(config: SweepConfig, p: int) -> Residue:
     return _split_residue(config, p, delannoy_table, delannoy, p)
 
 
+def _sigma_counts(h: int, max_k: int) -> list[list[int]]:
+    """counts[k][s]: how many paths from (0,0) to (h,k) have sigma s, for k <= max_k.
+
+    One depth-first walk of the prefix trie of the box [0,h] x [0,max_k],
+    on an explicit stack of (x, y, sigma): an E step adds 0 to sigma, an N
+    step adds x and a D step adds x + 1.  Every node is one distinct path,
+    counted when it ends on the column x = h.
+    """
+    counts = [[0] * (h * k + 1) for k in range(max_k + 1)]
+    stack = [(0, 0, 0)]
+    while stack:
+        x, y, s = stack.pop()
+        if x == h:
+            counts[y][s] += 1
+        else:
+            stack.append((x + 1, y, s))
+            if y < max_k:
+                stack.append((x + 1, y + 1, s + x + 1))
+        if y < max_k:
+            stack.append((x, y + 1, s + x))
+    return counts
+
+
+def _interp_residue(config: SweepConfig, h: int) -> Residue:
+    """Path counts by sigma minus the coefficients of P(h,k), exactly."""
+    counts = _sigma_counts(h, config.max_k)
+
+    def residue(case: tuple[int, ...]) -> Sequence[int]:
+        _, k = case
+        return [x - y for x, y in zip_longest(counts[k], q_delannoy_rec(h, k).coeffs, fillvalue=0)]
+
+    return residue
+
+
 STATEMENTS: dict[str, Statement] = {
     "lucas": Statement(verify_lucas, "nac", _primes, _split_cases, _lucas_residue),
     "dlucas": Statement(verify_delannoy_lucas, "nac", _primes, _split_cases, _dlucas_residue),
     "qlucas": Statement(verify_q_lucas, "nac", _moduli, _split_cases, _qlucas_residue),
     "thm1": Statement(verify_theorem1, "nac", _moduli, _split_cases, _thm1_residue),
     "thm2": Statement(verify_theorem2, "nhk", _moduli, _corner_cases, _thm2_residue),
-    "interp": Statement(_interp_report, "hk", _rows, _row_cases),
+    "interp": Statement(_interp_report, "hk", _rows, _row_cases, _interp_residue),
 }
 
 
@@ -331,14 +369,10 @@ def _shard_failures(task: tuple[SweepConfig, int]) -> tuple[int, list[tuple[int,
     """The case count and failing cases of one shard; pure, so shards may run in any order or process."""
     config, key = task
     entry = STATEMENTS[config.statement]
-    residue = entry.residue(config, key) if entry.residue else None
+    residue = entry.residue(config, key)
     count, failing = 0, []
     for count, case in enumerate(entry.cases(config, key), 1):
-        if residue is None:
-            passed = run_case(config.statement, case).passed
-        else:
-            passed = reduce_mod(IntPoly(residue(case)), key).is_zero()
-        if not passed:
+        if any(residue(case)):
             failing.append(case)
     return count, failing
 
@@ -362,6 +396,8 @@ def sweep(config: SweepConfig) -> SweepSummary:
     tasks = [(config, key) for key in reversed(STATEMENTS[config.statement].keys(config))]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for this import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_shard_failures, tasks))
     else:

@@ -15,13 +15,17 @@ from reference import poly_from_json
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "qdelannoy", *args],
         capture_output=True,
-        env=env,
+        env=_src_env(),
     )
 
 
@@ -123,8 +127,32 @@ def test_byte_identical_across_runs_and_jobs():
     assert first.stdout == second.stdout == parallel.stdout
     assert first.returncode == parallel.returncode == 0
 
+    interp = ("verify", "interp", "--max-h", "5", "--max-k", "4", "--json")
+    runs = [run_cli(*interp, "--jobs", jobs) for jobs in ("1", "1", "2")]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert [run.returncode for run in runs] == [0, 0, 0]
+
     audit_run = ("orbits", "audit", "--h", "1", "--k", "0", "--n", "3")
     assert run_cli(*audit_run).stdout == run_cli(*audit_run).stdout
+
+
+def test_unpooled_requests_do_not_import_the_process_pool():
+    script = (
+        "import contextlib, io, sys\n"
+        "from qdelannoy.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv.split())\n"
+        "    print(code, 'concurrent.futures' in sys.modules)\n"
+    )
+    requests = (
+        "compute delannoy --h 0 --k 0",
+        "orbits audit --h 1 --k 0 --n 3",
+        "verify interp --max-h 3 --max-k 3 --jobs 1",
+    )
+    result = subprocess.run([sys.executable, "-c", script, *requests], capture_output=True, env=_src_env(), text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False\n" * len(requests)
 
 
 def test_main_callable_in_process(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -275,6 +276,7 @@ def test_residue_tables_match_full_polynomials():
         SweepConfig("qlucas", max_n=7, max_a=2, max_c=1),
         SweepConfig("lucas", max_n=11, max_a=3, max_c=2),
         SweepConfig("dlucas", max_n=11, max_a=2, max_c=3),
+        SweepConfig("interp", max_h=6, max_k=5),
     ],
     ids=lambda config: config.statement,
 )
@@ -285,7 +287,7 @@ def test_residue_engine_matches_oracle(config):
         oracle_failures = []
         for case in entry.cases(config, n):
             report = run_case(config.statement, case)
-            assert reduce_mod(IntPoly(residue(case)), n) == report.residue
+            assert IntPoly(residue(case)) == report.residue
             if not report.passed:
                 oracle_failures.append(case)
         assert _shard_failures((config, n))[1] == oracle_failures
@@ -404,6 +406,49 @@ def test_mod_p_shard_memory_is_one_table(statement):
     assert peak <= 10 * 2**20
 
 
+def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
+    sigma_counts = congruence._sigma_counts
+
+    def corrupt(h, max_k):
+        counts = sigma_counts(h, max_k)
+        counts[max_k][0] += 1
+        return counts
+
+    monkeypatch.setattr(congruence, "_sigma_counts", corrupt)
+    with pytest.raises(RuntimeError, match=r"interp case \(0, 2\) fails .* passes the oracle check"):
+        sweep(SweepConfig("interp", max_h=2, max_k=2))
+
+
+def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
+    # P(3,2) read with its constant term one too large, by the engine and the oracle alike.
+    def rec(h, k):
+        return q_delannoy_rec(h, k) + ((h, k) == (3, 2))
+
+    monkeypatch.setattr(congruence, "q_delannoy_rec", rec)
+    summary = sweep(SweepConfig("interp", max_h=4, max_k=3))
+    assert (summary.total, summary.failed) == (5 * 4, 1)
+    assert summary.failures == (run_case("interp", (3, 2)).to_json(),)
+    assert summary.failures[0]["residue"] == ["-1"]
+
+    argv = ["verify", "interp", "--max-h", "4", "--max-k", "3", "--json"]
+    outputs = []
+    for jobs in ("1", "2"):
+        if jobs == "2" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched recurrence only when forked")
+        assert main([*argv, "--jobs", jobs]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == summary.to_json()
+
+
+def test_passing_interp_sweep_runs_no_oracle_case(monkeypatch):
+    calls = []
+    monkeypatch.setattr(congruence, "run_case", lambda *args: calls.append(args))
+    summary = sweep(SweepConfig("interp", max_h=6, max_k=6))
+    assert (summary.total, summary.failed) == (7 * 7, 0)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Sweep configuration
 # ---------------------------------------------------------------------------
@@ -470,7 +515,7 @@ def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
             orders.append([key for _, key in items])
             return map(fn, items)
 
-    monkeypatch.setattr(congruence, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     summary = sweep(SweepConfig("thm2", max_n=3, max_h=1, max_k=1, jobs=10**9))
     assert sizes == [3]
     assert orders == [[3, 2, 1]]  # largest shard first
