@@ -38,9 +38,9 @@ audit verifies all of this exhaustively for one frame, plus the closed
 forms of the four fixed-point sums.  `orbit` and `audit` share one orbit
 walk, which raises AssertionError when a law breaks.  The audit decomposes
 each path once: it runs the walk at the first path of each orbit, keeps
-the walk's record (bar bounds, sigma, class) of every later member for
-when the enumeration reaches it, records any raise as a violation, and
-takes S1/S2/S4 from the singleton orbits.
+the walk's decomposition and sigma of every later member for when the
+enumeration reaches it, records any raise as a violation, and takes
+S1/S2/S4 from the singleton orbits.
 """
 
 from __future__ import annotations
@@ -102,14 +102,15 @@ class CornerFrame:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """check + bar + hat; the bar may be a single anchor point (no steps)."""
+    """check + bar + hat, and the class they put the path in.
+
+    The bar may be a single anchor point (no steps).
+    """
 
     check: Path
     bar: Path
     hat: Path
-    bar_start: tuple[int, int]
-    bar_end: tuple[int, int]
-    passes_corner: bool
+    path_class: PathClass
 
     @property
     def tail(self) -> Path:
@@ -134,7 +135,7 @@ class Orbit:
 
 
 def decompose(path: Path, frame: CornerFrame) -> Decomposition:
-    """Split a path around its anchor stretch, in one walk that stops at the bar's end."""
+    """Split and classify a path around its anchor stretch, in one walk that stops at the bar's end."""
     end = (x_of(path), y_of(path))
     if end != frame.target:
         raise FrameError(f"path ends at {end}, frame expects {frame.target}")
@@ -148,7 +149,7 @@ def decompose(path: Path, frame: CornerFrame) -> Decomposition:
         x += s != N
         y += s != E
         first += 1
-    bar_start = (x, y)
+    corner = x == h and y == k
     last = first
     while last < len(path):
         s = path[last]
@@ -157,35 +158,30 @@ def decompose(path: Path, frame: CornerFrame) -> Decomposition:
             break
         x, y = nx, ny
         last += 1
+    if corner:
+        path_class = PathClass.Q4 if D in path[first:] else PathClass.Q3
+    else:
+        path_class = PathClass.Q1 if y == k else PathClass.Q2
     return Decomposition(
         check=path[:first],
         bar=path[first:last],
         hat=path[last:],
-        bar_start=bar_start,
-        bar_end=(x, y),
-        passes_corner=bar_start == (h, k),
+        path_class=path_class,
     )
-
-
-def _classify(dec: Decomposition, frame: CornerFrame) -> PathClass:
-    if dec.passes_corner:
-        return PathClass.Q4 if D in dec.tail else PathClass.Q3
-    if dec.bar_end[1] == frame.k:
-        return PathClass.Q1
-    return PathClass.Q2
 
 
 def classify(path: Path, frame: CornerFrame) -> PathClass:
     """Total, single-valued class of a path in the frame."""
-    return _classify(decompose(path, frame), frame)
+    return decompose(path, frame).path_class
 
 
-def _leads(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> tuple[Path, list[int]]:
+def _leads(dec: Decomposition, frame: CornerFrame) -> tuple[Path, list[int]]:
     """The segment the class action permutes, and the index of each block's lead step.
 
     A block is a lead step plus the run after it; anything before the first
     lead is the leading run.
     """
+    cls = dec.path_class
     if cls is PathClass.Q1:
         segment, run = dec.hat, E
         if segment and segment[0] == run:
@@ -207,20 +203,19 @@ def _leads(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> tuple[Path
 def blocks(path: Path, frame: CornerFrame) -> BlockDecomposition:
     """Block structure feeding the cyclic action; rejects Q3 paths."""
     dec = decompose(path, frame)
-    cls = _classify(dec, frame)
-    segment, leads = _leads(dec, cls, frame)
+    segment, leads = _leads(dec, frame)
     bounds = zip(leads, leads[1:] + [len(segment)])
     return BlockDecomposition(
-        path_class=cls,
+        path_class=dec.path_class,
         leading=segment[: leads[0]],
         blocks=tuple(segment[a:b] for a, b in bounds),
     )
 
 
-def _act_with_shift(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> tuple[Path, int]:
+def _act_with_shift(dec: Decomposition, frame: CornerFrame) -> tuple[Path, int]:
     """Apply the class action once; also return the exact predicted sigma shift."""
-    segment, leads = _leads(dec, cls, frame)
-    n = frame.n
+    segment, leads = _leads(dec, frame)
+    cls, n = dec.path_class, frame.n
     if cls is PathClass.Q4:
         # Rotate the lead labels one place along the lead positions.
         labels = [segment[i] for i in leads]
@@ -241,8 +236,7 @@ def _act_with_shift(dec: Decomposition, cls: PathClass, frame: CornerFrame) -> t
 
 def act(path: Path, frame: CornerFrame) -> Path:
     """One application of the cyclic action for the path's class."""
-    dec = decompose(path, frame)
-    return _act_with_shift(dec, _classify(dec, frame), frame)[0]
+    return _act_with_shift(decompose(path, frame), frame)[0]
 
 
 def _weight(sigmas: list[int]) -> IntPoly:
@@ -254,29 +248,21 @@ def _weight(sigmas: list[int]) -> IntPoly:
     return IntPoly(counts)
 
 
-# What the orbit walk knows about each member: the bar's start and end
-# indices in the path, its sigma and its class.
-Record = tuple[int, int, int, PathClass]
+def _walk_orbit(
+    path: Path, dec: Decomposition, s: int, frame: CornerFrame
+) -> dict[Path, tuple[Decomposition, int]]:
+    """Every member of the orbit of `path`, in action order, with its decomposition and sigma.
 
-
-def _record(dec: Decomposition, s: int, cls: PathClass) -> Record:
-    first = len(dec.check)
-    return (first, first + len(dec.bar), s, cls)
-
-
-def _walk_orbit(path: Path, dec: Decomposition, record: Record, frame: CornerFrame) -> dict[Path, Record]:
-    """Every member of the orbit of `path`, in action order, with its record.
-
-    `dec` and `record` describe `path` itself; each later member is
-    decomposed once.  Raises AssertionError when a step misses its
-    predicted sigma shift or leaves the class, or when the action does not
-    return to the path within n steps.
+    `dec` and `s` describe `path` itself; each later member is decomposed
+    once.  Raises AssertionError when a step misses its predicted sigma
+    shift or leaves the class, or when the action does not return to the
+    path within n steps.
     """
-    cls = record[3]
-    members = {path: record}
-    cur, prev, s = dec, path, record[2]
+    cls = dec.path_class
+    members = {path: (dec, s)}
+    cur, prev = dec, path
     while True:
-        nxt, predicted = _act_with_shift(cur, cls, frame)
+        nxt, predicted = _act_with_shift(cur, frame)
         t = sigma(nxt)
         if t - s != predicted:
             raise AssertionError(f"sigma shift law failed at {path_text(prev)} ({cls.value})")
@@ -287,9 +273,9 @@ def _walk_orbit(path: Path, dec: Decomposition, record: Record, frame: CornerFra
         if nxt in members:
             raise AssertionError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
         cur = decompose(nxt, frame)
-        if _classify(cur, frame) is not cls:
+        if cur.path_class is not cls:
             raise AssertionError(f"action left {cls.value} at {path_text(prev)}")
-        members[nxt] = _record(cur, t, cls)
+        members[nxt] = (cur, t)
         prev, s = nxt, t
 
 
@@ -299,14 +285,14 @@ def orbit(path: Path, frame: CornerFrame) -> Orbit:
     Raises AssertionError when a law of the action breaks.
     """
     dec = decompose(path, frame)
-    cls = _classify(dec, frame)
+    cls = dec.path_class
     if cls is PathClass.Q3:
         raise ClassError("Q3 paths carry no cyclic action")
-    members = _walk_orbit(path, dec, _record(dec, sigma(path), cls), frame)
+    members = _walk_orbit(path, dec, sigma(path), frame)
     return Orbit(
         members=tuple(members),
         size=len(members),
-        weight=_weight([r[2] for r in members.values()]),
+        weight=_weight([s for _, s in members.values()]),
         path_class=cls,
         s_count=dec.tail.count(D) if cls is PathClass.Q4 else None,
     )
@@ -371,9 +357,9 @@ class AuditReport:
         }
 
 
-def _reassembled_sigma(path: Path, first: int, last: int) -> int:
-    """sigma of check+bar+hat, cut at the bar bounds, from the concatenation law."""
-    check, bar, hat = path[:first], path[first:last], path[last:]
+def _reassembled_sigma(dec: Decomposition) -> int:
+    """sigma of check+bar+hat from the concatenation law."""
+    check, bar, hat = dec.check, dec.bar, dec.hat
     xc = x_of(check)
     xb = x_of(bar)
     return sigma(check) + sigma(bar) + sigma(hat) + xc * y_of(bar) + (xc + xb) * y_of(hat)
@@ -400,28 +386,29 @@ def audit(frame: CornerFrame) -> AuditReport:
     grand_counts = [0] * degrees
     fixed_counts_by_sigma = {cls: [0] * degrees for cls in PathClass}
     total_paths = 0
-    # records of finished orbits' members that the enumeration has not reached yet
-    ahead: dict[Path, Record] = {}
+    # decompositions and sigmas of finished orbits' members that the
+    # enumeration has not reached yet
+    ahead: dict[Path, tuple[Decomposition, int]] = {}
 
     for path in enumerate_paths(h + n, k + n):
         total_paths += 1
-        record = ahead.pop(path, None)
-        walked = record is not None
-        if not walked:
-            dec = decompose(path, frame)
-            record = _record(dec, sigma(path), _classify(dec, frame))
-        first, last, s, cls = record
-        if s != _reassembled_sigma(path, first, last):
+        walked = ahead.pop(path, None)
+        if walked is None:
+            dec, s = decompose(path, frame), sigma(path)
+        else:
+            dec, s = walked
+        cls = dec.path_class
+        if s != _reassembled_sigma(dec):
             violate(f"sigma reassembly failed for {path_text(path)}")
         class_counts[cls.value] += 1
         grand_counts[s] += 1
         if cls is PathClass.Q3:
             fixed_counts_by_sigma[cls][s] += 1
             continue
-        if walked:
+        if walked is not None:
             continue
         try:
-            members = _walk_orbit(path, dec, record, frame)
+            members = _walk_orbit(path, dec, s, frame)
         except (AssertionError, ValueError) as exc:
             violate(str(exc))
             continue
@@ -443,7 +430,7 @@ def audit(frame: CornerFrame) -> AuditReport:
             violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
         if size == 1:
             fixed_counts_by_sigma[cls][s] += 1
-        elif not _orbit_sum_vanishes([r[2] for r in members.values()], n):
+        elif not _orbit_sum_vanishes([t for _, t in members.values()], n):
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
     if total_paths != delannoy(h + n, k + n):

@@ -18,8 +18,6 @@ Path = tuple[str, ...]
 E = "E"
 N = "N"
 D = "D"
-STEP_DX = {E: 1, N: 0, D: 1}
-STEP_DY = {E: 0, N: 1, D: 1}
 
 
 def x_of(path: Path) -> int:
@@ -34,7 +32,7 @@ def sigma(path: Path) -> int:
     total = 0
     x = 0
     for s in path:
-        x += STEP_DX[s]
+        x += s != N
         if s != E:
             total += x
     return total
@@ -59,19 +57,19 @@ def _walk(h: int, k: int) -> Iterator[Path]:
         while dh or dk:
             s = E if dh else N
             steps.append(s)
-            dh -= STEP_DX[s]
-            dk -= STEP_DY[s]
+            dh -= s != N
+            dk -= s != E
         yield tuple(steps)
         # Back up to the last step that has an untried successor: E -> N -> D.
         while steps:
             s = steps.pop()
-            dh += STEP_DX[s]
-            dk += STEP_DY[s]
+            dh += s != N
+            dk += s != E
             if (s == E and dk) or (s == N and dh):
                 s = N if s == E else D
                 steps.append(s)
-                dh -= STEP_DX[s]
-                dk -= STEP_DY[s]
+                dh -= s != N
+                dk -= s != E
                 break
         else:
             return
@@ -91,6 +89,6 @@ def path_text(path: Path) -> str:
 
 def path_from_text(text: str) -> Path:
     for ch in text:
-        if ch not in STEP_DX:
+        if ch not in (E, N, D):
             raise ValueError(f"invalid step {ch!r}; paths use the alphabet E, N, D")
     return tuple(text)

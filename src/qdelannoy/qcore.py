@@ -12,7 +12,6 @@ numbers come from the closed form sum_j 2^j C(h,j) C(k,j).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 from math import comb
 
 from .polyring import ONE, IntPoly, ZERO
@@ -48,12 +47,10 @@ def neg_q_pochhammer(j: int) -> IntPoly:
     return p
 
 
-@lru_cache(maxsize=2048)
 def q_binomial(h: int, k: int) -> IntPoly:
     """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h.
 
-    [h,k] = [h,h-k], so the row spans the shorter side.  Results are kept
-    in a fixed-size LRU cache for callers that ask for the same entry often.
+    [h,k] = [h,h-k], so the row spans the shorter side.
     """
     if h < 0:
         raise ValueError(f"upper index must be nonnegative, got {h}")

@@ -18,8 +18,6 @@ reads back exactly, whatever the intermediate entries carried.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .polyring import IntPoly, ZERO
 from .qcore import delannoy, gaussian_rows, slot_bytes
 
@@ -58,13 +56,11 @@ def q_delannoy_alt(h: int, k: int) -> IntPoly:
     return IntPoly.from_packed(total, width)
 
 
-@lru_cache(maxsize=2048)
 def q_delannoy_rec(h: int, k: int) -> IntPoly:
     """Recurrence route: P(h,k) = P(h,k-1) + q^k*P(h-1,k) + q^k*P(h-1,k-1).
 
     One row over k is updated in place for each h; `diag` keeps the entry
-    P(h-1,j-1) that the update of column j-1 overwrote.  Results are kept in
-    a fixed-size LRU cache for callers that ask for the same entry often.
+    P(h-1,j-1) that the update of column j-1 overwrote.
     """
     if h < 0 or k < 0:
         return ZERO

@@ -15,10 +15,12 @@ for the tests.
 from functools import cache
 
 from qdelannoy.orbits import ClassError, Decomposition, PathClass
-from qdelannoy.paths import STEP_DX, STEP_DY
 from qdelannoy.polyring import ONE, IntPoly, ZERO
 from qdelannoy.qcore import neg_q_pochhammer, q_binomial as packed_q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec as packed_q_delannoy_rec
+
+STEP_DX = {"E": 1, "N": 0, "D": 1}
+STEP_DY = {"E": 0, "N": 1, "D": 1}
 
 
 @cache
@@ -79,7 +81,12 @@ def on_anchor(frame, point):
 
 
 def decompose(path, frame):
-    """Scan the whole point list for the first anchor point, then extend the bar."""
+    """Scan the whole point list for the first anchor point, then extend the bar.
+
+    The class comes from the bar's end points: a bar from the corner gives Q4
+    when the tail holds a D step, else Q3; any other bar gives Q1 when it
+    ends on y = k, else Q2.
+    """
     pts = path_points(path)
     if pts[-1] != frame.target:
         raise ValueError(f"path ends at {pts[-1]}, frame expects {frame.target}")
@@ -87,20 +94,11 @@ def decompose(path, frame):
     last = first
     while last + 1 < len(pts) and on_anchor(frame, pts[last + 1]):
         last += 1
-    return Decomposition(
-        check=path[:first],
-        bar=path[first:last],
-        hat=path[last:],
-        bar_start=pts[first],
-        bar_end=pts[last],
-        passes_corner=pts[first] == (frame.h, frame.k),
-    )
-
-
-def classify(dec, frame):
-    if dec.passes_corner:
-        return PathClass.Q4 if "D" in dec.tail else PathClass.Q3
-    return PathClass.Q1 if dec.bar_end[1] == frame.k else PathClass.Q2
+    if pts[first] == (frame.h, frame.k):
+        cls = PathClass.Q4 if "D" in path[first:] else PathClass.Q3
+    else:
+        cls = PathClass.Q1 if pts[last][1] == frame.k else PathClass.Q2
+    return Decomposition(check=path[:first], bar=path[first:last], hat=path[last:], path_class=cls)
 
 
 def x_of(path):
@@ -124,8 +122,9 @@ def split_on_leads(segment, leads):
     return tuple(leading), [tuple(b) for b in blocks]
 
 
-def blocks(dec, cls, frame):
+def blocks(dec, frame):
     """The leading run and the blocks the class action permutes."""
+    cls = dec.path_class
     if cls is PathClass.Q1:
         leading, parts = split_on_leads(dec.hat, ("N", "D"))
     elif cls is PathClass.Q2:
@@ -141,10 +140,10 @@ def blocks(dec, cls, frame):
     return leading, parts
 
 
-def act_with_shift(dec, cls, frame):
+def act_with_shift(dec, frame):
     """Rotate the blocks (Q1, Q2) or the lead labels (Q4) and rebuild the path."""
-    n = frame.n
-    leading, parts = blocks(dec, cls, frame)
+    cls, n = dec.path_class, frame.n
+    leading, parts = blocks(dec, frame)
     if cls is PathClass.Q4:
         labels = [p[0] for p in parts]
         shift = labels.count("D") - n * (labels[-1] == "D")

@@ -119,6 +119,29 @@ def test_out_writes_file(tmp_path):
     assert payload["failed"] == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "delannoy", "--h", "1", "--k", "1"),
+        ("verify", "thm2", "--max-n", "2", "--max-h", "1", "--max-k", "1"),
+        ("orbits", "audit", "--h", "0", "--k", "0", "--n", "1"),
+    ],
+    ids=["compute", "verify", "orbits"],
+)
+def test_unwritable_out_is_usage_error(args, tmp_path):
+    result = run_cli(*args, "--out", str(tmp_path / "missing" / "out.txt"))
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error:")
+    assert result.stdout == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_failed_out_write_is_usage_error():
+    result = run_cli("compute", "delannoy", "--h", "1", "--k", "1", "--out", "/dev/full")
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error:")
+
+
 def test_byte_identical_across_runs_and_jobs():
     base = ("verify", "thm2", "--max-n", "3", "--max-h", "2", "--max-k", "2", "--json")
     first = run_cli(*base, "--jobs", "1")
@@ -364,8 +387,8 @@ def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
 
     act_with_shift = orbits_module._act_with_shift
 
-    def wrong_shift(dec, cls, frame):
-        path, shift = act_with_shift(dec, cls, frame)
+    def wrong_shift(dec, frame):
+        path, shift = act_with_shift(dec, frame)
         return path, shift + 1
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", wrong_shift)

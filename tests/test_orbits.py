@@ -20,7 +20,7 @@ from qdelannoy.orbits import (
     decompose,
     orbit,
 )
-from qdelannoy.paths import enumerate_paths, path_from_text, path_text, sigma
+from qdelannoy.paths import enumerate_paths, path_from_text, path_text, sigma, x_of, y_of
 
 
 def P(text):
@@ -44,13 +44,14 @@ def test_decompose_single_point_bar():
     assert path_text(dec.check) == "ED"
     assert dec.bar == ()
     assert path_text(dec.hat) == "NNE"
-    assert dec.bar_start == dec.bar_end == (2, 1)
-    assert not dec.passes_corner
+    assert (x_of(dec.check), y_of(dec.check)) == (2, 1)
+    assert (x_of(dec.check + dec.bar), y_of(dec.check + dec.bar)) == (2, 1)
+    assert dec.path_class is PathClass.Q1
 
 
 def test_decompose_corner_split():
     dec = decompose(P("EDD"), CornerFrame(1, 0, 2))
-    assert dec.passes_corner
+    assert dec.path_class is PathClass.Q4
     assert path_text(dec.check) == "E"
     assert path_text(dec.tail) == "DD"
 
@@ -58,12 +59,12 @@ def test_decompose_corner_split():
 def test_decompose_bar_with_steps():
     # runs along the east anchor from (1,1) before climbing
     dec = decompose(P("DEENN"), CornerFrame(1, 1, 2))
-    assert dec.passes_corner
+    assert dec.path_class is PathClass.Q3
     assert path_text(dec.check) == "D"
     assert path_text(dec.bar) == "EE"
     assert path_text(dec.hat) == "NN"
-    assert dec.bar_start == (1, 1)
-    assert dec.bar_end == (3, 1)
+    assert (x_of(dec.check), y_of(dec.check)) == (1, 1)
+    assert (x_of(dec.check + dec.bar), y_of(dec.check + dec.bar)) == (3, 1)
 
 
 def test_decompose_rejects_wrong_endpoint():
@@ -84,11 +85,9 @@ def test_decompose_and_act_match_reference(n):
         for path in enumerate_paths(h + n, k + n):
             dec = decompose(path, frame)
             assert dec == reference.decompose(path, frame), path_text(path)
-            cls = orbits_module._classify(dec, frame)
-            assert cls is reference.classify(dec, frame), path_text(path)
-            if cls is PathClass.Q3:
+            if dec.path_class is PathClass.Q3:
                 continue
-            assert orbits_module._act_with_shift(dec, cls, frame) == reference.act_with_shift(dec, cls, frame)
+            assert orbits_module._act_with_shift(dec, frame) == reference.act_with_shift(dec, frame)
 
 
 def test_blocks_match_reference():
@@ -98,10 +97,9 @@ def test_blocks_match_reference():
                 frame = CornerFrame(h, k, n)
                 for path in enumerate_paths(h + n, k + n):
                     dec = reference.decompose(path, frame)
-                    cls = reference.classify(dec, frame)
-                    if cls is not PathClass.Q3:
+                    if dec.path_class is not PathClass.Q3:
                         bd = blocks(path, frame)
-                        assert (bd.leading, list(bd.blocks)) == reference.blocks(dec, cls, frame)
+                        assert (bd.leading, list(bd.blocks)) == reference.blocks(dec, frame)
 
 
 def test_reassembly_covers_whole_path():
@@ -272,15 +270,15 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 
     act_with_shift = orbits_module._act_with_shift
 
-    def no_shift(dec, cls, frame):
-        return act_with_shift(dec, cls, frame)[0], 0
+    def no_shift(dec, frame):
+        return act_with_shift(dec, frame)[0], 0
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", no_shift)
     with pytest.raises(AssertionError, match="sigma shift law failed at EDNNE"):
         orbit(P("EDNNE"), CornerFrame(1, 1, 2))
 
     # an action that sends everything to EDNEN, with an honest shift, never returns
-    def stuck(dec, cls, frame):
+    def stuck(dec, frame):
         return P("EDNEN"), sigma(P("EDNEN")) - sigma(dec.check + dec.bar + dec.hat)
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", stuck)
@@ -357,12 +355,12 @@ def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
     a, b = next((a, b) for a in q1 for b in q1 if sigma(b) - sigma(a) == 2)
     act_with_shift = orbits_module._act_with_shift
 
-    def swap(dec, cls, frame):
+    def swap(dec, frame):
         path = dec.check + dec.bar + dec.hat
         if path in (a, b):
             other = b if path == a else a
             return other, sigma(other) - sigma(path)
-        return act_with_shift(dec, cls, frame)
+        return act_with_shift(dec, frame)
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", swap)
     report = orbits_module.audit(frame)

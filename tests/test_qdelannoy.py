@@ -120,8 +120,6 @@ def test_deep_recurrence_has_no_recursion_limit():
 
 
 def test_fill_memory_is_bounded():
-    q_delannoy_rec.cache_clear()
-    q_binomial.cache_clear()
     tracemalloc.start()
     try:
         q_delannoy_rec(60, 60)
