@@ -25,9 +25,9 @@ it passes raises RuntimeError.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import product, zip_longest
 from math import comb
+from typing import NamedTuple
 
 from .cyclotomic import reduce_mod
 from .polyring import IntPoly
@@ -37,8 +37,7 @@ from .paths import sigma_poly
 from .residue import binomial_table, delannoy_table
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """One verified instance of a statement, with the reduced residue; it passes when that is zero."""
 
     tag: str
@@ -163,16 +162,8 @@ def _interp_report(h: int, k: int) -> CongruenceReport:
     return CongruenceReport("interp", {"h": h, "k": k}, lhs, rhs, lhs - rhs)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Finite parameter grid for one statement.
-
-    max_n bounds the modulus index (for lucas/dlucas: the primes tried);
-    remainder parts b, d always range over the full [0, n-1].  A statement
-    reads only the bounds on its registry axes, and any other bound must
-    stay 0.  The grid is split into shards: one per modulus, or one per row
-    h for interp.
-    """
+class _SweepFields(NamedTuple):
+    """The fields of a `SweepConfig`, which validates them."""
 
     statement: str
     max_n: int = 0
@@ -182,7 +173,22 @@ class SweepConfig:
     max_k: int = 0
     jobs: int = 1
 
-    def __post_init__(self) -> None:
+
+class SweepConfig(_SweepFields):
+    """Finite parameter grid for one statement.
+
+    max_n bounds the modulus index (for lucas/dlucas: the primes tried);
+    remainder parts b, d always range over the full [0, n-1].  A statement
+    reads only the bounds on its registry axes, and any other bound must
+    stay 0.  The grid is split into shards: one per modulus, or one per row
+    h for interp.  Construction, `_make`, `_replace` and unpickling (the
+    path to a pool worker) all validate the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SweepConfig:
+        self = super().__new__(cls, *args, **kwargs)
         entry = STATEMENTS.get(self.statement)
         if entry is None:
             raise ValueError(f"unknown statement {self.statement!r}; expected one of {tuple(STATEMENTS)}")
@@ -196,6 +202,11 @@ class SweepConfig:
                 raise ValueError(f"{self.statement} does not read {name} (got {value}); its bounds are {bounds}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SweepConfig:
+        return cls(*iterable)
 
 
 def run_case(statement: str, case: tuple[int, ...]) -> CongruenceReport:
@@ -205,13 +216,12 @@ def run_case(statement: str, case: tuple[int, ...]) -> CongruenceReport:
     return STATEMENTS[statement].check(*case)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     statement: str
     total: int
     passed: int
     failed: int
-    failures: tuple[dict, ...] = field(default_factory=tuple)
+    failures: tuple[dict, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -230,8 +240,7 @@ def _run_case_json(args: tuple[str, tuple[int, ...]]) -> dict:
 Residue = Callable[[tuple[int, ...]], Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """Everything a sweep knows about one statement.
 
     `check` reports one case and is the oracle.  `axes` names the grid

@@ -46,8 +46,7 @@ S1/S2/S4 from the singleton orbits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cyclotomic import congruent, reduce_mod
 from .polyring import IntPoly
@@ -81,27 +80,40 @@ class PathClass(enum.Enum):
     Q4 = "Q4"
 
 
-@dataclass(frozen=True)
-class CornerFrame:
-    """Corner (h,k) with anchor segments of length n; paths end at (h+n,k+n)."""
+class _FrameFields(NamedTuple):
+    """The fields of a `CornerFrame`, which validates them."""
 
     h: int
     k: int
     n: int
 
-    def __post_init__(self) -> None:
+
+class CornerFrame(_FrameFields):
+    """Corner (h,k) with anchor segments of length n; paths end at (h+n,k+n).
+
+    Construction, `_make`, `_replace` and unpickling all validate the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CornerFrame:
+        self = super().__new__(cls, *args, **kwargs)
         if self.h < 0 or self.k < 0:
             raise ValueError(f"corner must be in the first quadrant, got {(self.h, self.k)}")
         if self.n < 1:
             raise ValueError(f"segment length must be positive, got {self.n}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CornerFrame:
+        return cls(*iterable)
 
     @property
     def target(self) -> tuple[int, int]:
         return (self.h + self.n, self.k + self.n)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """check + bar + hat, and the class they put the path in.
 
     The bar may be a single anchor point (no steps).
@@ -118,15 +130,13 @@ class Decomposition:
         return self.bar + self.hat
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     path_class: PathClass
     leading: Path
     blocks: tuple[Path, ...]
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     members: tuple[Path, ...]
     size: int
     weight: IntPoly
@@ -320,8 +330,7 @@ CLASSIFICATION_NOTE = (
 )
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     """Everything the exhaustive check of one frame produced."""
 
     h: int

@@ -66,6 +66,8 @@ class IntPoly:
 
     def __add__(self, other: IntPoly | int) -> IntPoly:
         a, b = self.coeffs, _as_coeffs(other)
+        if b is None:
+            return NotImplemented
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -77,17 +79,23 @@ class IntPoly:
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
         a, b = self.coeffs, _as_coeffs(other)
+        if b is None:
+            return NotImplemented
         out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
         return IntPoly(out)
 
     def __rsub__(self, other: int) -> IntPoly:
+        if not isinstance(other, int):
+            return NotImplemented
         return IntPoly((other,)) - self
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
@@ -188,10 +196,13 @@ class IntPoly:
         return f"IntPoly('{self.to_text()}')"
 
 
-def _as_coeffs(value: IntPoly | int) -> tuple[int, ...]:
+def _as_coeffs(value: object) -> tuple[int, ...] | None:
+    """The coefficients of an IntPoly or int operand; None for any other type."""
     if isinstance(value, IntPoly):
         return value.coeffs
-    return _trim([value])
+    if isinstance(value, int):
+        return _trim([value])
+    return None
 
 
 ZERO = IntPoly()

@@ -178,6 +178,27 @@ def test_unpooled_requests_do_not_import_the_process_pool():
     assert result.stdout == "0 False\n" * len(requests)
 
 
+def test_requests_do_not_import_dataclasses_or_inspect():
+    # The package's records are NamedTuples, so no request pays for
+    # dataclasses and the inspect/ast/dis/tokenize chain it imports.
+    script = (
+        "import contextlib, io, sys\n"
+        "from qdelannoy.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv.split())\n"
+        "    print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    requests = (
+        "compute delannoy --h 0 --k 0",
+        "verify thm2 --max-n 2 --max-h 1 --max-k 1 --jobs 1",
+        "orbits audit --h 1 --k 0 --n 3",
+    )
+    result = subprocess.run([sys.executable, "-c", script, *requests], capture_output=True, env=_src_env(), text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False False\n" * len(requests)
+
+
 def test_main_callable_in_process(capsys):
     code = main(["compute", "qdelannoy", "--h", "1", "--k", "1"])
     assert code == 0

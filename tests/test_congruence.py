@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import multiprocessing
 import tracemalloc
@@ -359,7 +358,7 @@ def test_mod_p_engine_failure_is_the_oracle_report(monkeypatch, capsys, statemen
     def residue(config, p):
         return congruence._split_residue(config, p, table, factor, p)
 
-    monkeypatch.setitem(STATEMENTS, statement, dataclasses.replace(entry, check=check, residue=residue))
+    monkeypatch.setitem(STATEMENTS, statement, entry._replace(check=check, residue=residue))
     config = SweepConfig(statement, max_n=5, max_a=1, max_c=1)
     expected = [
         run_case(statement, case).to_json()

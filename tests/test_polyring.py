@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +129,52 @@ def test_ring_axioms_random():
         assert a * ONE == a
 
 
+def _poly_strategies():
+    """Hypothesis strategies: any IntPoly, and any monic IntPoly (degree 0 to 6)."""
+    st = pytest.importorskip("hypothesis.strategies")
+    coeffs = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)), max_size=12)
+    polys = coeffs.map(IntPoly)
+    monics = st.lists(st.integers(-(2**40), 2**40), max_size=6).map(lambda c: IntPoly(c + [1]))
+    return st, polys, monics
+
+
+def test_ring_axioms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, polys, _ = _poly_strategies()
+    operands = st.one_of(polys, st.integers(-(2**70), 2**70))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys, operands, operands)
+    def axioms(a, b, c):
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (b + c) * a == b * a + c * a
+
+    axioms()
+
+
+@pytest.mark.parametrize("other", [1.5, "q", Fraction(1, 2)], ids=["float", "str", "Fraction"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_non_integer_operands_raise_type_error(op, other):
+    p = IntPoly((1, 2))
+    with pytest.raises(TypeError):
+        op(p, other)
+    with pytest.raises(TypeError):
+        op(other, p)
+
+
+def test_integer_operands_still_act_as_constants():
+    p = IntPoly((1, 2))
+    assert p + 3 == 3 + p == IntPoly((4, 2))
+    assert p - 3 == IntPoly((-2, 2))
+    assert 3 - p == IntPoly((2, -2))
+    assert p * 3 == 3 * p == IntPoly((3, 6))
+    assert p + True == IntPoly((2, 2))
+
+
 # ---------------------------------------------------------------------------
 # Division by monic polynomials
 # ---------------------------------------------------------------------------
@@ -162,6 +210,20 @@ def test_divrem_round_trip_random():
         assert rem.degree < m.degree
         oq, orr = oracle_divmod(list(a.coeffs), list(m.coeffs))
         assert (quot, rem) == (oq, orr)
+
+
+def test_divrem_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    _, polys, monics = _poly_strategies()
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys, monics)
+    def division(a, m):
+        quot, rem = a.divrem(m)
+        assert a == quot * m + rem
+        assert rem.degree < m.degree
+
+    division()
 
 
 def test_divrem_rejects_bad_divisors():
@@ -267,3 +329,20 @@ def test_from_packed_round_trip_property():
         assert IntPoly.from_packed(pack(coeffs, width), width) == IntPoly(coeffs)
 
     round_trip()
+
+
+def test_from_packed_inverts_packing_property():
+    # the other direction of the round trip: every nonnegative integer is the
+    # value at q = 2**(8*width) of the polynomial read from its slots
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(0, 2**600), st.integers(1, 9))
+    def inverts(value, width):
+        base = 2 ** (8 * width)
+        poly = IntPoly.from_packed(value, width)
+        assert poly.evaluate(base) == value
+        assert all(0 <= c < base for c in poly.coeffs)
+
+    inverts()
