@@ -14,12 +14,30 @@ and its residue builder.  `SweepConfig`, `run_case`, `sweep` and the CLI
 read the entry and never branch on the statement's name.
 
 Sweeps decide each case from one table per shard: thm2, thm1 and qlucas
-in Z[q]/(q^n - 1) (see `residue`), whose residues are then reduced exactly
-mod Phi_n; lucas and dlucas at q = 1 with every entry reduced mod p; and
-interp from the path counts of one walk over the prefix trie of its row's
-box, compared exactly with P(h,k).  Only a case that fails there is re-run
-through `run_case`, the independent oracle, which builds its report; a case
-it passes raises RuntimeError.
+in Z[q]/(q^n - 1), each entry packed into one integer (see `residue`);
+lucas and dlucas at q = 1 with every entry reduced mod p; and interp from
+the path counts of one walk over the prefix trie of its row's box,
+compared exactly with P(h,k).
+
+A thm2, thm1 or qlucas case, lhs - rhs = pos - neg with pos and neg sums of
+table entries, is decided with no division by `residue.phi_test`:
+
+    Phi_n | v  <=>  q^n - 1 | v * prod over primes p | n of (1 - q^(n/p)).
+
+Forward, every proper divisor d of n divides some n/p, so the product holds
+every Phi_d with d < n and Phi_n times it is a multiple of q^n - 1; back, no
+factor vanishes at a primitive n-th root of unity and Phi_n is monic and
+irreducible.  If every slot of pos and neg lies in [0, M], the test's sums
+stay at most 2^omega(n) * M per slot, and the tables are packed that wide.
+M is 2 D(max_h+n, max_k+n) for thm2, since D(h+n,k) + D(h,k+n) + D(h,k) <=
+D(h+n,k+n); for thm1 and qlucas it is the larger of the table's largest
+slot and the largest factor(a,c) times the largest slot of count(b,d).  A
+case that fails the test is unpacked and reduced exactly mod Phi_n, so its
+residue is the oracle's coefficient for coefficient.
+
+Only a case that fails in its engine is re-run through `run_case`, the
+independent oracle, which builds its report; a case it passes raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -34,7 +52,7 @@ from .polyring import IntPoly
 from .qcore import delannoy, is_prime, q_binomial
 from .qdelannoy import q_delannoy_rec
 from .paths import sigma_poly
-from .residue import binomial_table, delannoy_table
+from .residue import binomial_table, delannoy_table, phi_test
 
 
 class CongruenceReport(NamedTuple):
@@ -93,6 +111,11 @@ def _thm1_factor(n: int) -> Callable[[int, int], int]:
     return delannoy if n % 2 else lambda a, c: 1
 
 
+def _thm2_sign(n: int) -> int:
+    """The sign on P(h,k) in the corner step: + for odd n, - for even n."""
+    return 1 if n % 2 else -1
+
+
 def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
     """Corner-step congruence: P(h+n,k+n) vs P(h+n,k) + P(h,k+n) +/- P(h,k) mod Phi_n.
 
@@ -102,9 +125,8 @@ def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
         raise ValueError(f"modulus index must be positive, got {n}")
     if h < 0 or k < 0:
         raise ValueError("corner coordinates must be nonnegative")
-    sign = 1 if n % 2 else -1
     lhs = q_delannoy_rec(h + n, k + n)
-    rhs = q_delannoy_rec(h + n, k) + q_delannoy_rec(h, k + n) + q_delannoy_rec(h, k) * sign
+    rhs = q_delannoy_rec(h + n, k) + q_delannoy_rec(h, k + n) + q_delannoy_rec(h, k) * _thm2_sign(n)
     tag = "thm2-odd" if n % 2 else "thm2-even"
     return CongruenceReport(tag, {"n": n, "h": h, "k": k}, lhs, rhs, reduce_mod(lhs - rhs, n))
 
@@ -128,7 +150,7 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
     signs collapse to a single P(b,d).
     """
     _check_split(n, a, b, c, d)
-    sign = 1 if n % 2 else -1
+    sign = _thm2_sign(n)
     lhs = q_delannoy_rec((a + 1) * n + b, (c + 1) * n + d)
     via_corner = (
         q_delannoy_rec((a + 1) * n + b, c * n + d)
@@ -283,43 +305,81 @@ def _row_cases(config: SweepConfig, h: int) -> Iterator[tuple[int, ...]]:
     return ((h, k) for k in range(config.max_k + 1))
 
 
+def _unpacked_residue(pos: int, neg: int, n: int, bits: int) -> Sequence[int]:
+    """pos - neg reduced mod Phi_n, both packed in Z[q]/(q^n - 1) at q = 2**bits."""
+    return reduce_mod(IntPoly.from_packed(pos, bits // 8) - IntPoly.from_packed(neg, bits // 8), n).coeffs
+
+
 def _thm2_residue(config: SweepConfig, n: int) -> Residue:
-    t = delannoy_table(n, config.max_h + n + 1, config.max_k + n + 1)
-    sign = 1 if n % 2 else -1
+    """lhs - rhs as pos - neg: P(h+n,k+n) - P(h+n,k) - P(h,k+n), and -/+ P(h,k) for odd/even n.
+
+    D(h+n,k) + D(h,k+n) + D(h,k) <= D(h+n,k+n), so 2 D(max_h+n, max_k+n)
+    bounds every slot of either side.
+    """
+    bits, divides = phi_test(n, 2 * delannoy(config.max_h + n, config.max_k + n))
+    t = delannoy_table(n, bits, config.max_h + n + 1, config.max_k + n + 1)
+    sign = _thm2_sign(n)
 
     def residue(case: tuple[int, ...]) -> Sequence[int]:
         _, h, k = case
-        r = [w - x - y - sign * z for w, x, y, z in zip(t[h + n][k + n], t[h + n][k], t[h][k + n], t[h][k])]
-        return reduce_mod(IntPoly(r), n).coeffs
+        pos, neg = t[h + n][k + n], t[h + n][k] + t[h][k + n]
+        if sign > 0:
+            neg += t[h][k]
+        else:
+            pos += t[h][k]
+        return () if divides(pos, neg) else _unpacked_residue(pos, neg, n, bits)
 
     return residue
 
 
 def _split_residue(
-    config: SweepConfig, m: int, table: Callable[..., list], factor: Callable[[int, int], int], mod: int | None = None
+    config: SweepConfig,
+    m: int,
+    table: Callable[..., list[list[int]]],
+    factor: Callable[[int, int], int],
+    mod: int | None = None,
+    peak: Callable[[int, int], int] | None = None,
 ) -> Residue:
-    """count(am+b, cm+d) - factor(a,c)*count(b,d) from one table.
+    """count(am+b, cm+d) - factor(a,c)*count(b,d) from one table; factor(a,c) >= 0.
 
-    The table is in Z[q]/(q^m - 1) and the residue is then reduced mod Phi_m,
-    or, with `mod` set, it is at q = 1 and the residue is reduced mod `mod`.
+    The table is in Z[q]/(q^m - 1), and a case that `phi_test` passes has
+    residue 0.  `peak(h, k)` bounds every slot of every table entry at or
+    below (h, k), so with the largest factor it bounds every slot of
+    either side.  With `mod` set the table is at q = 1 and the residue is
+    reduced mod `mod`.
     """
-    t = table(1 if mod else m, (config.max_a + 1) * m, (config.max_c + 1) * m, mod=mod)
+    rows, cols = (config.max_a + 1) * m, (config.max_c + 1) * m
+    f = [[factor(a, c) for c in range(config.max_c + 1)] for a in range(config.max_a + 1)]
+    if mod:
+        t = table(1, 0, rows, cols, mod)
+
+        def residue_mod(case: tuple[int, ...]) -> Sequence[int]:
+            _, a, b, c, d = case
+            return ((t[a * m + b][c * m + d] - f[a][c] * t[b][d]) % mod,)
+
+        return residue_mod
+    bits, divides = phi_test(m, max(peak(rows - 1, cols - 1), max(map(max, f)) * peak(m - 1, m - 1)))
+    t = table(m, bits, rows, cols)
 
     def residue(case: tuple[int, ...]) -> Sequence[int]:
         _, a, b, c, d = case
-        f = factor(a, c)
-        r = [x - f * y for x, y in zip(t[a * m + b][c * m + d], t[b][d])]
-        return [x % mod for x in r] if mod else reduce_mod(IntPoly(r), m).coeffs
+        pos, neg = t[a * m + b][c * m + d], f[a][c] * t[b][d]
+        return () if divides(pos, neg) else _unpacked_residue(pos, neg, m, bits)
 
     return residue
 
 
+def _binomial_peak(h: int, k: int) -> int:
+    """The largest C(i,j) with i <= h and j <= k, which bounds every slot of [i,j]."""
+    return comb(h, min(k, h // 2))
+
+
 def _thm1_residue(config: SweepConfig, n: int) -> Residue:
-    return _split_residue(config, n, delannoy_table, _thm1_factor(n))
+    return _split_residue(config, n, delannoy_table, _thm1_factor(n), peak=delannoy)
 
 
 def _qlucas_residue(config: SweepConfig, n: int) -> Residue:
-    return _split_residue(config, n, binomial_table, comb)
+    return _split_residue(config, n, binomial_table, comb, peak=_binomial_peak)
 
 
 def _lucas_residue(config: SweepConfig, p: int) -> Residue:

@@ -46,12 +46,14 @@ S1/S2/S4 from the singleton orbits.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from typing import NamedTuple, Optional
 
-from .cyclotomic import congruent, reduce_mod
+from .cyclotomic import congruent
 from .polyring import IntPoly
 from .qcore import delannoy, q_binomial
 from .qdelannoy import q_delannoy_rec
+from .residue import phi_test
 from .paths import (
     D,
     E,
@@ -308,16 +310,24 @@ def orbit(path: Path, frame: CornerFrame) -> Orbit:
     )
 
 
+# (n, bound) -> phi_test(n, bound).  An audit asks for one n, and an orbit has
+# at most n members, so this holds about one entry per frame modulus.
+_PHI_TESTS: dict[tuple[int, int], tuple[int, Callable[[int, int], bool]]] = {}
+
+
 def _orbit_sum_vanishes(sigmas: list[int], n: int) -> bool:
     """Whether the sum of q^sigma is 0 mod Phi_n.
 
     Exponents fold mod n first: Phi_n divides q^n - 1, so q^s and q^(s mod n)
-    agree mod Phi_n, and the folded sum has degree below n.
+    agree mod Phi_n.  The folded counts, each at most len(sigmas), are packed
+    into n slots and decided by `residue.phi_test`, with no division.
     """
-    folded = [0] * n
-    for s in sigmas:
-        folded[s % n] += 1
-    return reduce_mod(IntPoly(folded), n).is_zero()
+    key = n, max(n, len(sigmas))
+    test = _PHI_TESTS.get(key)
+    if test is None:
+        test = _PHI_TESTS[key] = phi_test(*key)
+    bits, divides = test
+    return divides(sum(1 << s % n * bits for s in sigmas), 0)
 
 
 # The partition convention the audit verifies.  Splitting corner paths off

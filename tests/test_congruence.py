@@ -6,13 +6,13 @@ from math import comb
 
 import pytest
 
-from qdelannoy import congruence
+from qdelannoy import congruence, residue as residue_module
 from qdelannoy.cli import main
-from qdelannoy.cyclotomic import congruent, reduce_mod
+from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly
-from qdelannoy.qcore import delannoy, q_binomial
+from qdelannoy.qcore import delannoy, q_binomial, slot_bytes
 from qdelannoy.qdelannoy import q_delannoy_rec
-from qdelannoy.residue import binomial_table, delannoy_table
+from qdelannoy.residue import binomial_table, delannoy_table, phi_test
 from qdelannoy.congruence import (
     STATEMENTS,
     SweepConfig,
@@ -256,15 +256,108 @@ def _fold(poly, n):
     return out
 
 
+def _unpack(value, n, bits):
+    """The n slots of a packed element of Z[q]/(q^n - 1); nothing may lie above them."""
+    assert value >> (n * bits) == 0
+    return [value >> (i * bits) & ((1 << bits) - 1) for i in range(n)]
+
+
+def _pack(slots, bits):
+    return sum(x << (i * bits) for i, x in enumerate(slots))
+
+
 def test_residue_tables_match_full_polynomials():
+    bits = 8 * slot_bytes(delannoy(20, 20))
     for n in range(1, 8):
-        delannoy_t = delannoy_table(n, 21, 21)
-        binomial_t = binomial_table(n, 21, 21)
+        delannoy_t = delannoy_table(n, bits, 21, 21)
+        binomial_t = binomial_table(n, bits, 21, 21)
         for h in range(21):
             for k in range(21):
                 for entry, full in ((delannoy_t[h][k], q_delannoy_rec(h, k)), (binomial_t[h][k], q_binomial(h, k))):
-                    assert entry == _fold(full, n)
-                    assert reduce_mod(IntPoly(entry), n) == reduce_mod(full, n)
+                    slots = _unpack(entry, n, bits)
+                    assert slots == _fold(full, n)
+                    assert reduce_mod(IntPoly(slots), n) == reduce_mod(full, n)
+
+
+def test_mod_p_tables_are_flat_residues():
+    for p in (2, 3, 7):
+        delannoy_t = delannoy_table(1, 0, 15, 15, p)
+        binomial_t = binomial_table(1, 0, 15, 15, p)
+        for h in range(15):
+            for k in range(15):
+                assert delannoy_t[h][k] == delannoy(h, k) % p
+                assert binomial_t[h][k] == comb(h, k) % p
+
+
+# Moduli with omega(n) = 0, 1, 2 and 3 distinct prime factors.
+PHI_MODULI = (1, 8, 12, 30)
+
+
+def _phi_multiple_slots(n, bound, factor):
+    """pos, neg with slots in [0, bound], and as many at the bound as pos - neg = factor * Phi_n allows."""
+    v = _fold(cyclotomic(n) * factor, n) if n > 1 else [0]
+    return [bound - max(-x, 0) for x in v], [bound - max(x, 0) for x in v]
+
+
+def _decides_exactly(n, bound, pos, neg):
+    bits, divides = phi_test(n, bound)
+    assert 0 <= min(pos + neg) and max(pos + neg) <= bound
+    return divides(_pack(pos, bits), _pack(neg, bits)) == reduce_mod(IntPoly(pos) - IntPoly(neg), n).is_zero()
+
+
+@pytest.mark.parametrize("n", PHI_MODULI)
+def test_phi_test_at_slot_bounds(n):
+    # Byte edges, where 2^omega(n) * bound needs more bytes than bound itself.
+    for bound in (1, 2, 255, 256, 2**16 - 1, 10**6):
+        full, empty = [bound] * n, [0] * n
+        cases = [(full, empty), (empty, full), (full, full)]
+        cases += [([bound * (i == j) for i in range(n)], full) for j in range(n)]
+        if bound >= 255:  # the multiples' coefficients are small, but above 1
+            cases += [_phi_multiple_slots(n, bound, w) for w in (IntPoly((1,)), IntPoly((1, 1)), IntPoly((3, 0, -2)))]
+        for pos, neg in cases:
+            assert _decides_exactly(n, bound, pos, neg)
+        # 1 + q + ... + q^(n-1) = (q^n - 1)/(q - 1) is a multiple of Phi_n exactly when n > 1.
+        bits, divides = phi_test(n, bound)
+        assert divides(_pack(full, bits), 0) == (n > 1)
+
+
+def test_phi_test_matches_reduction_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.sampled_from(PHI_MODULI))
+        bound = draw(st.one_of(st.sampled_from([1, 255, 2**16 - 1, 10**6]), st.integers(1, 10**6)))
+        if draw(st.booleans()):
+            # pos - neg = w * Phi_n folded, with each pos slot driven toward an end of its range.
+            w = IntPoly(draw(st.lists(st.integers(-3, 3), max_size=n)))
+            v = _fold(cyclotomic(n) * w, n) if w.coeffs else [0] * n
+            bound = max([bound] + [abs(x) for x in v])
+            ends = [(max(x, 0), bound + min(x, 0)) for x in v]
+            pos = [draw(st.sampled_from([lo, hi]) | st.integers(lo, hi)) for lo, hi in ends]
+            return n, bound, pos, [p - x for p, x in zip(pos, v)]
+        slot = st.sampled_from([0, bound]) | st.integers(0, bound)
+        return n, bound, draw(st.lists(slot, min_size=n, max_size=n)), draw(st.lists(slot, min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(instances())
+    def agrees(case):
+        assert _decides_exactly(*case)
+
+    agrees()
+
+
+def test_phi_test_one_byte_short_decides_wrongly(monkeypatch):
+    # At n = 30 each side sums 4 rotations of slots up to 2 * bound: 8 * (2^16 - 1) needs 3 bytes.
+    n, bound = 30, 2**16 - 1
+    pos, neg = _phi_multiple_slots(n, bound, IntPoly((1,)))
+    assert reduce_mod(IntPoly(pos) - IntPoly(neg), n).is_zero()
+    bits, divides = phi_test(n, bound)
+    assert bits == 24 and divides(_pack(pos, bits), _pack(neg, bits))
+    monkeypatch.setattr(residue_module, "slot_bytes", lambda b: slot_bytes(b) - 1)
+    bits, short = phi_test(n, bound)
+    assert bits == 16 and not short(_pack(pos, bits), _pack(neg, bits))
 
 
 @pytest.mark.parametrize(
@@ -313,14 +406,76 @@ def test_sweep_failure_is_the_oracle_report(monkeypatch, capsys):
 
 
 def test_sweep_rejects_engine_oracle_disagreement(monkeypatch):
-    def corrupt(n, rows, cols):
-        table = delannoy_table(n, rows, cols)
-        table[1][1] = [x + 1 for x in table[1][1]]
+    def corrupt(n, bits, rows, cols):
+        table = delannoy_table(n, bits, rows, cols)
+        table[1][1] += _pack([1] * n, bits)
         return table
 
     monkeypatch.setattr(congruence, "delannoy_table", corrupt)
     with pytest.raises(RuntimeError, match="passes the oracle check"):
         sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1))
+
+
+def _engine_failures_match_oracle(config):
+    """Every case's engine residue is the oracle's, and the sweep fails exactly the oracle's failures."""
+    entry = STATEMENTS[config.statement]
+    expected = []
+    for n in entry.keys(config):
+        residue = entry.residue(config, n)
+        for case in entry.cases(config, n):
+            report = run_case(config.statement, case)
+            assert IntPoly(residue(case)) == report.residue
+            if not report.passed:
+                expected.append(report.to_json())
+    summary = sweep(config)
+    assert expected and summary.failures == tuple(expected)
+    return expected
+
+
+def test_thm2_engine_failures_match_oracle_with_wrong_sign(monkeypatch):
+    # The corner step with its last sign flipped, on moduli with two prime factors.
+    sign = congruence._thm2_sign
+    monkeypatch.setattr(congruence, "_thm2_sign", lambda n: -sign(n))
+    monkeypatch.setitem(STATEMENTS, "thm2", STATEMENTS["thm2"]._replace(keys=lambda config: [6, 10, 12]))
+    failures = _engine_failures_match_oracle(SweepConfig("thm2", max_n=12, max_h=3, max_k=3))
+    assert {f["params"]["n"] for f in failures} == {6, 10, 12}
+
+
+def test_qlucas_engine_failures_match_oracle_with_wrong_factor(monkeypatch):
+    # C(1,1) read as 2, by the engine and the oracle alike, on moduli with two prime factors.
+    def factor(a, c):
+        return comb(a, c) + ((a, c) == (1, 1))
+
+    def check(n, a, b, c, d):
+        return congruence._split_report("q-lucas", "n", q_binomial, factor, n, a, b, c, d)
+
+    def residue(config, n):
+        return congruence._split_residue(config, n, binomial_table, factor, peak=congruence._binomial_peak)
+
+    entry = STATEMENTS["qlucas"]._replace(check=check, residue=residue, keys=lambda config: [6, 10, 12])
+    monkeypatch.setitem(STATEMENTS, "qlucas", entry)
+    failures = _engine_failures_match_oracle(SweepConfig("qlucas", max_n=12, max_a=1, max_c=1))
+    # [b,d] is 0 for d > b, so only the cases with d <= b fail.
+    assert len(failures) == sum(n * (n + 1) // 2 for n in (6, 10, 12))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig("thm2", max_n=30, max_h=1, max_k=1),
+        SweepConfig("thm1", max_n=12, max_a=1, max_c=1),
+        SweepConfig("qlucas", max_n=12, max_a=1, max_c=1),
+    ],
+    ids=lambda config: config.statement,
+)
+def test_passing_phi_sweep_divides_nothing(monkeypatch, config):
+    # Every case passes the packed test, so no sweep reaches reduce_mod or the oracle.
+    calls = []
+    monkeypatch.setattr(congruence, "reduce_mod", lambda *args: calls.append(args))
+    monkeypatch.setattr(congruence, "run_case", lambda *args: calls.append(args))
+    summary = sweep(config)
+    assert summary.total > 0 and summary.failed == 0
+    assert calls == []
 
 
 # The mod-p engines: one table at q = 1 per prime, with its count and factor.
@@ -331,9 +486,9 @@ MOD_P = {"lucas": ("binomial_table", binomial_table, comb), "dlucas": ("delannoy
 def test_mod_p_engine_rejects_corrupt_table_entry(monkeypatch, statement):
     name, table, _ = MOD_P[statement]
 
-    def corrupt(n, rows, cols, mod=None):
-        t = table(n, rows, cols, mod=mod)
-        t[1][1] = [(t[1][1][0] + 1) % mod]
+    def corrupt(n, bits, rows, cols, mod=None):
+        t = table(n, bits, rows, cols, mod)
+        t[1][1] = (t[1][1] + 1) % mod
         return t
 
     monkeypatch.setattr(congruence, name, corrupt)
@@ -393,8 +548,8 @@ def test_passing_mod_p_sweep_runs_no_oracle_case(monkeypatch, statement):
 @pytest.mark.parametrize("statement", MOD_P)
 def test_mod_p_shard_memory_is_one_table(statement):
     # The largest shard of the 60/4/4 grid (p = 59, 87 025 cases) sets a serial sweep's
-    # peak.  Its 295 x 295 table takes about 8 MB; holding its case list as well would
-    # take about 7 MB more.
+    # peak.  Its 295 x 295 table of flat residues takes about 0.7 MB; holding the case
+    # list as well would take about 7 MB more.
     tracemalloc.start()
     try:
         count, failing = _shard_failures((SweepConfig(statement, max_n=60, max_a=4, max_c=4), 59))
@@ -402,7 +557,7 @@ def test_mod_p_shard_memory_is_one_table(statement):
     finally:
         tracemalloc.stop()
     assert (count, failing) == (87_025, [])
-    assert peak <= 10 * 2**20
+    assert peak <= 2 * 2**20
 
 
 def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
