@@ -19,6 +19,7 @@ from .orbits import (
     ClassError,
     CornerFrame,
     FrameError,
+    LawError,
     Orbit,
     PathClass,
     act,

@@ -28,19 +28,20 @@ Three cyclic actions of order n drive the congruence bookkeeping:
   keeping every north run in place.
 
 So a Q1/Q2 action is two slices of the hat at its last lead step, and a Q4
-action rewrites the lead positions of the tail; `_leads` finds the lead
-steps for both, and for `blocks`.
+action rewrites the lead positions of the tail; `_segment` checks the block
+structure both rely on, and `blocks` shares it.
 
 Each action preserves its class, has period dividing n, and changes sigma
 by an exact amount that is nonzero mod n away from the fixed points, which
 is why every non-singleton orbit's q^sigma sum vanishes mod Phi_n.  The
 audit verifies all of this exhaustively for one frame, plus the closed
 forms of the four fixed-point sums.  `orbit` and `audit` share one orbit
-walk, which raises AssertionError when a law breaks.  The audit decomposes
-each path once: it runs the walk at the first path of each orbit, keeps
-the walk's decomposition and sigma of every later member for when the
-enumeration reaches it, records any raise as a violation, and takes
-S1/S2/S4 from the singleton orbits.
+walk, which raises LawError when a law breaks.  The audit scans each path
+once: one walk over its steps gives its decomposition, its sigma and its
+sigma reassembled from the pieces.  The audit runs the orbit walk at the
+first path of each orbit, keeps the walk's scan of every later member for
+when the enumeration reaches it, records any raise as a violation, and
+takes S1/S2/S4 from the singleton orbits.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .paths import (
     Path,
     enumerate_paths,
     path_text,
-    sigma,
     x_of,
     y_of,
 )
@@ -75,11 +75,24 @@ class ClassError(ValueError):
     """An operation was applied to a path of the wrong class."""
 
 
+class LawError(ValueError):
+    """A cyclic action broke one of the laws the orbit argument relies on."""
+
+
 class PathClass(enum.Enum):
     Q1 = "Q1"
     Q2 = "Q2"
     Q3 = "Q3"
     Q4 = "Q4"
+
+    # Members compare by identity, so they may hash by it too; Enum's own
+    # __hash__ is a Python call on every dict access the audit makes per path.
+    __hash__ = object.__hash__
+
+
+# The members as module globals, so hot class tests skip the enum's class
+# attribute lookup.
+Q1, Q2, Q3, Q4 = PathClass
 
 
 class _FrameFields(NamedTuple):
@@ -146,40 +159,69 @@ class Orbit(NamedTuple):
     s_count: Optional[int]
 
 
-def decompose(path: Path, frame: CornerFrame) -> Decomposition:
-    """Split and classify a path around its anchor stretch, in one walk that stops at the bar's end."""
-    end = (x_of(path), y_of(path))
-    if end != frame.target:
+def _scan(path: Path, frame: CornerFrame) -> tuple[Decomposition, int, int]:
+    """Decomposition, sigma and reassembled sigma of a path, in one walk over its steps.
+
+    sigma sums the global x of every y-raising step.  The reassembled sigma
+    sums the check's and the hat's own sigma, each counted from the start of
+    its piece, and adds the concatenation law's cross terms
+    x(check)*y(bar) + (x(check) + x(bar))*y(hat); the bar is a run of E
+    steps or of N steps, so its own sigma is 0.
+    """
+    h, k, n = frame
+    size = len(path)
+    if size - path.count(N) != h + n or size - path.count(E) != k + n:
+        end = (size - path.count(N), size - path.count(E))
         raise FrameError(f"path ends at {end}, frame expects {frame.target}")
-    h, k, n = frame.h, frame.k, frame.n
-    x = y = first = 0
+    x = y = total = first = 0
     # Steps raise x and y by at most one, so the first point with x >= h and
     # y >= k lies on an arm, and it comes before the end (h+n, k+n): this
     # walk stops inside the path.
-    while not (y == k and h <= x <= h + n or x == h and k <= y <= k + n):
+    while x < h or y < k:
         s = path[first]
-        x += s != N
-        y += s != E
         first += 1
-    corner = x == h and y == k
+        if s != N:
+            x += 1
+        if s != E:
+            y += 1
+            total += x
+    xc, reassembled = x, total
+    # The bar is the run along the arm it starts on; at the corner the next
+    # step picks the arm, and a D step leaves the bar empty.  From L_E the
+    # path still has n rows to climb, and from L_N n columns to cross, so the
+    # run stops inside the path and never passes the arm's end.
     last = first
-    while last < len(path):
-        s = path[last]
-        nx, ny = x + (s != N), y + (s != E)
-        if not (ny == k and h <= nx <= h + n or nx == h and k <= ny <= k + n):
-            break
-        x, y = nx, ny
-        last += 1
-    if corner:
-        path_class = PathClass.Q4 if D in path[first:] else PathClass.Q3
+    xb = yb = 0
+    if y == k and (x > h or path[first] == E):
+        while path[last] == E:
+            last += 1
+        xb = last - first
+    elif x == h and (y > k or path[first] == N):
+        while path[last] == N:
+            last += 1
+            total += x
+        yb = last - first
+    hat = path[last:]
+    if x == h and y == k:
+        path_class = Q4 if D in hat else Q3
     else:
-        path_class = PathClass.Q1 if y == k else PathClass.Q2
-    return Decomposition(
-        check=path[:first],
-        bar=path[first:last],
-        hat=path[last:],
-        path_class=path_class,
-    )
+        path_class = Q1 if y == k else Q2
+    x += xb
+    own_x = 0
+    for s in hat:
+        if s != N:
+            x += 1
+            own_x += 1
+        if s != E:
+            total += x
+            reassembled += own_x
+    reassembled += xc * yb + (xc + xb) * (len(hat) - hat.count(E))
+    return Decomposition(path[:first], path[first:last], hat, path_class), total, reassembled
+
+
+def decompose(path: Path, frame: CornerFrame) -> Decomposition:
+    """Split and classify a path around its anchor stretch."""
+    return _scan(path, frame)[0]
 
 
 def classify(path: Path, frame: CornerFrame) -> PathClass:
@@ -187,35 +229,37 @@ def classify(path: Path, frame: CornerFrame) -> PathClass:
     return decompose(path, frame).path_class
 
 
-def _leads(dec: Decomposition, frame: CornerFrame) -> tuple[Path, list[int]]:
-    """The segment the class action permutes, and the index of each block's lead step.
+def _segment(dec: Decomposition, frame: CornerFrame) -> tuple[Path, str]:
+    """The segment the class action permutes, and the step its blocks run on.
 
-    A block is a lead step plus the run after it; anything before the first
-    lead is the leading run.
+    A block is a lead step (any step but the run step) plus the run after it;
+    anything before the first lead is the leading run.  Raises LawError
+    unless the segment has exactly n blocks and a Q1/Q2 hat opens with a lead.
     """
     cls = dec.path_class
-    if cls is PathClass.Q1:
+    if cls is Q1:
         segment, run = dec.hat, E
         if segment and segment[0] == run:
-            raise AssertionError("a Q1 hat must open with a y-raising step")
-    elif cls is PathClass.Q2:
+            raise LawError("a Q1 hat must open with a y-raising step")
+    elif cls is Q2:
         segment, run = dec.hat, N
         if segment and segment[0] == run:
-            raise AssertionError("a Q2 hat must open with an x-raising step")
-    elif cls is PathClass.Q4:
+            raise LawError("a Q2 hat must open with an x-raising step")
+    elif cls is Q4:
         segment, run = dec.tail, N
     else:
         raise ClassError("Q3 paths carry no block structure")
-    leads = [i for i, s in enumerate(segment) if s != run]
-    if len(leads) != frame.n:
-        raise AssertionError(f"expected {frame.n} blocks, found {len(leads)}")
-    return segment, leads
+    found = len(segment) - segment.count(run)
+    if found != frame.n:
+        raise LawError(f"expected {frame.n} blocks, found {found}")
+    return segment, run
 
 
 def blocks(path: Path, frame: CornerFrame) -> BlockDecomposition:
     """Block structure feeding the cyclic action; rejects Q3 paths."""
     dec = decompose(path, frame)
-    segment, leads = _leads(dec, frame)
+    segment, run = _segment(dec, frame)
+    leads = [i for i, s in enumerate(segment) if s != run]
     bounds = zip(leads, leads[1:] + [len(segment)])
     return BlockDecomposition(
         path_class=dec.path_class,
@@ -226,20 +270,23 @@ def blocks(path: Path, frame: CornerFrame) -> BlockDecomposition:
 
 def _act_with_shift(dec: Decomposition, frame: CornerFrame) -> tuple[Path, int]:
     """Apply the class action once; also return the exact predicted sigma shift."""
-    segment, leads = _leads(dec, frame)
+    segment, run = _segment(dec, frame)
     cls, n = dec.path_class, frame.n
-    if cls is PathClass.Q4:
+    if cls is Q4:
         # Rotate the lead labels one place along the lead positions.
+        leads = [i for i, s in enumerate(segment) if s != run]
         labels = [segment[i] for i in leads]
         shift = labels.count(D) - n * (labels[-1] == D)
         tail = list(segment)
         for i, label in zip(leads, labels[-1:] + labels[:-1]):
             tail[i] = label
         return dec.check + tuple(tail), shift
-    # Q1/Q2: the final block moves to the front of the hat.
-    cut = leads[-1]
+    # Q1/Q2: the final block, from the last lead on, moves to the front of the hat.
+    cut = len(segment) - 1
+    while segment[cut] == run:
+        cut -= 1
     last = segment[cut:]
-    if cls is PathClass.Q1:
+    if cls is Q1:
         shift = n * x_of(last) - x_of(segment)
     else:
         shift = y_of(segment) - n * y_of(last)
@@ -261,52 +308,56 @@ def _weight(sigmas: list[int]) -> IntPoly:
 
 
 def _walk_orbit(
-    path: Path, dec: Decomposition, s: int, frame: CornerFrame
-) -> dict[Path, tuple[Decomposition, int]]:
-    """Every member of the orbit of `path`, in action order, with its decomposition and sigma.
+    path: Path, scanned: tuple[Decomposition, int, int], frame: CornerFrame
+) -> dict[Path, tuple[Decomposition, int, int]]:
+    """Every member of the orbit of `path`, in action order, with its `_scan` triple.
 
-    `dec` and `s` describe `path` itself; each later member is decomposed
-    once.  Raises AssertionError when a step misses its predicted sigma
-    shift or leaves the class, or when the action does not return to the
-    path within n steps.
+    `scanned` is the scan of `path` itself; each later member is scanned
+    once, and the return to `path` needs no scan.  Raises LawError when a
+    step misses its predicted sigma shift or leaves the class, or when the
+    action does not return to the path within n steps.
     """
+    dec, s, _ = scanned
     cls = dec.path_class
-    members = {path: (dec, s)}
-    cur, prev = dec, path
+    members = {path: scanned}
+    prev = path
     while True:
-        nxt, predicted = _act_with_shift(cur, frame)
-        t = sigma(nxt)
+        nxt, predicted = _act_with_shift(dec, frame)
+        seen = members.get(nxt)
+        scanned = _scan(nxt, frame) if seen is None else seen
+        t = scanned[1]
         if t - s != predicted:
-            raise AssertionError(f"sigma shift law failed at {path_text(prev)} ({cls.value})")
+            raise LawError(f"sigma shift law failed at {path_text(prev)} ({cls.value})")
         if nxt == path:
             return members
         if len(members) == frame.n:
-            raise AssertionError(f"action not n-periodic at {path_text(path)} ({cls.value})")
-        if nxt in members:
-            raise AssertionError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
-        cur = decompose(nxt, frame)
-        if cur.path_class is not cls:
-            raise AssertionError(f"action left {cls.value} at {path_text(prev)}")
-        members[nxt] = (cur, t)
+            raise LawError(f"action not n-periodic at {path_text(path)} ({cls.value})")
+        if seen is not None:
+            raise LawError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
+        dec = scanned[0]
+        if dec.path_class is not cls:
+            raise LawError(f"action left {cls.value} at {path_text(prev)}")
+        members[nxt] = scanned
         prev, s = nxt, t
 
 
 def orbit(path: Path, frame: CornerFrame) -> Orbit:
     """Trajectory of a path under its action; the size always divides n.
 
-    Raises AssertionError when a law of the action breaks.
+    Raises LawError when a law of the action breaks.
     """
-    dec = decompose(path, frame)
+    scanned = _scan(path, frame)
+    dec = scanned[0]
     cls = dec.path_class
-    if cls is PathClass.Q3:
+    if cls is Q3:
         raise ClassError("Q3 paths carry no cyclic action")
-    members = _walk_orbit(path, dec, sigma(path), frame)
+    members = _walk_orbit(path, scanned, frame)
     return Orbit(
         members=tuple(members),
         size=len(members),
-        weight=_weight([s for _, s in members.values()]),
+        weight=_weight([s for _, s, _ in members.values()]),
         path_class=cls,
-        s_count=dec.tail.count(D) if cls is PathClass.Q4 else None,
+        s_count=dec.tail.count(D) if cls is Q4 else None,
     )
 
 
@@ -376,14 +427,6 @@ class AuditReport(NamedTuple):
         }
 
 
-def _reassembled_sigma(dec: Decomposition) -> int:
-    """sigma of check+bar+hat from the concatenation law."""
-    check, bar, hat = dec.check, dec.bar, dec.hat
-    xc = x_of(check)
-    xb = x_of(bar)
-    return sigma(check) + sigma(bar) + sigma(hat) + xc * y_of(bar) + (xc + xb) * y_of(hat)
-
-
 def audit(frame: CornerFrame) -> AuditReport:
     """Exhaustively verify the partition, actions, and sum identities of a frame.
 
@@ -397,7 +440,7 @@ def audit(frame: CornerFrame) -> AuditReport:
         if len(violations) < 100:
             violations.append(msg)
 
-    class_counts = {cls.value: 0 for cls in PathClass}
+    counts = dict.fromkeys(PathClass, 0)
     orbit_histograms: dict[str, dict[int, int]] = {cls.value: {} for cls in PathClass}
     # Paths per sigma: of every path, and of every Q3 path and every fixed
     # point of Q1, Q2 and Q4.
@@ -405,30 +448,27 @@ def audit(frame: CornerFrame) -> AuditReport:
     grand_counts = [0] * degrees
     fixed_counts_by_sigma = {cls: [0] * degrees for cls in PathClass}
     total_paths = 0
-    # decompositions and sigmas of finished orbits' members that the
-    # enumeration has not reached yet
-    ahead: dict[Path, tuple[Decomposition, int]] = {}
+    # scans of finished orbits' members that the enumeration has not reached yet
+    ahead: dict[Path, tuple[Decomposition, int, int]] = {}
 
     for path in enumerate_paths(h + n, k + n):
         total_paths += 1
         walked = ahead.pop(path, None)
-        if walked is None:
-            dec, s = decompose(path, frame), sigma(path)
-        else:
-            dec, s = walked
-        cls = dec.path_class
-        if s != _reassembled_sigma(dec):
+        scanned = _scan(path, frame) if walked is None else walked
+        dec, s, reassembled = scanned
+        if s != reassembled:
             violate(f"sigma reassembly failed for {path_text(path)}")
-        class_counts[cls.value] += 1
+        cls = dec.path_class
+        counts[cls] += 1
         grand_counts[s] += 1
-        if cls is PathClass.Q3:
+        if cls is Q3:
             fixed_counts_by_sigma[cls][s] += 1
             continue
         if walked is not None:
             continue
         try:
-            members = _walk_orbit(path, dec, s, frame)
-        except (AssertionError, ValueError) as exc:
+            members = _walk_orbit(path, scanned, frame)
+        except ValueError as exc:
             violate(str(exc))
             continue
         later = iter(members.items())
@@ -439,9 +479,9 @@ def audit(frame: CornerFrame) -> AuditReport:
         hist[size] = hist.get(size, 0) + 1
         if n % size != 0:
             violate(f"orbit size {size} does not divide n at {path_text(path)}")
-        if cls is PathClass.Q1:
+        if cls is Q1:
             is_fixed_char = x_of(dec.hat) == 0
-        elif cls is PathClass.Q2:
+        elif cls is Q2:
             is_fixed_char = y_of(dec.hat) == 0
         else:
             is_fixed_char = dec.tail.count(D) == n
@@ -449,11 +489,12 @@ def audit(frame: CornerFrame) -> AuditReport:
             violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
         if size == 1:
             fixed_counts_by_sigma[cls][s] += 1
-        elif not _orbit_sum_vanishes([t for _, t in members.values()], n):
+        elif not _orbit_sum_vanishes([t for _, t, _ in members.values()], n):
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
     if total_paths != delannoy(h + n, k + n):
         violate(f"enumerated {total_paths} paths, expected delannoy({h + n},{k + n})")
+    class_counts = {cls.value: c for cls, c in counts.items()}
     if sum(class_counts.values()) != total_paths:
         violate("classification is not a partition of the path set")
     fixed_counts = {cls.value: sum(counts) for cls, counts in fixed_counts_by_sigma.items()}

@@ -418,3 +418,20 @@ def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
     payload = json.loads(target.read_text())
     assert payload["ok"] is False
     assert payload["violations"][0] == "sigma shift law failed at EEENNN (Q1)"
+
+
+def test_audit_reassembly_fault_is_a_violation(monkeypatch, tmp_path):
+    import qdelannoy.orbits as orbits_module
+
+    scan = orbits_module._scan
+
+    def off_by_one(path, frame):
+        dec, s, reassembled = scan(path, frame)
+        return dec, s, reassembled + 1
+
+    monkeypatch.setattr(orbits_module, "_scan", off_by_one)
+    target = tmp_path / "out.txt"
+    assert main(["orbits", "audit", "--h", "1", "--k", "1", "--n", "2", "--json", "--out", str(target)]) == 1
+    payload = json.loads(target.read_text())
+    assert payload["ok"] is False
+    assert payload["violations"][0] == "sigma reassembly failed for EEENNN"

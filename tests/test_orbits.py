@@ -12,6 +12,7 @@ from qdelannoy.orbits import (
     ClassError,
     CornerFrame,
     FrameError,
+    LawError,
     PathClass,
     act,
     audit,
@@ -88,6 +89,22 @@ def test_decompose_and_act_match_reference(n):
             if dec.path_class is PathClass.Q3:
                 continue
             assert orbits_module._act_with_shift(dec, frame) == reference.act_with_shift(dec, frame)
+
+
+def test_scan_matches_reference():
+    import qdelannoy.orbits as orbits_module
+
+    for n in range(1, 4):
+        for h in range(3):
+            for k in range(3):
+                frame = CornerFrame(h, k, n)
+                for path in enumerate_paths(h + n, k + n):
+                    dec, s, reassembled = orbits_module._scan(path, frame)
+                    assert dec == reference.decompose(path, frame), path_text(path)
+                    assert s == sigma(path), path_text(path)
+                    xc, xb = reference.x_of(dec.check), reference.x_of(dec.bar)
+                    cross = xc * reference.y_of(dec.bar) + (xc + xb) * reference.y_of(dec.hat)
+                    assert reassembled == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
 
 
 def test_blocks_match_reference():
@@ -274,7 +291,7 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
         return act_with_shift(dec, frame)[0], 0
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", no_shift)
-    with pytest.raises(AssertionError, match="sigma shift law failed at EDNNE"):
+    with pytest.raises(LawError, match="sigma shift law failed at EDNNE"):
         orbit(P("EDNNE"), CornerFrame(1, 1, 2))
 
     # an action that sends everything to EDNEN, with an honest shift, never returns
@@ -282,8 +299,19 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
         return P("EDNEN"), sigma(P("EDNEN")) - sigma(dec.check + dec.bar + dec.hat)
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", stuck)
-    with pytest.raises(AssertionError, match="not n-periodic"):
+    with pytest.raises(LawError, match="not n-periodic"):
         orbit(P("EDNNE"), CornerFrame(1, 1, 2))
+
+
+def test_audit_lets_an_unrelated_assertion_error_through(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    def broken(dec, frame):
+        raise AssertionError("not a law of the action")
+
+    monkeypatch.setattr(orbits_module, "_act_with_shift", broken)
+    with pytest.raises(AssertionError, match="not a law of the action"):
+        orbits_module.audit(CornerFrame(1, 1, 2))
 
 
 def test_orbit_action_invariants_on_random_frames():
@@ -455,6 +483,28 @@ def test_audit_reports_violations_instead_of_raising(monkeypatch):
     report = orbits_module.audit(CornerFrame(0, 0, 2))
     assert not report.ok
     assert any("S3" in v for v in report.violations)
+
+
+def test_audit_scans_each_path_once(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+    import qdelannoy.paths as paths_module
+
+    calls = {"_scan": 0, "decompose": 0, "sigma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(orbits_module, "_scan", counted("_scan", orbits_module._scan))
+    monkeypatch.setattr(orbits_module, "decompose", counted("decompose", orbits_module.decompose))
+    for module in (paths_module, orbits_module):
+        monkeypatch.setattr(module, "sigma", counted("sigma", paths_module.sigma), raising=False)
+    report = orbits_module.audit(CornerFrame(2, 2, 3))
+    assert report.ok
+    assert calls == {"_scan": report.total_paths, "decompose": 0, "sigma": 0}
 
 
 @pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
