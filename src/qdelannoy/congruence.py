@@ -42,6 +42,8 @@ RuntimeError.
 
 from __future__ import annotations
 
+import marshal
+import os
 from collections.abc import Callable, Iterator, Sequence
 from itertools import product, zip_longest
 from math import comb
@@ -203,8 +205,8 @@ class SweepConfig(_SweepFields):
     remainder parts b, d always range over the full [0, n-1].  A statement
     reads only the bounds on its registry axes, and any other bound must
     stay 0.  The grid is split into shards: one per modulus, or one per row
-    h for interp.  Construction, `_make`, `_replace` and unpickling (the
-    path to a pool worker) all validate the fields.
+    h for interp.  Construction, `_make`, `_replace` and unpickling all
+    validate the fields.
     """
 
     __slots__ = ()
@@ -454,21 +456,89 @@ def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
     return report
 
 
+def _forked(tasks: list[tuple[SweepConfig, int]], workers: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """`_shard_failures` of every task, in task order, from `workers` forked processes.
+
+    Worker w takes tasks[w::workers] and writes its results to a pipe with
+    `marshal`, which is enough for ints, tuples and lists.  It always leaves
+    through `os._exit`, so it never flushes the stdio buffers it inherited
+    or runs exit handlers.  A worker whose shard raises writes that shard's
+    key and the error text instead and exits 1, and the parent raises
+    RuntimeError.  Every child is reaped before this returns or raises.
+    """
+    pids: list[int] = []  # forked and not yet reaped
+    pipes = []  # each worker's pipe as a (read, write) pair of files
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            reader, writer = open(read_end, "rb"), open(write_end, "wb")
+            pipes.append((reader, writer))
+            pid = os.fork()
+            if pid == 0:
+                code = 2
+                try:
+                    code = _work(tasks, range(w, len(tasks), workers), writer)
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            writer.close()  # a later worker must not inherit it, or this pipe never reaches EOF
+        outputs = [reader.read() for reader, _ in pipes]
+        codes = []
+        while pids:
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            codes.append(os.waitstatus_to_exitcode(status))
+    finally:
+        for reader, writer in pipes:
+            reader.close()
+            writer.close()
+        for pid in pids:
+            from signal import SIGKILL  # only a sweep that failed in the parent gets here
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    shards: list = [None] * len(tasks)
+    for w, (data, code) in enumerate(zip(outputs, codes)):
+        if code == 1:
+            key, error = marshal.loads(data)
+            raise RuntimeError(f"{tasks[0][0].statement} shard {key} raised in its worker: {error}")
+        if code:
+            raise RuntimeError(f"{tasks[0][0].statement} sweep worker {w} exited with status {code}")
+        for index, shard in marshal.loads(data):
+            shards[index] = shard
+    return shards
+
+
+def _work(tasks: list[tuple[SweepConfig, int]], indices: range, pipe) -> int:
+    """A forked worker's shards, or its first error, written to `pipe`; returns its exit code."""
+    code, payload = 0, []
+    for index in indices:
+        try:
+            payload.append((index, _shard_failures(tasks[index])))
+        except Exception as exc:  # the parent re-raises it, with the shard key
+            code, payload = 1, (tasks[index][1], f"{type(exc).__name__}: {exc}")
+            break
+    with pipe:
+        pipe.write(marshal.dumps(payload))
+    return code
+
+
 def sweep(config: SweepConfig) -> SweepSummary:
     """Run every case of the grid; the summary is scheduling-independent.
 
-    Workers take whole shards, largest first so that the longest shard does
-    not start last, and return only the failing cases; the shards are put
-    back in grid order and each failing case is re-run through `run_case`
-    to build its report.
+    With `jobs` above 1 the shards go to up to `jobs` forked worker
+    processes (see `_forked`), never more than there are shards; where
+    `os.fork` does not exist they run in this process.  Forking is safe
+    because the package starts no thread; a caller that runs threads of
+    its own should sweep at `jobs=1`.  Shards are dealt out largest first,
+    so the longest shard does not start last, and workers return only the
+    failing cases; the shards are put back in grid order and each failing
+    case is re-run through `run_case` to build its report.
     """
     tasks = [(config, key) for key in reversed(STATEMENTS[config.statement].keys(config))]
     workers = min(config.jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for this import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_shard_failures, tasks))
+    if workers > 1 and hasattr(os, "fork"):
+        shards = _forked(tasks, workers)
     else:
         shards = [_shard_failures(task) for task in tasks]
     shards.reverse()

@@ -159,23 +159,39 @@ def test_byte_identical_across_runs_and_jobs():
     assert run_cli(*audit_run).stdout == run_cli(*audit_run).stdout
 
 
-def test_unpooled_requests_do_not_import_the_process_pool():
+def test_requests_do_not_import_a_process_pool():
+    # --jobs workers are forked directly, so no request, pooled or not,
+    # pays for importing concurrent.futures or multiprocessing.
     script = (
         "import contextlib, io, sys\n"
         "from qdelannoy.cli import main\n"
         "for argv in sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv.split())\n"
-        "    print(code, 'concurrent.futures' in sys.modules)\n"
+        "    print(code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     requests = (
         "compute delannoy --h 0 --k 0",
         "orbits audit --h 1 --k 0 --n 3",
         "verify interp --max-h 3 --max-k 3 --jobs 1",
+        "verify thm1 --max-n 3 --max-a 1 --max-c 1 --jobs 2",
     )
     result = subprocess.run([sys.executable, "-c", script, *requests], capture_output=True, env=_src_env(), text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "0 False\n" * len(requests)
+    assert result.stdout == "0 False False\n" * len(requests)
+
+
+def test_unflushed_output_before_a_pooled_sweep_appears_once():
+    # stdout is a pipe, so the first line is still in the parent's buffer
+    # when the workers fork; a worker that flushed it would print it again.
+    script = (
+        "from qdelannoy.congruence import SweepConfig, sweep\n"
+        "print('before the sweep')\n"
+        "print(sweep(SweepConfig('thm1', max_n=4, max_a=1, max_c=1, jobs=2)).total)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_src_env(), text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "before the sweep\n" + str(4 * (1 + 4 + 9 + 16)) + "\n"
 
 
 def test_requests_do_not_import_dataclasses_or_inspect():

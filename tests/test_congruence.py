@@ -1,6 +1,5 @@
-import concurrent.futures
 import json
-import multiprocessing
+import os
 import tracemalloc
 from math import comb
 
@@ -397,8 +396,6 @@ def test_sweep_failure_is_the_oracle_report(monkeypatch, capsys):
     argv = ["verify", "thm1", "--max-n", "2", "--max-a", "1", "--max-c", "1", "--json"]
     outputs = []
     for jobs in ("1", "2"):
-        if jobs == "2" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("pool workers see the patched factor only when forked")
         assert main([*argv, "--jobs", jobs]) == 1
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
@@ -528,8 +525,6 @@ def test_mod_p_engine_failure_is_the_oracle_report(monkeypatch, capsys, statemen
     argv = ["verify", statement, "--max-n", "5", "--max-a", "1", "--max-c", "1", "--json"]
     outputs = []
     for jobs in ("1", "2"):
-        if jobs == "2" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("pool workers see the patched registry only when forked")
         assert main([*argv, "--jobs", jobs]) == 1
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
@@ -587,8 +582,6 @@ def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
     argv = ["verify", "interp", "--max-h", "4", "--max-k", "3", "--json"]
     outputs = []
     for jobs in ("1", "2"):
-        if jobs == "2" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("pool workers see the patched recurrence only when forked")
         assert main([*argv, "--jobs", jobs]) == 1
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
@@ -655,21 +648,12 @@ def test_shard_counts_sum_to_grid_size():
 def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
     sizes, orders = [], []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(tasks, workers):
+        sizes.append(workers)
+        orders.append([key for _, key in tasks])
+        return [_shard_failures(task) for task in tasks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            orders.append([key for _, key in items])
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(congruence, "_forked", recording)
     summary = sweep(SweepConfig("thm2", max_n=3, max_h=1, max_k=1, jobs=10**9))
     assert sizes == [3]
     assert orders == [[3, 2, 1]]  # largest shard first
@@ -678,3 +662,40 @@ def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
     assert sizes == [3]
     sweep(SweepConfig("lucas", max_n=7, max_a=1, max_c=1, jobs=2))
     assert sizes == [3, 2] and orders[-1] == [7, 5, 3, 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_worker_failure_names_its_shard_and_leaves_no_child(monkeypatch):
+    shard_failures = congruence._shard_failures
+
+    def failing(task):
+        if task[1] == 2:
+            raise ValueError("table overflow")
+        return shard_failures(task)
+
+    monkeypatch.setattr(congruence, "_shard_failures", failing)
+    with pytest.raises(RuntimeError, match=r"thm1 shard 2 raised in its worker: ValueError: table overflow"):
+        sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_that_fails_in_the_parent_kills_and_reaps_its_workers(monkeypatch):
+    # The first reaped worker's status cannot be read, so the other two are still running.
+    def unreadable(status):
+        raise OSError("status lost")
+
+    monkeypatch.setattr(os, "waitstatus_to_exitcode", unreadable)
+    with pytest.raises(OSError, match="status lost"):
+        sweep(SweepConfig("thm1", max_n=6, max_a=1, max_c=1, jobs=3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_without_fork_runs_its_shards_in_process(monkeypatch):
+    config = SweepConfig("thm1", max_n=5, max_a=1, max_c=1, jobs=3)
+    forked = sweep(config)
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(congruence, "_forked", None)  # calling it would fail
+    assert sweep(config) == forked == sweep(config._replace(jobs=1))

@@ -101,7 +101,8 @@ def test_validating_records_reject_bad_fields_when_constructed(cls, fields, mess
 @pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
 def test_validating_records_reject_bad_fields_when_unpickled(cls, fields, message):
     # tuple.__new__ skips validation, so this stands for a bad record made
-    # elsewhere; a --jobs 2 sweep sends its SweepConfig to the pool this way.
+    # elsewhere; a library user who pickles a SweepConfig to a process of
+    # their own gets it back this way (--jobs workers are forked and pickle nothing).
     forged = tuple.__new__(cls, fields)
     data = pickle.dumps(forged)
     with pytest.raises(ValueError, match=message):
