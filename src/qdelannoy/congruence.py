@@ -462,9 +462,12 @@ def _forked(tasks: list[tuple[SweepConfig, int]], workers: int) -> list[tuple[in
     Worker w takes tasks[w::workers] and writes its results to a pipe with
     `marshal`, which is enough for ints, tuples and lists.  It always leaves
     through `os._exit`, so it never flushes the stdio buffers it inherited
-    or runs exit handlers.  A worker whose shard raises writes that shard's
-    key and the error text instead and exits 1, and the parent raises
-    RuntimeError.  Every child is reaped before this returns or raises.
+    or runs exit handlers.  A worker whose shard raises writes that task's
+    index and the error text instead and exits 1.  Shards are pure, so the
+    parent re-runs that shard itself and its exception propagates with its
+    own type and traceback, as at jobs=1; only if the re-run passes does the
+    parent raise RuntimeError with the worker's text.  Every child is reaped
+    before this returns or raises.
     """
     pids: list[int] = []  # forked and not yet reaped
     pipes = []  # each worker's pipe as a (read, write) pair of files
@@ -500,8 +503,9 @@ def _forked(tasks: list[tuple[SweepConfig, int]], workers: int) -> list[tuple[in
     shards: list = [None] * len(tasks)
     for w, (data, code) in enumerate(zip(outputs, codes)):
         if code == 1:
-            key, error = marshal.loads(data)
-            raise RuntimeError(f"{tasks[0][0].statement} shard {key} raised in its worker: {error}")
+            index, error = marshal.loads(data)
+            _shard_failures(tasks[index])
+            raise RuntimeError(f"{tasks[0][0].statement} shard {tasks[index][1]} raised in its worker: {error}")
         if code:
             raise RuntimeError(f"{tasks[0][0].statement} sweep worker {w} exited with status {code}")
         for index, shard in marshal.loads(data):
@@ -515,8 +519,8 @@ def _work(tasks: list[tuple[SweepConfig, int]], indices: range, pipe) -> int:
     for index in indices:
         try:
             payload.append((index, _shard_failures(tasks[index])))
-        except Exception as exc:  # the parent re-raises it, with the shard key
-            code, payload = 1, (tasks[index][1], f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # the parent re-runs this shard to raise it again
+            code, payload = 1, (index, f"{type(exc).__name__}: {exc}")
             break
     with pipe:
         pipe.write(marshal.dumps(payload))

@@ -66,7 +66,7 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __neg__(self) -> IntPoly:
-        return _poly([-c for c in self.coeffs])
+        return IntPoly([-c for c in self.coeffs])
 
     def __add__(self, other: IntPoly | int) -> IntPoly:
         a, b = self.coeffs, _as_coeffs(other)
@@ -77,7 +77,7 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return _poly(out)
+        return IntPoly(out)
 
     __radd__ = __add__
 
@@ -88,27 +88,27 @@ class IntPoly:
         out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
-        return _poly(out)
+        return IntPoly(out)
 
     def __rsub__(self, other: int) -> IntPoly:
         if not isinstance(other, int):
             return NotImplemented
-        return _poly([other]) - self
+        return IntPoly((other,)) - self
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
-            return _poly([c * other for c in self.coeffs])
+            return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return ZERO
+            return IntPoly()
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
-        return _poly(out)
+        return IntPoly(out)
 
     __rmul__ = __mul__
 
@@ -118,7 +118,7 @@ class IntPoly:
             raise ValueError("shift exponent must be nonnegative")
         if not self.coeffs:
             return self
-        return _poly([0] * exponent + list(self.coeffs))
+        return IntPoly((0,) * exponent + self.coeffs)
 
     def divrem(self, divisor: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Quotient and remainder by a monic divisor, exact over the integers.
@@ -135,7 +135,7 @@ class IntPoly:
         dm = len(m) - 1
         r = list(self.coeffs)
         if len(r) <= dm:
-            return ZERO, self
+            return IntPoly(), self
         quot = [0] * (len(r) - dm)
         for i in range(len(r) - 1, dm - 1, -1):
             c = r[i]
@@ -144,7 +144,7 @@ class IntPoly:
                 for j in range(dm):
                     r[i - dm + j] -= c * m[j]
                 r[i] = 0
-        return _poly(quot), _poly(r[:dm])
+        return IntPoly(quot), IntPoly(r[:dm])
 
     def evaluate(self, x: int) -> int:
         """Horner evaluation at an integer point."""
@@ -194,17 +194,10 @@ class IntPoly:
             raise ValueError(f"slot width must be positive, got {width}")
         size = -(-value.bit_length() // (8 * width)) * width
         data = value.to_bytes(size, "little")
-        return _poly([int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)])
+        return cls(int.from_bytes(data[i : i + width], "little") for i in range(0, size, width))
 
     def __repr__(self) -> str:
         return f"IntPoly('{self.to_text()}')"
-
-
-def _poly(coeffs: list[int]) -> IntPoly:
-    """The IntPoly of `coeffs`, known to be ints: arithmetic and unpacking skip the constructor's check."""
-    p = object.__new__(IntPoly)
-    p.coeffs = _trim(coeffs)
-    return p
 
 
 def _as_coeffs(value: object) -> tuple[int, ...] | None:

@@ -665,16 +665,28 @@ def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_worker_failure_names_its_shard_and_leaves_no_child(monkeypatch):
+def test_forked_worker_failure_keeps_its_exception_type_and_leaves_no_child(monkeypatch):
     shard_failures = congruence._shard_failures
+    parent = os.getpid()
 
     def failing(task):
         if task[1] == 2:
             raise ValueError("table overflow")
         return shard_failures(task)
 
+    def failing_in_worker(task):
+        if task[1] == 2 and os.getpid() != parent:
+            raise ValueError("worker only")
+        return shard_failures(task)
+
     monkeypatch.setattr(congruence, "_shard_failures", failing)
-    with pytest.raises(RuntimeError, match=r"thm1 shard 2 raised in its worker: ValueError: table overflow"):
+    for jobs in (1, 2, 3):  # the parent re-runs the shard, so every jobs setting raises the same error
+        with pytest.raises(ValueError, match="table overflow"):
+            sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=jobs))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(congruence, "_shard_failures", failing_in_worker)
+    with pytest.raises(RuntimeError, match=r"thm1 shard 2 raised in its worker: ValueError: worker only"):
         sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=2))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
