@@ -10,42 +10,27 @@ residue, so a failure localizes the discrepancy.
 
 `STATEMENTS` holds one `Statement` entry per sweepable statement: its
 check, the grid bounds (axes) it reads, how its grid splits into shards,
-and its residue builder.  `SweepConfig`, `run_case`, `sweep` and the CLI
-read the entry and never branch on the statement's name.
+and the engine that decides one shard.  `SweepConfig`, `run_case`, `sweep`
+and the CLI read the entry and never branch on the statement's name.
 
-Sweeps decide each case from one table per shard: thm2, thm1 and qlucas
-in Z[q]/(q^n - 1), each entry packed into one integer (see `residue`);
-lucas and dlucas at q = 1 with every entry reduced mod p; and interp from
-the path counts of one walk over the prefix trie of its row's box,
-compared exactly with P(h,k).
+Each engine walks its own shard's ranges in grid order and decides every
+case from one table: thm2, thm1 and qlucas in Z[q]/(q^n - 1), each entry
+packed into one integer and each case decided with no division by
+`residue.phi_test`; lucas and dlucas at q = 1 with every entry reduced mod
+p; and interp from the path counts of one walk over the prefix trie of its
+row's box, compared exactly with P(h,k).  An engine builds a case tuple
+only for a case that fails.
 
-A thm2, thm1 or qlucas case, lhs - rhs = pos - neg with pos and neg sums of
-table entries, is decided with no division by `residue.phi_test`:
-
-    Phi_n | v  <=>  q^n - 1 | v * prod over primes p | n of (1 - q^(n/p)).
-
-Forward, every proper divisor d of n divides some n/p, so the product holds
-every Phi_d with d < n and Phi_n times it is a multiple of q^n - 1; back, no
-factor vanishes at a primitive n-th root of unity and Phi_n is monic and
-irreducible.  If every slot of pos and neg lies in [0, M], the test's sums
-stay at most 2^omega(n) * M per slot, and the tables are packed that wide.
-M is 2 D(max_h+n, max_k+n) for thm2, since D(h+n,k) + D(h,k+n) + D(h,k) <=
-D(h+n,k+n); for thm1 and qlucas it is the larger of the table's largest
-slot and the largest factor(a,c) times the largest slot of count(b,d).  A
-case that fails the test is unpacked and reduced exactly mod Phi_n, so its
-residue is the oracle's coefficient for coefficient.
-
-Only a case that fails in its engine is re-run through `run_case`, the
-independent oracle, which builds its report; a case it passes raises
-RuntimeError.
+A case that fails is re-run through the direct check, which builds its
+report; a case the direct check passes raises RuntimeError, so an engine
+that fails a passing case is caught rather than reported.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-from collections.abc import Callable, Iterator, Sequence
-from itertools import product, zip_longest
+from collections.abc import Callable
 from math import comb
 from typing import NamedTuple
 
@@ -261,26 +246,20 @@ def _run_case_json(args: tuple[str, tuple[int, ...]]) -> dict:
     return run_case(*args).to_json()
 
 
-Residue = Callable[[tuple[int, ...]], Sequence[int]]
-
-
 class Statement(NamedTuple):
     """Everything a sweep knows about one statement.
 
     `check` reports one case and is the oracle.  `axes` names the grid
     bounds the statement reads, one letter per `SweepConfig.max_*` field.
-    `keys` lists a grid's shard keys in grid order, smallest shard first,
-    and `cases` iterates the cases of one shard.  `residue` builds from one
-    table per shard key the residue of every case of that shard, reduced as
-    `check` reduces it (mod Phi_n, mod p, or not at all), so the coefficients
-    of the report's residue; a case passes exactly when it is all zero.
+    `keys` lists a grid's shard keys in grid order, smallest shard first.
+    `failures(config, key)` decides every case of one shard from one table
+    and returns the shard's case count and its failing cases, in grid order.
     """
 
     check: Callable[..., CongruenceReport]
     axes: str
     keys: Callable[[SweepConfig], list[int]]
-    cases: Callable[[SweepConfig, int], Iterator[tuple[int, ...]]]
-    residue: Callable[[SweepConfig, int], Residue]
+    failures: Callable[[SweepConfig, int], tuple[int, list[tuple[int, ...]]]]
 
 
 def _moduli(config: SweepConfig) -> list[int]:
@@ -295,25 +274,8 @@ def _rows(config: SweepConfig) -> list[int]:
     return list(range(config.max_h + 1))
 
 
-def _split_cases(config: SweepConfig, n: int) -> Iterator[tuple[int, ...]]:
-    return ((n, *abcd) for abcd in product(range(config.max_a + 1), range(n), range(config.max_c + 1), range(n)))
-
-
-def _corner_cases(config: SweepConfig, n: int) -> Iterator[tuple[int, ...]]:
-    return ((n, h, k) for h in range(config.max_h + 1) for k in range(config.max_k + 1))
-
-
-def _row_cases(config: SweepConfig, h: int) -> Iterator[tuple[int, ...]]:
-    return ((h, k) for k in range(config.max_k + 1))
-
-
-def _unpacked_residue(pos: int, neg: int, n: int, bits: int) -> Sequence[int]:
-    """pos - neg reduced mod Phi_n, both packed in Z[q]/(q^n - 1) at q = 2**bits."""
-    return reduce_mod(IntPoly.from_packed(pos, bits // 8) - IntPoly.from_packed(neg, bits // 8), n).coeffs
-
-
-def _thm2_residue(config: SweepConfig, n: int) -> Residue:
-    """lhs - rhs as pos - neg: P(h+n,k+n) - P(h+n,k) - P(h,k+n), and -/+ P(h,k) for odd/even n.
+def _thm2_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Cases (n, h, k) over h, then k; lhs - rhs is pos - neg, with P(h,k) on the side its sign puts it.
 
     D(h+n,k) + D(h,k+n) + D(h,k) <= D(h+n,k+n), so 2 D(max_h+n, max_k+n)
     bounds every slot of either side.
@@ -321,54 +283,56 @@ def _thm2_residue(config: SweepConfig, n: int) -> Residue:
     bits, divides = phi_test(n, 2 * delannoy(config.max_h + n, config.max_k + n))
     t = delannoy_table(n, bits, config.max_h + n + 1, config.max_k + n + 1)
     sign = _thm2_sign(n)
+    failing = []
+    for h in range(config.max_h + 1):
+        low, high = t[h], t[h + n]
+        for k in range(config.max_k + 1):
+            pos, neg = high[k + n], high[k] + low[k + n]
+            if sign > 0:
+                neg += low[k]
+            else:
+                pos += low[k]
+            if not divides(pos, neg):
+                failing.append((n, h, k))
+    return (config.max_h + 1) * (config.max_k + 1), failing
 
-    def residue(case: tuple[int, ...]) -> Sequence[int]:
-        _, h, k = case
-        pos, neg = t[h + n][k + n], t[h + n][k] + t[h][k + n]
-        if sign > 0:
-            neg += t[h][k]
-        else:
-            pos += t[h][k]
-        return () if divides(pos, neg) else _unpacked_residue(pos, neg, n, bits)
 
-    return residue
-
-
-def _split_residue(
+def _split_failures(
     config: SweepConfig,
     m: int,
     table: Callable[..., list[list[int]]],
     factor: Callable[[int, int], int],
     mod: int | None = None,
     peak: Callable[[int, int], int] | None = None,
-) -> Residue:
-    """count(am+b, cm+d) - factor(a,c)*count(b,d) from one table; factor(a,c) >= 0.
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Cases (m, a, b, c, d) over a, b, c, d: count(am+b, cm+d) vs factor(a,c)*count(b,d); factor(a,c) >= 0.
 
-    The table is in Z[q]/(q^m - 1), and a case that `phi_test` passes has
-    residue 0.  `peak(h, k)` bounds every slot of every table entry at or
-    below (h, k), so with the largest factor it bounds every slot of
-    either side.  With `mod` set the table is at q = 1 and the residue is
-    reduced mod `mod`.
+    The table is in Z[q]/(q^m - 1) and decided by `phi_test`.  `peak(h, k)`
+    bounds every slot of every table entry at or below (h, k), so with the
+    largest factor it bounds every slot of either side.  With `mod` set the
+    table is at q = 1, reduced mod `mod`, and a case passes when its two
+    sides agree mod `mod`.
     """
     rows, cols = (config.max_a + 1) * m, (config.max_c + 1) * m
     f = [[factor(a, c) for c in range(config.max_c + 1)] for a in range(config.max_a + 1)]
     if mod:
         t = table(1, 0, rows, cols, mod)
 
-        def residue_mod(case: tuple[int, ...]) -> Sequence[int]:
-            _, a, b, c, d = case
-            return ((t[a * m + b][c * m + d] - f[a][c] * t[b][d]) % mod,)
+        def divides(pos: int, neg: int) -> bool:
+            return (pos - neg) % mod == 0
 
-        return residue_mod
-    bits, divides = phi_test(m, max(peak(rows - 1, cols - 1), max(map(max, f)) * peak(m - 1, m - 1)))
-    t = table(m, bits, rows, cols)
-
-    def residue(case: tuple[int, ...]) -> Sequence[int]:
-        _, a, b, c, d = case
-        pos, neg = t[a * m + b][c * m + d], f[a][c] * t[b][d]
-        return () if divides(pos, neg) else _unpacked_residue(pos, neg, m, bits)
-
-    return residue
+    else:
+        bits, divides = phi_test(m, max(peak(rows - 1, cols - 1), max(map(max, f)) * peak(m - 1, m - 1)))
+        t = table(m, bits, rows, cols)
+    failing = [
+        (m, a, b, c, d)
+        for a in range(config.max_a + 1)
+        for b in range(m)
+        for c in range(config.max_c + 1)
+        for d in range(m)
+        if not divides(t[a * m + b][c * m + d], f[a][c] * t[b][d])
+    ]
+    return rows * cols, failing
 
 
 def _binomial_peak(h: int, k: int) -> int:
@@ -376,20 +340,20 @@ def _binomial_peak(h: int, k: int) -> int:
     return comb(h, min(k, h // 2))
 
 
-def _thm1_residue(config: SweepConfig, n: int) -> Residue:
-    return _split_residue(config, n, delannoy_table, _thm1_factor(n), peak=delannoy)
+def _thm1_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    return _split_failures(config, n, delannoy_table, _thm1_factor(n), peak=delannoy)
 
 
-def _qlucas_residue(config: SweepConfig, n: int) -> Residue:
-    return _split_residue(config, n, binomial_table, comb, peak=_binomial_peak)
+def _qlucas_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    return _split_failures(config, n, binomial_table, comb, peak=_binomial_peak)
 
 
-def _lucas_residue(config: SweepConfig, p: int) -> Residue:
-    return _split_residue(config, p, binomial_table, comb, p)
+def _lucas_failures(config: SweepConfig, p: int) -> tuple[int, list[tuple[int, ...]]]:
+    return _split_failures(config, p, binomial_table, comb, p)
 
 
-def _dlucas_residue(config: SweepConfig, p: int) -> Residue:
-    return _split_residue(config, p, delannoy_table, delannoy, p)
+def _dlucas_failures(config: SweepConfig, p: int) -> tuple[int, list[tuple[int, ...]]]:
+    return _split_failures(config, p, delannoy_table, delannoy, p)
 
 
 def _sigma_counts(h: int, max_k: int) -> list[list[int]]:
@@ -415,44 +379,33 @@ def _sigma_counts(h: int, max_k: int) -> list[list[int]]:
     return counts
 
 
-def _interp_residue(config: SweepConfig, h: int) -> Residue:
-    """Path counts by sigma minus the coefficients of P(h,k), exactly."""
+def _interp_failures(config: SweepConfig, h: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Cases (h, k) over k: the path counts by sigma must be the coefficients of P(h,k) exactly."""
     counts = _sigma_counts(h, config.max_k)
-
-    def residue(case: tuple[int, ...]) -> Sequence[int]:
-        _, k = case
-        return [x - y for x, y in zip_longest(counts[k], q_delannoy_rec(h, k).coeffs, fillvalue=0)]
-
-    return residue
+    failing = [(h, k) for k in range(config.max_k + 1) if IntPoly(counts[k]) != q_delannoy_rec(h, k)]
+    return config.max_k + 1, failing
 
 
 STATEMENTS: dict[str, Statement] = {
-    "lucas": Statement(verify_lucas, "nac", _primes, _split_cases, _lucas_residue),
-    "dlucas": Statement(verify_delannoy_lucas, "nac", _primes, _split_cases, _dlucas_residue),
-    "qlucas": Statement(verify_q_lucas, "nac", _moduli, _split_cases, _qlucas_residue),
-    "thm1": Statement(verify_theorem1, "nac", _moduli, _split_cases, _thm1_residue),
-    "thm2": Statement(verify_theorem2, "nhk", _moduli, _corner_cases, _thm2_residue),
-    "interp": Statement(_interp_report, "hk", _rows, _row_cases, _interp_residue),
+    "lucas": Statement(verify_lucas, "nac", _primes, _lucas_failures),
+    "dlucas": Statement(verify_delannoy_lucas, "nac", _primes, _dlucas_failures),
+    "qlucas": Statement(verify_q_lucas, "nac", _moduli, _qlucas_failures),
+    "thm1": Statement(verify_theorem1, "nac", _moduli, _thm1_failures),
+    "thm2": Statement(verify_theorem2, "nhk", _moduli, _thm2_failures),
+    "interp": Statement(_interp_report, "hk", _rows, _interp_failures),
 }
 
 
 def _shard_failures(task: tuple[SweepConfig, int]) -> tuple[int, list[tuple[int, ...]]]:
     """The case count and failing cases of one shard; pure, so shards may run in any order or process."""
-    config, key = task
-    entry = STATEMENTS[config.statement]
-    residue = entry.residue(config, key)
-    count, failing = 0, []
-    for count, case in enumerate(entry.cases(config, key), 1):
-        if any(residue(case)):
-            failing.append(case)
-    return count, failing
+    return STATEMENTS[task[0].statement].failures(*task)
 
 
 def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
-    """The oracle's report of a case the residue engine failed; it must fail too."""
+    """The oracle's report of a case its engine failed; it must fail too."""
     report = _run_case_json((statement, case))
     if report["pass"]:
-        raise RuntimeError(f"{statement} case {case} fails in the residue engine but passes the oracle check")
+        raise RuntimeError(f"{statement} case {case} fails in its engine but passes the oracle check")
     return report
 
 

@@ -30,7 +30,8 @@ class IntPoly:
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, int):
+            # A bool is an int but prints as True/False; exact ints take the first test alone.
+            if type(c) is not int and (isinstance(c, bool) or not isinstance(c, int)):
                 raise TypeError(f"IntPoly coefficients must be int, got {type(c).__name__} {c!r}")
         self.coeffs = _trim(coeffs)
 
@@ -93,7 +94,7 @@ class IntPoly:
     def __rsub__(self, other: int) -> IntPoly:
         if not isinstance(other, int):
             return NotImplemented
-        return IntPoly((other,)) - self
+        return -self + other
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
@@ -201,11 +202,11 @@ class IntPoly:
 
 
 def _as_coeffs(value: object) -> tuple[int, ...] | None:
-    """The coefficients of an IntPoly or int operand; None for any other type."""
+    """The coefficients of an IntPoly or int operand (a bool as 0 or 1); None for any other type."""
     if isinstance(value, IntPoly):
         return value.coeffs
     if isinstance(value, int):
-        return _trim([value])
+        return _trim([int(value)])
     return None
 
 

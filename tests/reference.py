@@ -8,11 +8,12 @@ oracle the fast ones are checked against, plus the original recursive path
 enumeration and the original corner decomposition and cyclic actions, which
 build the point list of a path and cut it into lists of blocks.  The small
 helpers at the end (q-integers, the q-binomial theorem, the series table of
-1/(1-x-y-xy), evaluation at q=1, JSON read-back, path points) exist only
-for the tests.
+1/(1-x-y-xy), evaluation at q=1, JSON read-back, path points, the cases of
+a sweep shard) exist only for the tests.
 """
 
 from functools import cache
+from itertools import product
 
 from qdelannoy.orbits import ClassError, Decomposition, PathClass
 from qdelannoy.polyring import ONE, IntPoly, ZERO
@@ -221,3 +222,16 @@ def specialize_q1(h, k):
 def poly_from_json(items):
     """Read back IntPoly.to_json_coeffs: decimal coefficient strings, ascending."""
     return IntPoly(int(s) for s in items)
+
+
+def grid_cases(config, key):
+    """Every case of one sweep shard in grid order, enumerated apart from the engines.
+
+    The key is the modulus n (or the prime p) of a split or thm2 shard, and
+    the row h of an interp shard.
+    """
+    if config.statement == "interp":
+        return [(key, k) for k in range(config.max_k + 1)]
+    if config.statement == "thm2":
+        return [(key, *hk) for hk in product(range(config.max_h + 1), range(config.max_k + 1))]
+    return [(key, *abcd) for abcd in product(range(config.max_a + 1), range(key), range(config.max_c + 1), range(key))]

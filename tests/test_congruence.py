@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 from math import comb
 
@@ -25,6 +26,7 @@ from qdelannoy.congruence import (
     verify_theorem1,
     verify_theorem2,
 )
+from reference import grid_cases
 
 
 def test_theorem2_n1_is_integer_recurrence():
@@ -373,15 +375,14 @@ def test_phi_test_one_byte_short_decides_wrongly(monkeypatch):
 )
 def test_residue_engine_matches_oracle(config):
     entry = STATEMENTS[config.statement]
-    for n in entry.keys(config):
-        residue = entry.residue(config, n)
-        oracle_failures = []
-        for case in entry.cases(config, n):
-            report = run_case(config.statement, case)
-            assert IntPoly(residue(case)) == report.residue
-            if not report.passed:
-                oracle_failures.append(case)
-        assert _shard_failures((config, n))[1] == oracle_failures
+    for key in entry.keys(config):
+        assert entry.failures(config, key) == _oracle_shard(config, key)
+
+
+def _oracle_shard(config, key):
+    """The case count and the oracle's failing cases of one shard, over the independently enumerated grid."""
+    cases = grid_cases(config, key)
+    return len(cases), [case for case in cases if not run_case(config.statement, case).passed]
 
 
 def test_sweep_failure_is_the_oracle_report(monkeypatch, capsys):
@@ -413,17 +414,42 @@ def test_sweep_rejects_engine_oracle_disagreement(monkeypatch):
         sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1))
 
 
+@pytest.mark.parametrize(
+    "config",
+    [SweepConfig("thm2", max_n=3, max_h=2, max_k=2), SweepConfig("thm1", max_n=3, max_a=1, max_c=1)],
+    ids=lambda config: config.statement,
+)
+def test_engine_false_negative_is_caught(monkeypatch, config):
+    # The packed test calls the first case of the n = 2 shard not divisible, though it is.
+    missed = []
+
+    def phi_test_missing_one(n, bound):
+        bits, divides = phi_test(n, bound)
+
+        def divides_but_one(pos, neg):
+            if n == 2 and not missed:
+                missed.append((pos, neg))
+                return False
+            return divides(pos, neg)
+
+        return bits, divides_but_one
+
+    monkeypatch.setattr(congruence, "phi_test", phi_test_missing_one)
+    first = grid_cases(config, 2)[0]
+    assert run_case(config.statement, first).passed
+    with pytest.raises(RuntimeError, match=re.escape(f"case {first} fails") + ".* passes the oracle check"):
+        sweep(config)
+    assert len(missed) == 1
+
+
 def _engine_failures_match_oracle(config):
-    """Every case's engine residue is the oracle's, and the sweep fails exactly the oracle's failures."""
+    """Every shard fails exactly the oracle's failing cases, and the sweep reports them as the oracle does."""
     entry = STATEMENTS[config.statement]
     expected = []
-    for n in entry.keys(config):
-        residue = entry.residue(config, n)
-        for case in entry.cases(config, n):
-            report = run_case(config.statement, case)
-            assert IntPoly(residue(case)) == report.residue
-            if not report.passed:
-                expected.append(report.to_json())
+    for key in entry.keys(config):
+        shard = _oracle_shard(config, key)
+        assert entry.failures(config, key) == shard
+        expected += [run_case(config.statement, case).to_json() for case in shard[1]]
     summary = sweep(config)
     assert expected and summary.failures == tuple(expected)
     return expected
@@ -446,10 +472,10 @@ def test_qlucas_engine_failures_match_oracle_with_wrong_factor(monkeypatch):
     def check(n, a, b, c, d):
         return congruence._split_report("q-lucas", "n", q_binomial, factor, n, a, b, c, d)
 
-    def residue(config, n):
-        return congruence._split_residue(config, n, binomial_table, factor, peak=congruence._binomial_peak)
+    def failures(config, n):
+        return congruence._split_failures(config, n, binomial_table, factor, peak=congruence._binomial_peak)
 
-    entry = STATEMENTS["qlucas"]._replace(check=check, residue=residue, keys=lambda config: [6, 10, 12])
+    entry = STATEMENTS["qlucas"]._replace(check=check, failures=failures, keys=lambda config: [6, 10, 12])
     monkeypatch.setitem(STATEMENTS, "qlucas", entry)
     failures = _engine_failures_match_oracle(SweepConfig("qlucas", max_n=12, max_a=1, max_c=1))
     # [b,d] is 0 for d > b, so only the cases with d <= b fail.
@@ -493,31 +519,31 @@ def test_mod_p_engine_rejects_corrupt_table_entry(monkeypatch, statement):
         sweep(SweepConfig(statement, max_n=5, max_a=1, max_c=1))
 
 
-@pytest.mark.parametrize("statement", MOD_P)
-def test_mod_p_engine_failure_is_the_oracle_report(monkeypatch, capsys, statement):
-    # A factor one too large at (a,c) = (1,1), given to the engine and the oracle alike.
+def _mod_p_entry_with_factor(statement, factor):
+    """The statement's registry entry with `factor` given to its engine and its oracle alike."""
     _, table, count = MOD_P[statement]
-
-    def factor(a, c):
-        return count(a, c) + ((a, c) == (1, 1))
-
     entry = STATEMENTS[statement]
     tag = entry.check(2, 0, 0, 0, 0).tag
 
     def check(p, a, b, c, d):
         return congruence._split_report(tag, "p", count, factor, p, a, b, c, d)
 
-    def residue(config, p):
-        return congruence._split_residue(config, p, table, factor, p)
+    def failures(config, p):
+        return congruence._split_failures(config, p, table, factor, p)
 
-    monkeypatch.setitem(STATEMENTS, statement, entry._replace(check=check, residue=residue))
+    return entry._replace(check=check, failures=failures)
+
+
+@pytest.mark.parametrize("statement", MOD_P)
+def test_mod_p_engine_failure_is_the_oracle_report(monkeypatch, capsys, statement):
+    # A factor one too large at (a,c) = (1,1), given to the engine and the oracle alike.
+    count = MOD_P[statement][2]
+    entry = _mod_p_entry_with_factor(statement, lambda a, c: count(a, c) + ((a, c) == (1, 1)))
+    monkeypatch.setitem(STATEMENTS, statement, entry)
     config = SweepConfig(statement, max_n=5, max_a=1, max_c=1)
-    expected = [
-        run_case(statement, case).to_json()
-        for p in entry.keys(config)
-        for case in entry.cases(config, p)
-        if not run_case(statement, case).passed
-    ]
+    shards = [_oracle_shard(config, p) for p in entry.keys(config)]
+    assert [entry.failures(config, p) for p in entry.keys(config)] == shards
+    expected = [run_case(statement, case).to_json() for _, failing in shards for case in failing]
     summary = sweep(config)
     assert expected and summary.failures == tuple(expected)
     assert (summary.total, summary.failed) == (4 * (4 + 9 + 25), len(expected))
@@ -529,6 +555,14 @@ def test_mod_p_engine_failure_is_the_oracle_report(monkeypatch, capsys, statemen
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0]) == summary.to_json()
+
+
+@pytest.mark.parametrize("statement", MOD_P)
+def test_mod_p_engine_failures_match_oracle_in_every_case(monkeypatch, statement):
+    # Every factor one too large, so the failures span every (a,c) and must come in grid order.
+    count = MOD_P[statement][2]
+    monkeypatch.setitem(STATEMENTS, statement, _mod_p_entry_with_factor(statement, lambda a, c: count(a, c) + 1))
+    _engine_failures_match_oracle(SweepConfig(statement, max_n=5, max_a=1, max_c=1))
 
 
 @pytest.mark.parametrize("statement", MOD_P)
@@ -588,6 +622,11 @@ def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
     assert json.loads(outputs[0]) == summary.to_json()
 
 
+def test_interp_engine_failures_match_oracle_in_every_case(monkeypatch):
+    monkeypatch.setattr(congruence, "q_delannoy_rec", lambda h, k: q_delannoy_rec(h, k) + 1)
+    assert len(_engine_failures_match_oracle(SweepConfig("interp", max_h=3, max_k=3))) == 4 * 4
+
+
 def test_passing_interp_sweep_runs_no_oracle_case(monkeypatch):
     calls = []
     monkeypatch.setattr(congruence, "run_case", lambda *args: calls.append(args))
@@ -639,10 +678,10 @@ def test_shard_counts_sum_to_grid_size():
         (SweepConfig("interp", max_h=3, max_k=2), 4 * 3),
     ]
     for config, size in grids:
-        entry = STATEMENTS[config.statement]
-        counts = [_shard_failures((config, key))[0] for key in entry.keys(config)]
-        assert counts == [len(list(entry.cases(config, key))) for key in entry.keys(config)]
-        assert sum(counts) == size == sweep(config).total
+        keys = STATEMENTS[config.statement].keys(config)
+        shards = [_oracle_shard(config, key) for key in keys]
+        assert [_shard_failures((config, key)) for key in keys] == shards
+        assert sum(count for count, _ in shards) == size == sweep(config).total
 
 
 def test_sweep_pool_is_capped_at_shard_count(monkeypatch):

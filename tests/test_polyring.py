@@ -166,7 +166,9 @@ def test_non_integer_operands_raise_type_error(op, other):
         op(other, p)
 
 
-@pytest.mark.parametrize("bad", [1.5, "x", Fraction(1, 2)], ids=["float", "str", "Fraction"])
+@pytest.mark.parametrize(
+    "bad", [1.5, "x", Fraction(1, 2), True, False], ids=["float", "str", "Fraction", "True", "False"]
+)
 def test_non_integer_coefficients_raise_type_error(bad):
     with pytest.raises(TypeError, match="coefficients must be int"):
         IntPoly([1, bad])
@@ -177,13 +179,14 @@ def test_non_integer_coefficients_raise_type_error(bad):
 
 
 def test_integer_coefficients_are_accepted():
-    assert IntPoly([1, True, 0]).coeffs == (1, 1)
+    assert IntPoly([1, 1, 0]).coeffs == (1, 1)
     assert IntPoly.const(0) == ZERO
     assert IntPoly.monomial(2, -3).coeffs == (0, 0, -3)
 
 
 def test_integer_operands_still_act_as_constants():
     p = IntPoly((1, 2))
+    assert ZERO + True == True - ZERO == IntPoly((1,))  # a bool operand is 0 or 1, never a bool coefficient
     assert p + 3 == 3 + p == IntPoly((4, 2))
     assert p - 3 == IntPoly((-2, 2))
     assert 3 - p == IntPoly((2, -2))
