@@ -29,7 +29,7 @@ Three cyclic actions of order n drive the congruence bookkeeping:
 
 So a Q1/Q2 action is two slices of the hat at its last lead step, and a Q4
 action rewrites the lead positions of the tail; `_segment` checks the block
-structure both rely on, and `blocks` shares it.
+structure both rely on.
 
 Each action preserves its class, has period dividing n, and changes sigma
 by an exact amount that is nonzero mod n away from the fixed points, which
@@ -145,12 +145,6 @@ class Decomposition(NamedTuple):
         return self.bar + self.hat
 
 
-class BlockDecomposition(NamedTuple):
-    path_class: PathClass
-    leading: Path
-    blocks: tuple[Path, ...]
-
-
 class Orbit(NamedTuple):
     members: tuple[Path, ...]
     size: int
@@ -220,13 +214,8 @@ def _scan(path: Path, frame: CornerFrame) -> tuple[Decomposition, int, int]:
 
 
 def decompose(path: Path, frame: CornerFrame) -> Decomposition:
-    """Split and classify a path around its anchor stretch."""
+    """Split a path around its anchor stretch, and give its class."""
     return _scan(path, frame)[0]
-
-
-def classify(path: Path, frame: CornerFrame) -> PathClass:
-    """Total, single-valued class of a path in the frame."""
-    return decompose(path, frame).path_class
 
 
 def _segment(dec: Decomposition, frame: CornerFrame) -> tuple[Path, str]:
@@ -235,6 +224,7 @@ def _segment(dec: Decomposition, frame: CornerFrame) -> tuple[Path, str]:
     A block is a lead step (any step but the run step) plus the run after it;
     anything before the first lead is the leading run.  Raises LawError
     unless the segment has exactly n blocks and a Q1/Q2 hat opens with a lead.
+    The class is never Q3: `orbit` and `audit` turn Q3 paths away first.
     """
     cls = dec.path_class
     if cls is Q1:
@@ -245,27 +235,12 @@ def _segment(dec: Decomposition, frame: CornerFrame) -> tuple[Path, str]:
         segment, run = dec.hat, N
         if segment and segment[0] == run:
             raise LawError("a Q2 hat must open with an x-raising step")
-    elif cls is Q4:
-        segment, run = dec.tail, N
     else:
-        raise ClassError("Q3 paths carry no block structure")
+        segment, run = dec.tail, N
     found = len(segment) - segment.count(run)
     if found != frame.n:
         raise LawError(f"expected {frame.n} blocks, found {found}")
     return segment, run
-
-
-def blocks(path: Path, frame: CornerFrame) -> BlockDecomposition:
-    """Block structure feeding the cyclic action; rejects Q3 paths."""
-    dec = decompose(path, frame)
-    segment, run = _segment(dec, frame)
-    leads = [i for i, s in enumerate(segment) if s != run]
-    bounds = zip(leads, leads[1:] + [len(segment)])
-    return BlockDecomposition(
-        path_class=dec.path_class,
-        leading=segment[: leads[0]],
-        blocks=tuple(segment[a:b] for a, b in bounds),
-    )
 
 
 def _act_with_shift(dec: Decomposition, frame: CornerFrame) -> tuple[Path, int]:
@@ -291,11 +266,6 @@ def _act_with_shift(dec: Decomposition, frame: CornerFrame) -> tuple[Path, int]:
     else:
         shift = y_of(segment) - n * y_of(last)
     return dec.check + dec.bar + last + segment[:cut], shift
-
-
-def act(path: Path, frame: CornerFrame) -> Path:
-    """One application of the cyclic action for the path's class."""
-    return _act_with_shift(decompose(path, frame), frame)[0]
 
 
 def _weight(sigmas: list[int]) -> IntPoly:

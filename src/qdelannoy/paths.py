@@ -44,6 +44,8 @@ def enumerate_paths(h: int, k: int) -> Iterator[Path]:
     Deterministic order: at each position try E, then N, then D.  The
     stream is never materialized here; delannoy(h,k) paths in total.
     """
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (h, k)):
+        raise TypeError(f"target coordinates must be int, got ({h!r}, {k!r})")
     if h < 0 or k < 0:
         raise ValueError(f"target must be in the first quadrant, got ({h}, {k})")
     return _walk(h, k)
@@ -85,10 +87,3 @@ def sigma_poly(h: int, k: int) -> IntPoly:
 
 def path_text(path: Path) -> str:
     return "".join(path)
-
-
-def path_from_text(text: str) -> Path:
-    for ch in text:
-        if ch not in (E, N, D):
-            raise ValueError(f"invalid step {ch!r}; paths use the alphabet E, N, D")
-    return tuple(text)

@@ -50,7 +50,9 @@ def phi_test(n: int, bound: int) -> tuple[int, Callable[[int, int], bool]]:
     offset cancels there because both sums have 2^(omega(n)-1) terms, and
     each sum's slots stay at most 2^omega(n) * bound, which the width
     holds.  For n = 1 the product is empty and the test is pos == neg.
+    A bound of 0 is sized as 1, so no slot is 0 bits wide.
     """
+    bound = max(bound, 1)
     if n == 1:
         return 8 * slot_bytes(bound), lambda pos, neg: pos == neg
     plus, minus = [0], []

@@ -309,7 +309,7 @@ def _decides_exactly(n, bound, pos, neg):
 @pytest.mark.parametrize("n", PHI_MODULI)
 def test_phi_test_at_slot_bounds(n):
     # Byte edges, where 2^omega(n) * bound needs more bytes than bound itself.
-    for bound in (1, 2, 255, 256, 2**16 - 1, 10**6):
+    for bound in (0, 1, 2, 255, 256, 2**16 - 1, 10**6):
         full, empty = [bound] * n, [0] * n
         cases = [(full, empty), (empty, full), (full, full)]
         cases += [([bound * (i == j) for i in range(n)], full) for j in range(n)]
@@ -319,7 +319,7 @@ def test_phi_test_at_slot_bounds(n):
             assert _decides_exactly(n, bound, pos, neg)
         # 1 + q + ... + q^(n-1) = (q^n - 1)/(q - 1) is a multiple of Phi_n exactly when n > 1.
         bits, divides = phi_test(n, bound)
-        assert divides(_pack(full, bits), 0) == (n > 1)
+        assert divides(_pack(full, bits), 0) == (n > 1 or bound == 0)
 
 
 def test_phi_test_matches_reduction_property():

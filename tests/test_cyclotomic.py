@@ -1,18 +1,17 @@
-import importlib
 import math
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import qdelannoy
+import qdelannoy.cyclotomic as cyclotomic_module
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly, ONE, Q
-
-# The package exports the function `cyclotomic`, which hides the submodule of that name.
-cyclotomic_module = importlib.import_module("qdelannoy.cyclotomic")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,6 +22,23 @@ def totient(n):
 
 def q_power_minus_one(n):
     return IntPoly.monomial(n) - ONE
+
+
+def test_package_root_hides_no_submodule():
+    # Every name is imported from its module; the root defines no function or
+    # class, so none can shadow the submodule of the same name.  A fresh
+    # process shows what `import qdelannoy` alone binds.
+    script = (
+        "import types\n"
+        "import qdelannoy\n"
+        "assert isinstance(qdelannoy.cyclotomic, types.ModuleType)\n"
+        "assert not [v for v in vars(qdelannoy).values() if isinstance(v, (types.FunctionType, type))]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert qdelannoy.cyclotomic is cyclotomic_module
+    assert isinstance(cyclotomic_module._PHI, dict)
 
 
 def test_base_case():
@@ -130,9 +146,8 @@ def test_corrupt_memo_entry_raises(monkeypatch):
 
 def test_corrupt_memo_entry_raises_under_optimize():
     script = (
-        "import importlib\n"
+        "import qdelannoy.cyclotomic as module\n"
         "from qdelannoy.polyring import IntPoly\n"
-        "module = importlib.import_module('qdelannoy.cyclotomic')\n"
         "module._PHI[2] = IntPoly([2, 1])\n"
         "try:\n"
         "    module.cyclotomic(4)\n"

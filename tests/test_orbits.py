@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 import reference
-from reference import poly_from_json
+from reference import path_points, poly_from_json
 from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
 from qdelannoy.qcore import q_binomial
@@ -14,18 +14,11 @@ from qdelannoy.orbits import (
     FrameError,
     LawError,
     PathClass,
-    act,
     audit,
-    blocks,
-    classify,
     decompose,
     orbit,
 )
-from qdelannoy.paths import enumerate_paths, path_from_text, path_text, sigma, x_of, y_of
-
-
-def P(text):
-    return path_from_text(text)
+from qdelannoy.paths import enumerate_paths, path_text, sigma, x_of, y_of
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +34,7 @@ def test_frame_validation():
 
 def test_decompose_single_point_bar():
     # trace: (0,0),(1,0),(2,1),(2,2),(2,3),(3,3); only (2,1) is on the anchors
-    dec = decompose(P("EDNNE"), CornerFrame(1, 1, 2))
+    dec = decompose(tuple("EDNNE"), CornerFrame(1, 1, 2))
     assert path_text(dec.check) == "ED"
     assert dec.bar == ()
     assert path_text(dec.hat) == "NNE"
@@ -51,7 +44,7 @@ def test_decompose_single_point_bar():
 
 
 def test_decompose_corner_split():
-    dec = decompose(P("EDD"), CornerFrame(1, 0, 2))
+    dec = decompose(tuple("EDD"), CornerFrame(1, 0, 2))
     assert dec.path_class is PathClass.Q4
     assert path_text(dec.check) == "E"
     assert path_text(dec.tail) == "DD"
@@ -59,7 +52,7 @@ def test_decompose_corner_split():
 
 def test_decompose_bar_with_steps():
     # runs along the east anchor from (1,1) before climbing
-    dec = decompose(P("DEENN"), CornerFrame(1, 1, 2))
+    dec = decompose(tuple("DEENN"), CornerFrame(1, 1, 2))
     assert dec.path_class is PathClass.Q3
     assert path_text(dec.check) == "D"
     assert path_text(dec.bar) == "EE"
@@ -70,7 +63,7 @@ def test_decompose_bar_with_steps():
 
 def test_decompose_rejects_wrong_endpoint():
     with pytest.raises(FrameError):
-        decompose(P("EN"), CornerFrame(1, 1, 2))
+        decompose(tuple("EN"), CornerFrame(1, 1, 2))
 
 
 # Every frame with h,k <= 3 and n <= 4, plus (2,2,5), by segment length n.
@@ -107,23 +100,11 @@ def test_scan_matches_reference():
                     assert reassembled == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
 
 
-def test_blocks_match_reference():
-    for n in range(1, 4):
-        for h in range(3):
-            for k in range(3):
-                frame = CornerFrame(h, k, n)
-                for path in enumerate_paths(h + n, k + n):
-                    dec = reference.decompose(path, frame)
-                    if dec.path_class is not PathClass.Q3:
-                        bd = blocks(path, frame)
-                        assert (bd.leading, list(bd.blocks)) == reference.blocks(dec, frame)
-
-
 def test_reassembly_covers_whole_path():
     frame = CornerFrame(1, 1, 2)
     for text in ("EDNNE", "DEENN", "ENDEN", "NNNEEE"):
-        dec = decompose(P(text), frame)
-        assert dec.check + dec.bar + dec.hat == P(text)
+        dec = decompose(tuple(text), frame)
+        assert dec.check + dec.bar + dec.hat == tuple(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,69 +112,62 @@ def test_reassembly_covers_whole_path():
 # ---------------------------------------------------------------------------
 
 def test_classify_examples():
-    assert classify(P("EDNNE"), CornerFrame(1, 1, 2)) is PathClass.Q1
-    assert classify(P("EDD"), CornerFrame(1, 0, 2)) is PathClass.Q4
-    assert classify(P("EN"), CornerFrame(0, 0, 1)) is PathClass.Q3
+    assert decompose(tuple("EDNNE"), CornerFrame(1, 1, 2)).path_class is PathClass.Q1
+    assert decompose(tuple("EDD"), CornerFrame(1, 0, 2)).path_class is PathClass.Q4
+    assert decompose(tuple("EN"), CornerFrame(0, 0, 1)).path_class is PathClass.Q3
 
 
 def test_classify_q2():
     # trace: (0,0),(0,1),(1,2),(1,3),(2,3),(3,3); bar is the north run (1,2)-(1,3)
-    assert classify(P("NDNEE"), CornerFrame(1, 1, 2)) is PathClass.Q2
+    assert decompose(tuple("NDNEE"), CornerFrame(1, 1, 2)).path_class is PathClass.Q2
 
 
 def test_classify_origin_corner_sends_everything_to_q3_q4():
     frame = CornerFrame(0, 0, 2)
-    from qdelannoy.paths import enumerate_paths
-
     for path in enumerate_paths(2, 2):
-        assert classify(path, frame) in (PathClass.Q3, PathClass.Q4)
+        assert decompose(path, frame).path_class in (PathClass.Q3, PathClass.Q4)
 
 
 def test_degenerate_frames_empty_classes():
-    from qdelannoy.paths import enumerate_paths
-
     frame = CornerFrame(1, 0, 2)  # k=0: no corner-avoiding path reaches the east arm
-    classes = {classify(p, frame) for p in enumerate_paths(3, 2)}
+    classes = {decompose(p, frame).path_class for p in enumerate_paths(3, 2)}
     assert PathClass.Q1 not in classes
     frame = CornerFrame(0, 1, 2)  # h=0: mirror case
-    classes = {classify(p, frame) for p in enumerate_paths(2, 3)}
+    classes = {decompose(p, frame).path_class for p in enumerate_paths(2, 3)}
     assert PathClass.Q2 not in classes
+
+
+def test_classes_are_total_and_disjoint():
+    # From the point list alone: a corner path is Q4 exactly when a D follows
+    # the corner; any other path meets exactly one open arm, and the east arm
+    # makes it Q1.
+    for n in range(1, 4):
+        for h in range(3):
+            for k in range(3):
+                frame = CornerFrame(h, k, n)
+                for path in enumerate_paths(h + n, k + n):
+                    points = path_points(path)
+                    cls = decompose(path, frame).path_class
+                    if (h, k) in points:
+                        after_corner = path[points.index((h, k)):]
+                        assert cls is (PathClass.Q4 if "D" in after_corner else PathClass.Q3)
+                        continue
+                    east = any(y == k and h < x <= h + n for x, y in points)
+                    north = any(x == h and k < y <= k + n for x, y in points)
+                    assert east != north, path_text(path)
+                    assert cls is (PathClass.Q1 if east else PathClass.Q2), path_text(path)
 
 
 # ---------------------------------------------------------------------------
 # Blocks
 # ---------------------------------------------------------------------------
 
-def test_blocks_q1():
-    bd = blocks(P("EDNNE"), CornerFrame(1, 1, 2))
-    assert bd.path_class is PathClass.Q1
-    assert bd.leading == ()
-    assert [path_text(b) for b in bd.blocks] == ["N", "NE"]
-
-
-def test_blocks_q4_pure_diagonal():
-    bd = blocks(P("EDD"), CornerFrame(1, 0, 2))
-    assert bd.leading == ()
-    assert [path_text(b) for b in bd.blocks] == ["D", "D"]
-
-
-def test_blocks_q2_all_east_hat():
-    bd = blocks(P("NDNEE"), CornerFrame(1, 1, 2))
-    assert bd.path_class is PathClass.Q2
-    assert [path_text(b) for b in bd.blocks] == ["E", "E"]
-
-
 def test_blocks_q4_with_leading_north_run():
-    # corner (1,0); tail from the corner is N D E with a leading north run
-    bd = blocks(P("ENDE"), CornerFrame(1, 0, 2))
-    assert bd.path_class is PathClass.Q4
-    assert path_text(bd.leading) == "N"
-    assert [path_text(b) for b in bd.blocks] == ["D", "E"]
-
-
-def test_blocks_rejects_q3():
-    with pytest.raises(ClassError):
-        blocks(P("EN"), CornerFrame(0, 0, 1))
+    # corner (1,0); the tail N D E is a leading north run, then the blocks D
+    # and E: the action swaps their labels and leaves the north run in place
+    o = orbit(tuple("ENDE"), CornerFrame(1, 0, 2))
+    assert o.path_class is PathClass.Q4
+    assert [path_text(m) for m in o.members] == ["ENDE", "ENED"]
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +176,8 @@ def test_blocks_rejects_q3():
 
 def test_act_q1_example():
     frame = CornerFrame(1, 1, 2)
-    before = P("EDNNE")
-    after = act(before, frame)
+    before = tuple("EDNNE")
+    _, after = orbit(before, frame).members
     assert path_text(after) == "EDNEN"
     assert sigma(before) == 6 and sigma(after) == 7
     # exact shift law: n*x(last block) - x(hat) = 2*1 - 1
@@ -211,28 +185,23 @@ def test_act_q1_example():
 
 
 def test_act_fixed_points():
-    assert act(P("EDD"), CornerFrame(1, 0, 2)) == P("EDD")  # all-diagonal tail
-    assert act(P("NDNEE"), CornerFrame(1, 1, 2)) == P("NDNEE")  # all-east hat
-
-
-def test_act_rejects_q3():
-    with pytest.raises(ClassError):
-        act(P("EN"), CornerFrame(0, 0, 1))
+    assert orbit(tuple("EDD"), CornerFrame(1, 0, 2)).members == (tuple("EDD"),)  # all-diagonal tail
+    assert orbit(tuple("NDNEE"), CornerFrame(1, 1, 2)).members == (tuple("NDNEE"),)  # all-east hat
 
 
 def test_act_preserves_class_and_has_period_n():
-    from qdelannoy.paths import enumerate_paths
-
+    # Each member's orbit is the same cycle, started one action later: the
+    # action maps members[i] to members[i + 1], and the last back to the first.
     frame = CornerFrame(1, 1, 3)
     for path in enumerate_paths(4, 4):
-        cls = classify(path, frame)
+        cls = decompose(path, frame).path_class
         if cls is PathClass.Q3:
             continue
-        cur = path
-        for _ in range(frame.n):
-            cur = act(cur, frame)
-            assert classify(cur, frame) is cls
-        assert cur == path
+        members = orbit(path, frame).members
+        assert members[0] == path and frame.n % len(members) == 0
+        for i, member in enumerate(members):
+            assert decompose(member, frame).path_class is cls
+            assert orbit(member, frame).members == members[i:] + members[:i]
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +209,22 @@ def test_act_preserves_class_and_has_period_n():
 # ---------------------------------------------------------------------------
 
 def test_orbit_q1_pair():
-    o = orbit(P("EDNNE"), CornerFrame(1, 1, 2))
+    o = orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
     assert o.size == 2
     assert o.weight == IntPoly.monomial(6) + IntPoly.monomial(7)
     assert reduce_mod(o.weight, 2).is_zero()
 
 
 def test_orbit_fixed_point():
-    o = orbit(P("EDD"), CornerFrame(1, 0, 2))
+    o = orbit(tuple("EDD"), CornerFrame(1, 0, 2))
     assert o.size == 1
-    assert o.weight == IntPoly.monomial(sigma(P("EDD")))
+    assert o.weight == IntPoly.monomial(sigma(tuple("EDD")))
     assert o.s_count == 2
 
 
 def test_orbit_q4_mixed_labels():
     # tail D then E from the corner (1,0): labels rotate with period 2
-    o = orbit(P("EDNE"), CornerFrame(1, 0, 2))
+    o = orbit(tuple("EDNE"), CornerFrame(1, 0, 2))
     assert o.path_class is PathClass.Q4
     assert o.size == 2
     assert o.s_count == 1
@@ -264,16 +233,14 @@ def test_orbit_q4_mixed_labels():
 
 def test_orbit_rejects_q3():
     with pytest.raises(ClassError):
-        orbit(P("EN"), CornerFrame(0, 0, 1))
+        orbit(tuple("EN"), CornerFrame(0, 0, 1))
 
 
 def test_orbit_sizes_divide_n_and_sums_vanish():
-    from qdelannoy.paths import enumerate_paths
-
     frame = CornerFrame(0, 1, 4)
     seen = set()
     for path in enumerate_paths(4, 5):
-        if path in seen or classify(path, frame) is PathClass.Q3:
+        if path in seen or decompose(path, frame).path_class is PathClass.Q3:
             continue
         o = orbit(path, frame)
         seen.update(o.members)
@@ -292,15 +259,15 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", no_shift)
     with pytest.raises(LawError, match="sigma shift law failed at EDNNE"):
-        orbit(P("EDNNE"), CornerFrame(1, 1, 2))
+        orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
     # an action that sends everything to EDNEN, with an honest shift, never returns
     def stuck(dec, frame):
-        return P("EDNEN"), sigma(P("EDNEN")) - sigma(dec.check + dec.bar + dec.hat)
+        return tuple("EDNEN"), sigma(tuple("EDNEN")) - sigma(dec.check + dec.bar + dec.hat)
 
     monkeypatch.setattr(orbits_module, "_act_with_shift", stuck)
     with pytest.raises(LawError, match="not n-periodic"):
-        orbit(P("EDNNE"), CornerFrame(1, 1, 2))
+        orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
 
 def test_audit_lets_an_unrelated_assertion_error_through(monkeypatch):
@@ -330,17 +297,15 @@ def test_orbit_action_invariants_on_random_frames():
     @hypothesis.given(frame_paths())
     def invariants(case):
         frame, path = case
-        cls = classify(path, frame)
+        cls = decompose(path, frame).path_class
         hypothesis.assume(cls is not PathClass.Q3)
         o = orbit(path, frame)
         assert frame.n % o.size == 0
-        assert all(classify(m, frame) is cls for m in o.members)
+        assert all(decompose(m, frame).path_class is cls for m in o.members)
         if o.size > 1:
             assert reduce_mod(o.weight, frame.n).is_zero()
-        cur = path
-        for _ in range(frame.n):
-            cur = act(cur, frame)
-        assert cur == path
+        # the action takes the last member back to the path
+        assert orbit(o.members[-1], frame).members == o.members[-1:] + o.members[:-1]
 
     invariants()
 
@@ -379,7 +344,7 @@ def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
 
     # Pair two Q1 paths whose sigmas differ by 2: 1 + q^2 is 2 mod Phi_2.
     frame = CornerFrame(1, 1, 2)
-    q1 = [p for p in enumerate_paths(3, 3) if classify(p, frame) is PathClass.Q1]
+    q1 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q1]
     a, b = next((a, b) for a in q1 for b in q1 if sigma(b) - sigma(a) == 2)
     act_with_shift = orbits_module._act_with_shift
 

@@ -8,7 +8,6 @@ from qdelannoy.qcore import delannoy
 from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.paths import (
     enumerate_paths,
-    path_from_text,
     path_text,
     sigma,
     sigma_poly,
@@ -27,11 +26,11 @@ def test_sigma_single_diagonal():
 
 def test_sigma_edn():
     # D ends at x=2, N ends at x=2
-    assert sigma(path_from_text("EDN")) == 4
+    assert sigma(tuple("EDN")) == 4
 
 
 def test_displacements():
-    p = path_from_text("EDNND")
+    p = tuple("EDNND")
     assert x_of(p) == 3
     assert y_of(p) == 4
     assert path_points(p) == [(0, 0), (1, 0), (2, 1), (2, 2), (2, 3), (3, 4)]
@@ -39,7 +38,7 @@ def test_displacements():
 
 
 def test_concat_identity():
-    p = path_from_text("DEN")
+    p = tuple("DEN")
     assert p + () == p
     assert sigma(p + ()) == sigma(p)
 
@@ -101,6 +100,14 @@ def test_enumeration_rejects_negative_targets():
         list(enumerate_paths(-1, 2))
 
 
+@pytest.mark.parametrize("h, k", [(1.5, 1), (1, 2.0), (True, 1), (1, False), ("2", 1)])
+def test_enumeration_rejects_non_int_targets(h, k):
+    # Raised by the call itself, before any path is asked for: a half-step
+    # target would otherwise never be reached and the walk would never end.
+    with pytest.raises(TypeError, match="target coordinates must be int"):
+        enumerate_paths(h, k)
+
+
 def test_sigma_poly_spot_values():
     assert sigma_poly(1, 1) == IntPoly([1, 2])
     assert sigma_poly(2, 2) == IntPoly([1, 2, 4, 4, 2])
@@ -122,8 +129,6 @@ def test_max_sigma_equals_polynomial_degree():
 
 
 def test_path_text_round_trip():
-    p = path_from_text("EDN")
+    p = tuple("EDN")
     assert path_text(p) == "EDN"
-    assert path_from_text(path_text(p)) == p
-    with pytest.raises(ValueError):
-        path_from_text("EXN")
+    assert tuple(path_text(p)) == p

@@ -16,13 +16,11 @@ from qdelannoy.congruence import (
 )
 from qdelannoy.orbits import (
     AuditReport,
-    BlockDecomposition,
     CornerFrame,
     Decomposition,
     Orbit,
     PathClass,
     audit,
-    blocks,
     decompose,
     orbit,
 )
@@ -34,7 +32,6 @@ Q2_PATH = (N, E, N, E, E)
 RECORDS = [
     FRAME,
     decompose(Q2_PATH, FRAME),
-    blocks(Q2_PATH, FRAME),
     orbit(Q2_PATH, FRAME),
     audit(CornerFrame(0, 0, 1)),
     verify_theorem2(1, 0, 0),
@@ -48,7 +45,6 @@ def test_every_record_type_is_covered():
     assert [type(record) for record in RECORDS] == [
         CornerFrame,
         Decomposition,
-        BlockDecomposition,
         Orbit,
         AuditReport,
         CongruenceReport,
