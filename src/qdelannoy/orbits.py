@@ -28,26 +28,27 @@ Three cyclic actions of order n drive the congruence bookkeeping:
   keeping every north run in place.
 
 So a Q1/Q2 action is two slices of the hat at its last lead step, and a Q4
-action rewrites the lead positions of the tail; `_segment` checks the block
+action rewrites the lead positions of the tail; `_act` checks the block
 structure both rely on.
 
 Each action preserves its class, has period dividing n, and changes sigma
 by an exact amount that is nonzero mod n away from the fixed points, which
 is why every non-singleton orbit's q^sigma sum vanishes mod Phi_n.  The
 audit verifies all of this exhaustively for one frame, plus the closed
-forms of the four fixed-point sums.  `orbit` and `audit` share one orbit
-walk, which raises LawError when a law breaks.  The audit scans each path
-once: one walk over its steps gives its decomposition, its sigma and its
-sigma reassembled from the pieces.  The audit runs the orbit walk at the
-first path of each orbit, keeps the walk's scan of every later member for
-when the enumeration reaches it, records any raise as a violation, and
-takes S1/S2/S4 from the singleton orbits.
+forms of the four fixed-point sums.  The enumeration scans, the action
+predicts, and the audit checks each prediction when the image arrives.
+The per-step kernel `_step` scans a path (check end, bar end, class, sigma
+and sigma reassembled from the pieces), once per prefix-trie node in the
+audit and over one path in `decompose` and `orbit`.  The orbit walk runs
+on predicted scans alone.  A scan that misses its prediction breaks the
+shift law or class closure; a prediction left over at the end, a path two
+orbits claim, and any LawError are violations too.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple, Optional
 
 from .cyclotomic import congruent
@@ -55,16 +56,7 @@ from .polyring import IntPoly
 from .qcore import delannoy, q_binomial
 from .qdelannoy import q_delannoy_rec
 from .residue import phi_test
-from .paths import (
-    D,
-    E,
-    N,
-    Path,
-    enumerate_paths,
-    path_text,
-    x_of,
-    y_of,
-)
+from .paths import D, E, N, Path, path_text, x_of, y_of
 
 
 class FrameError(ValueError):
@@ -153,182 +145,193 @@ class Orbit(NamedTuple):
     s_count: Optional[int]
 
 
-def _scan(path: Path, frame: CornerFrame) -> tuple[Decomposition, int, int]:
-    """Decomposition, sigma and reassembled sigma of a path, in one walk over its steps.
+Scan = tuple[int, int, PathClass, int]  # where the check ends, where the bar ends, class, sigma
 
-    sigma sums the global x of every y-raising step.  The reassembled sigma
-    sums the check's and the hat's own sigma, each counted from the start of
-    its piece, and adds the concatenation law's cross terms
-    x(check)*y(bar) + (x(check) + x(bar))*y(hat); the bar is a run of E
-    steps or of N steps, so its own sigma is 0.
+
+def _start(h: int, k: int) -> tuple:
+    """The `_step` state of the empty path; at h = k = 0 the origin is the corner."""
+    return ((None, None, None) if h or k else (0, None, Q3)) + (0, 0, 0, 0, 0, None, 0, 0)
+
+
+def _step(state: tuple, s: str, h: int, k: int) -> tuple:
+    """Extend a path's scan by one step s, for the corner (h,k).
+
+    The state is (first, last, class, sigma, reassembled, steps, x, y, arm,
+    base, own_x), and its first four fields are the `Scan`.  The check ends
+    at the first point with x >= h and y >= k, which lies on an arm: an open
+    arm gives Q1 or Q2, and at the corner the next step picks the arm (a D
+    leaves the bar empty); the class stays Q3 until a D in the hat (Q4).  The
+    reassembled sigma sums the check's sigma, x(check) per north bar step,
+    and per y-raising hat step the hat's own x plus `base`, its start x.
+    """
+    first, last, cls, total, reassembled, i, x, y, arm, base, own_x = state
+    if last is None and first is not None and s != arm:
+        if arm is None and s != D:
+            arm = s
+        else:
+            last, base = i, x
+    i += 1
+    x += s != N
+    if s != E:
+        y += 1
+        total += x
+    if last is not None:
+        own_x += s != N
+        if s != E:
+            reassembled += own_x + base
+            if s == D and cls is Q3:
+                cls = Q4
+    elif first is None:
+        if x >= h and y >= k:
+            first, reassembled = i, total
+            if x > h:
+                cls, arm = Q1, E
+            elif y > k:
+                cls, arm = Q2, N
+            else:
+                cls = Q3
+    elif s == N:
+        reassembled += x
+    return first, last, cls, total, reassembled, i, x, y, arm, base, own_x
+
+
+def _scan(path: Path, frame: CornerFrame) -> tuple:
+    """The `_step` state of one whole path."""
+    h, k, n = frame
+    end = (len(path) - path.count(N), len(path) - path.count(E))
+    if end != frame.target:
+        raise FrameError(f"path ends at {end}, frame expects {frame.target}")
+    state = _start(h, k)
+    for s in path:
+        state = _step(state, s, h, k)
+    return state
+
+
+def _scan_trie(frame: CornerFrame) -> Iterator[tuple[Path, tuple]]:
+    """Every path of the frame in `enumerate_paths` order, with its `_step` state.
+
+    Depth first over the E -> N -> D prefix trie on an explicit stack: each
+    trie node is one `_step` from its parent's state.
     """
     h, k, n = frame
-    size = len(path)
-    if size - path.count(N) != h + n or size - path.count(E) != k + n:
-        end = (size - path.count(N), size - path.count(E))
-        raise FrameError(f"path ends at {end}, frame expects {frame.target}")
-    x = y = total = first = 0
-    # Steps raise x and y by at most one, so the first point with x >= h and
-    # y >= k lies on an arm, and it comes before the end (h+n, k+n): this
-    # walk stops inside the path.
-    while x < h or y < k:
-        s = path[first]
-        first += 1
-        if s != N:
-            x += 1
-        if s != E:
-            y += 1
-            total += x
-    xc, reassembled = x, total
-    # The bar is the run along the arm it starts on; at the corner the next
-    # step picks the arm, and a D step leaves the bar empty.  From L_E the
-    # path still has n rows to climb, and from L_N n columns to cross, so the
-    # run stops inside the path and never passes the arm's end.
-    last = first
-    xb = yb = 0
-    if y == k and (x > h or path[first] == E):
-        while path[last] == E:
-            last += 1
-        xb = last - first
-    elif x == h and (y > k or path[first] == N):
-        while path[last] == N:
-            last += 1
-            total += x
-        yb = last - first
-    hat = path[last:]
-    if x == h and y == k:
-        path_class = Q4 if D in hat else Q3
-    else:
-        path_class = Q1 if y == k else Q2
-    x += xb
-    own_x = 0
-    for s in hat:
-        if s != N:
-            x += 1
-            own_x += 1
-        if s != E:
-            total += x
-            reassembled += own_x
-    reassembled += xc * yb + (xc + xb) * (len(hat) - hat.count(E))
-    return Decomposition(path[:first], path[first:last], hat, path_class), total, reassembled
+    step = _step
+    stack = [(_start(h, k), ())]
+    while stack:
+        state, path = stack.pop()
+        x, y = state[6], state[7]
+        if x < h + n:
+            if y < k + n:
+                stack.append((step(state, D, h, k), path + (D,)))
+                stack.append((step(state, N, h, k), path + (N,)))
+            stack.append((step(state, E, h, k), path + (E,)))
+        elif y < k + n:
+            stack.append((step(state, N, h, k), path + (N,)))
+        else:
+            yield path, state
 
 
 def decompose(path: Path, frame: CornerFrame) -> Decomposition:
     """Split a path around its anchor stretch, and give its class."""
-    return _scan(path, frame)[0]
+    first, last, cls = _scan(path, frame)[:3]
+    return Decomposition(path[:first], path[first:last], path[last:], cls)
 
 
-def _segment(dec: Decomposition, frame: CornerFrame) -> tuple[Path, str]:
-    """The segment the class action permutes, and the step its blocks run on.
+def _act(path: Path, scan: Scan, frame: CornerFrame) -> tuple[Path, Scan]:
+    """Apply the class action (never to Q3) once; return the image and its predicted scan.
 
-    A block is a lead step (any step but the run step) plus the run after it;
-    anything before the first lead is the leading run.  Raises LawError
-    unless the segment has exactly n blocks and a Q1/Q2 hat opens with a lead.
-    The class is never Q3: `orbit` and `audit` turn Q3 paths away first.
+    A block is a lead step (any step but the run step) plus the run after
+    it.  Raises LawError unless the segment has exactly n blocks and a Q1/Q2
+    hat opens with a lead.  The image keeps the check and the class, and a
+    Q1/Q2 image its bar; sigma moves by the exact shift.
     """
-    cls = dec.path_class
-    if cls is Q1:
-        segment, run = dec.hat, E
-        if segment and segment[0] == run:
-            raise LawError("a Q1 hat must open with a y-raising step")
-    elif cls is Q2:
-        segment, run = dec.hat, N
-        if segment and segment[0] == run:
-            raise LawError("a Q2 hat must open with an x-raising step")
-    else:
-        segment, run = dec.tail, N
+    first, last, cls, s = scan
+    n = frame.n
+    run = E if cls is Q1 else N
+    segment = path[first:] if cls is Q4 else path[last:]
+    if cls is not Q4 and segment and segment[0] == run:
+        raise LawError(f"a {cls.value} hat must open with {'a y' if cls is Q1 else 'an x'}-raising step")
     found = len(segment) - segment.count(run)
-    if found != frame.n:
-        raise LawError(f"expected {frame.n} blocks, found {found}")
-    return segment, run
-
-
-def _act_with_shift(dec: Decomposition, frame: CornerFrame) -> tuple[Path, int]:
-    """Apply the class action once; also return the exact predicted sigma shift."""
-    segment, run = _segment(dec, frame)
-    cls, n = dec.path_class, frame.n
+    if found != n:
+        raise LawError(f"expected {n} blocks, found {found}")
     if cls is Q4:
-        # Rotate the lead labels one place along the lead positions.
-        leads = [i for i, s in enumerate(segment) if s != run]
-        labels = [segment[i] for i in leads]
-        shift = labels.count(D) - n * (labels[-1] == D)
+        # Rotate the lead labels one place along the lead positions; only leads are D.
+        leads = [i for i, t in enumerate(segment) if t != run]
         tail = list(segment)
-        for i, label in zip(leads, labels[-1:] + labels[:-1]):
-            tail[i] = label
-        return dec.check + tuple(tail), shift
+        label = segment[leads[-1]]
+        shift = segment.count(D) - n * (label == D)
+        for i in leads:
+            tail[i], label = label, tail[i]
+        bar = 0  # the length of the run a Q4 tail opens with; a D opens none
+        while tail[bar] == tail[0] != D:
+            bar += 1
+        return path[:first] + tuple(tail), (first, first + bar, Q4, s + shift)
     # Q1/Q2: the final block, from the last lead on, moves to the front of the hat.
     cut = len(segment) - 1
     while segment[cut] == run:
         cut -= 1
-    last = segment[cut:]
-    if cls is Q1:
-        shift = n * x_of(last) - x_of(segment)
+    block = segment[cut:]
+    if cls is Q1:  # n * x(block) - x(hat), and y(hat) - n * y(block) for Q2
+        shift = n * (len(block) - block.count(N)) - (len(segment) - segment.count(N))
     else:
-        shift = y_of(segment) - n * y_of(last)
-    return dec.check + dec.bar + last + segment[:cut], shift
+        shift = len(segment) - segment.count(E) - n * (len(block) - block.count(E))
+    return path[:last] + block + segment[:cut], (first, last, cls, s + shift)
+
+
+def _mismatch(predicted: Scan, scanned: Scan, prev: Path) -> str:
+    """The law broken at `prev` when its image's scan misses the prediction: sigma's shift, else class closure."""
+    cls = predicted[2].value
+    if predicted[3] != scanned[3]:
+        return f"sigma shift law failed at {path_text(prev)} ({cls})"
+    return f"action left {cls} at {path_text(prev)}"
 
 
 def _weight(sigmas: list[int]) -> IntPoly:
-    if not sigmas:
-        return IntPoly()
-    counts = [0] * (max(sigmas) + 1)
-    for s in sigmas:
-        counts[s] += 1
-    return IntPoly(counts)
+    return sum((IntPoly.monomial(s) for s in sigmas), IntPoly())
 
 
-def _walk_orbit(
-    path: Path, scanned: tuple[Decomposition, int, int], frame: CornerFrame
-) -> dict[Path, tuple[Decomposition, int, int]]:
-    """Every member of the orbit of `path`, in action order, with its `_scan` triple.
+def _walk_orbit(path: Path, scan: Scan, frame: CornerFrame) -> dict[Path, tuple[Scan, Optional[Path]]]:
+    """Every member of the orbit of `path` in action order, with its predicted scan and predecessor.
 
-    `scanned` is the scan of `path` itself; each later member is scanned
-    once, and the return to `path` needs no scan.  Raises LawError when a
-    step misses its predicted sigma shift or leaves the class, or when the
-    action does not return to the path within n steps.
+    `scan` is the scan of `path`.  The walk scans nothing, so the caller
+    checks each later prediction.  Raises LawError when the action predicts
+    another class, returns to `path` off its scan, does not return within n
+    steps, or revisits a later member.
     """
-    dec, s, _ = scanned
-    cls = dec.path_class
-    members = {path: scanned}
+    cls = scan[2]
+    members: dict[Path, tuple[Scan, Optional[Path]]] = {path: (scan, None)}
     prev = path
     while True:
-        nxt, predicted = _act_with_shift(dec, frame)
-        seen = members.get(nxt)
-        scanned = _scan(nxt, frame) if seen is None else seen
-        t = scanned[1]
-        if t - s != predicted:
-            raise LawError(f"sigma shift law failed at {path_text(prev)} ({cls.value})")
+        nxt, predicted = _act(prev, scan, frame)
+        if predicted[2] is not cls:
+            raise LawError(f"action left {cls.value} at {path_text(prev)}")
         if nxt == path:
+            if predicted != members[path][0]:
+                raise LawError(_mismatch(predicted, members[path][0], prev))
             return members
         if len(members) == frame.n:
             raise LawError(f"action not n-periodic at {path_text(path)} ({cls.value})")
-        if seen is not None:
+        if nxt in members:
             raise LawError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
-        dec = scanned[0]
-        if dec.path_class is not cls:
-            raise LawError(f"action left {cls.value} at {path_text(prev)}")
-        members[nxt] = scanned
-        prev, s = nxt, t
+        members[nxt] = predicted, prev
+        prev, scan = nxt, predicted
 
 
 def orbit(path: Path, frame: CornerFrame) -> Orbit:
     """Trajectory of a path under its action; the size always divides n.
 
-    Raises LawError when a law of the action breaks.
+    Raises LawError when a law breaks, or a member's scan misses its prediction.
     """
-    scanned = _scan(path, frame)
-    dec = scanned[0]
-    cls = dec.path_class
+    scan = _scan(path, frame)[:4]
+    cls = scan[2]
     if cls is Q3:
         raise ClassError("Q3 paths carry no cyclic action")
-    members = _walk_orbit(path, scanned, frame)
-    return Orbit(
-        members=tuple(members),
-        size=len(members),
-        weight=_weight([s for _, s, _ in members.values()]),
-        path_class=cls,
-        s_count=dec.tail.count(D) if cls is Q4 else None,
-    )
+    members = _walk_orbit(path, scan, frame)
+    for member, (predicted, prev) in list(members.items())[1:]:
+        scanned = _scan(member, frame)[:4]
+        if scanned != predicted:
+            raise LawError(_mismatch(predicted, scanned, prev))
+    weight = _weight([p[3] for p, _ in members.values()])
+    return Orbit(tuple(members), len(members), weight, cls, path[scan[0]:].count(D) if cls is Q4 else None)
 
 
 # (n, bound) -> phi_test(n, bound).  An audit asks for one n, and an orbit has
@@ -418,50 +421,55 @@ def audit(frame: CornerFrame) -> AuditReport:
     grand_counts = [0] * degrees
     fixed_counts_by_sigma = {cls: [0] * degrees for cls in PathClass}
     total_paths = 0
-    # scans of finished orbits' members that the enumeration has not reached yet
-    ahead: dict[Path, tuple[Decomposition, int, int]] = {}
+    # predictions for finished orbits' members that the enumeration has not
+    # reached yet, each with the member the action was applied to
+    ahead: dict[Path, tuple[Scan, Optional[Path]]] = {}
 
-    for path in enumerate_paths(h + n, k + n):
+    for path, state in _scan_trie(frame):
         total_paths += 1
-        walked = ahead.pop(path, None)
-        scanned = _scan(path, frame) if walked is None else walked
-        dec, s, reassembled = scanned
-        if s != reassembled:
+        first, last, cls, s = scan = state[:4]
+        if s != state[4]:
             violate(f"sigma reassembly failed for {path_text(path)}")
-        cls = dec.path_class
         counts[cls] += 1
         grand_counts[s] += 1
+        walked = ahead.pop(path, None)
+        if walked is not None and walked[0] != scan:
+            violate(_mismatch(walked[0], scan, walked[1]))
         if cls is Q3:
             fixed_counts_by_sigma[cls][s] += 1
-            continue
-        if walked is not None:
+        if cls is Q3 or walked is not None:
             continue
         try:
-            members = _walk_orbit(path, scanned, frame)
+            members = _walk_orbit(path, scan, frame)
         except ValueError as exc:
             violate(str(exc))
             continue
-        later = iter(members.items())
-        next(later)
-        ahead.update(later)
+        if not ahead.keys().isdisjoint(members):
+            claimed = next(p for p in members if p in ahead)
+            violate(f"orbits overlap at {path_text(claimed)} ({cls.value})")
+            continue
+        ahead.update(list(members.items())[1:])
         size = len(members)
         hist = orbit_histograms[cls.value]
         hist[size] = hist.get(size, 0) + 1
         if n % size != 0:
             violate(f"orbit size {size} does not divide n at {path_text(path)}")
         if cls is Q1:
-            is_fixed_char = x_of(dec.hat) == 0
+            is_fixed_char = x_of(path[last:]) == 0
         elif cls is Q2:
-            is_fixed_char = y_of(dec.hat) == 0
+            is_fixed_char = y_of(path[last:]) == 0
         else:
-            is_fixed_char = dec.tail.count(D) == n
+            is_fixed_char = path[first:].count(D) == n
         if (size == 1) != is_fixed_char:
             violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
         if size == 1:
             fixed_counts_by_sigma[cls][s] += 1
-        elif not _orbit_sum_vanishes([t for _, t, _ in members.values()], n):
+        elif not _orbit_sum_vanishes([p[3] for p, _ in members.values()], n):
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
+    # An image left here fell outside the frame, or came before its orbit's start.
+    for image, (predicted, prev) in ahead.items():
+        violate(f"action image {path_text(image)} of {path_text(prev)} ({predicted[2].value}) never reached")
     if total_paths != delannoy(h + n, k + n):
         violate(f"enumerated {total_paths} paths, expected delannoy({h + n},{k + n})")
     class_counts = {cls.value: c for cls, c in counts.items()}
@@ -492,15 +500,7 @@ def audit(frame: CornerFrame) -> AuditReport:
     if grand_total != q_delannoy_rec(h + n, k + n):
         violate("grand total differs from the q-Delannoy polynomial")
 
+    sums = {"S1": s1, "S2": s2, "S3": s3, "S4": s4}
     return AuditReport(
-        h=h,
-        k=k,
-        n=n,
-        total_paths=total_paths,
-        class_counts=class_counts,
-        orbit_histograms=orbit_histograms,
-        fixed_counts=fixed_counts,
-        sums={"S1": s1, "S2": s2, "S3": s3, "S4": s4},
-        grand_total=grand_total,
-        violations=violations,
+        h, k, n, total_paths, class_counts, orbit_histograms, fixed_counts, sums, grand_total, violations
     )

@@ -422,13 +422,13 @@ def test_audit_golden_output(frame, text_digest, json_digest, as_json, tmp_path)
 def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
     import qdelannoy.orbits as orbits_module
 
-    act_with_shift = orbits_module._act_with_shift
+    act = orbits_module._act
 
-    def wrong_shift(dec, frame):
-        path, shift = act_with_shift(dec, frame)
-        return path, shift + 1
+    def wrong_shift(path, scan, frame):
+        image, predicted = act(path, scan, frame)
+        return image, predicted[:3] + (predicted[3] + 1,)
 
-    monkeypatch.setattr(orbits_module, "_act_with_shift", wrong_shift)
+    monkeypatch.setattr(orbits_module, "_act", wrong_shift)
     target = tmp_path / "out.txt"
     assert main(["orbits", "audit", "--h", "1", "--k", "1", "--n", "2", "--json", "--out", str(target)]) == 1
     payload = json.loads(target.read_text())
@@ -439,13 +439,13 @@ def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
 def test_audit_reassembly_fault_is_a_violation(monkeypatch, tmp_path):
     import qdelannoy.orbits as orbits_module
 
-    scan = orbits_module._scan
+    step = orbits_module._step
 
-    def off_by_one(path, frame):
-        dec, s, reassembled = scan(path, frame)
-        return dec, s, reassembled + 1
+    def off_by_one(state, s, h, k):
+        state = step(state, s, h, k)
+        return state[:4] + (state[4] + 1,) + state[5:]
 
-    monkeypatch.setattr(orbits_module, "_scan", off_by_one)
+    monkeypatch.setattr(orbits_module, "_step", off_by_one)
     target = tmp_path / "out.txt"
     assert main(["orbits", "audit", "--h", "1", "--k", "1", "--n", "2", "--json", "--out", str(target)]) == 1
     payload = json.loads(target.read_text())

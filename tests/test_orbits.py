@@ -6,7 +6,7 @@ import reference
 from reference import path_points, poly_from_json
 from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
-from qdelannoy.qcore import q_binomial
+from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.orbits import (
     ClassError,
@@ -81,23 +81,36 @@ def test_decompose_and_act_match_reference(n):
             assert dec == reference.decompose(path, frame), path_text(path)
             if dec.path_class is PathClass.Q3:
                 continue
-            assert orbits_module._act_with_shift(dec, frame) == reference.act_with_shift(dec, frame)
+            scan = orbits_module._scan(path, frame)[:4]
+            image, predicted = orbits_module._act(path, scan, frame)
+            ref_image, shift = reference.act_with_shift(dec, frame)
+            assert image == ref_image, path_text(path)
+            assert predicted[3] == sigma(path) + shift, path_text(path)
+            # The image is a path of this frame too, so its scan is checked
+            # against the reference where the loop reaches it.
+            assert predicted == orbits_module._scan(image, frame)[:4], path_text(path)
 
 
 def test_scan_matches_reference():
+    # The trie walk drives the per-step kernel; every path's final state must
+    # agree with the reference decomposition and with `sigma`.
     import qdelannoy.orbits as orbits_module
 
-    for n in range(1, 4):
-        for h in range(3):
-            for k in range(3):
-                frame = CornerFrame(h, k, n)
-                for path in enumerate_paths(h + n, k + n):
-                    dec, s, reassembled = orbits_module._scan(path, frame)
-                    assert dec == reference.decompose(path, frame), path_text(path)
-                    assert s == sigma(path), path_text(path)
-                    xc, xb = reference.x_of(dec.check), reference.x_of(dec.bar)
-                    cross = xc * reference.y_of(dec.bar) + (xc + xb) * reference.y_of(dec.hat)
-                    assert reassembled == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
+    for n, corners in ORACLE_FRAMES.items():
+        for h, k in corners:
+            frame = CornerFrame(h, k, n)
+            scanned = list(orbits_module._scan_trie(frame))
+            assert [path for path, _ in scanned] == list(enumerate_paths(h + n, k + n))
+            for path, state in scanned:
+                first, last, cls, s, reassembled = state[:5]
+                dec = reference.decompose(path, frame)
+                assert (first, last) == (len(dec.check), len(dec.check + dec.bar)), path_text(path)
+                assert cls is dec.path_class, path_text(path)
+                assert s == sigma(path), path_text(path)
+                xc, xb = reference.x_of(dec.check), reference.x_of(dec.bar)
+                cross = xc * reference.y_of(dec.bar) + (xc + xb) * reference.y_of(dec.hat)
+                assert reassembled == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
+                assert orbits_module._scan(path, frame) == state
 
 
 def test_reassembly_covers_whole_path():
@@ -252,20 +265,29 @@ def test_orbit_sizes_divide_n_and_sums_vanish():
 def test_orbit_raises_when_a_law_breaks(monkeypatch):
     import qdelannoy.orbits as orbits_module
 
-    act_with_shift = orbits_module._act_with_shift
+    act = orbits_module._act
 
-    def no_shift(dec, frame):
-        return act_with_shift(dec, frame)[0], 0
+    def no_shift(path, scan, frame):
+        image, predicted = act(path, scan, frame)
+        return image, predicted[:3] + (scan[3],)
 
-    monkeypatch.setattr(orbits_module, "_act_with_shift", no_shift)
+    monkeypatch.setattr(orbits_module, "_act", no_shift)
     with pytest.raises(LawError, match="sigma shift law failed at EDNNE"):
         orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
-    # an action that sends everything to EDNEN, with an honest shift, never returns
-    def stuck(dec, frame):
-        return tuple("EDNEN"), sigma(tuple("EDNEN")) - sigma(dec.check + dec.bar + dec.hat)
+    def wrong_shift(path, scan, frame):
+        image, predicted = act(path, scan, frame)
+        return image, predicted[:3] + (predicted[3] + 1,)
 
-    monkeypatch.setattr(orbits_module, "_act_with_shift", stuck)
+    monkeypatch.setattr(orbits_module, "_act", wrong_shift)
+    with pytest.raises(LawError, match="sigma shift law failed at EDNEN"):
+        orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
+
+    # an action that sends everything to EDNEN, with an honest prediction, never returns
+    def stuck(path, scan, frame):
+        return tuple("EDNEN"), orbits_module._scan(tuple("EDNEN"), frame)[:4]
+
+    monkeypatch.setattr(orbits_module, "_act", stuck)
     with pytest.raises(LawError, match="not n-periodic"):
         orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
@@ -273,10 +295,10 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 def test_audit_lets_an_unrelated_assertion_error_through(monkeypatch):
     import qdelannoy.orbits as orbits_module
 
-    def broken(dec, frame):
+    def broken(path, scan, frame):
         raise AssertionError("not a law of the action")
 
-    monkeypatch.setattr(orbits_module, "_act_with_shift", broken)
+    monkeypatch.setattr(orbits_module, "_act", broken)
     with pytest.raises(AssertionError, match="not a law of the action"):
         orbits_module.audit(CornerFrame(1, 1, 2))
 
@@ -346,16 +368,15 @@ def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
     frame = CornerFrame(1, 1, 2)
     q1 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q1]
     a, b = next((a, b) for a in q1 for b in q1 if sigma(b) - sigma(a) == 2)
-    act_with_shift = orbits_module._act_with_shift
+    act = orbits_module._act
 
-    def swap(dec, frame):
-        path = dec.check + dec.bar + dec.hat
+    def swap(path, scan, frame):
         if path in (a, b):
             other = b if path == a else a
-            return other, sigma(other) - sigma(path)
-        return act_with_shift(dec, frame)
+            return other, orbits_module._scan(other, frame)[:4]
+        return act(path, scan, frame)
 
-    monkeypatch.setattr(orbits_module, "_act_with_shift", swap)
+    monkeypatch.setattr(orbits_module, "_act", swap)
     report = orbits_module.audit(frame)
     assert f"orbit sum not divisible by Phi_2 at {path_text(min(a, b, key=q1.index))}" in report.violations
 
@@ -454,7 +475,7 @@ def test_audit_scans_each_path_once(monkeypatch):
     import qdelannoy.orbits as orbits_module
     import qdelannoy.paths as paths_module
 
-    calls = {"_scan": 0, "decompose": 0, "sigma": 0}
+    calls = {"_step": 0, "_scan": 0, "decompose": 0, "sigma": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -463,13 +484,137 @@ def test_audit_scans_each_path_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(orbits_module, "_scan", counted("_scan", orbits_module._scan))
-    monkeypatch.setattr(orbits_module, "decompose", counted("decompose", orbits_module.decompose))
+    for name in ("_step", "_scan", "decompose"):
+        monkeypatch.setattr(orbits_module, name, counted(name, getattr(orbits_module, name)))
     for module in (paths_module, orbits_module):
         monkeypatch.setattr(module, "sigma", counted("sigma", paths_module.sigma), raising=False)
     report = orbits_module.audit(CornerFrame(2, 2, 3))
     assert report.ok
-    assert calls == {"_scan": report.total_paths, "decompose": 0, "sigma": 0}
+
+    # One kernel step per trie node: every non-empty prefix of a path to
+    # (5,5) is one path from the origin to a point of the box.
+    def nodes(x, y):
+        return sum(delannoy(i, j) for i in range(x + 1) for j in range(y + 1)) - 1
+
+    assert nodes(7, 7) == 132_863  # the benchmark's frames (3,3,4) and (2,2,5)
+    assert calls == {"_step": nodes(5, 5), "_scan": 0, "decompose": 0, "sigma": 0}
+
+
+# ---------------------------------------------------------------------------
+# Predictions the enumeration must confirm
+# ---------------------------------------------------------------------------
+
+def test_audit_reports_a_wrong_predicted_class(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    act = orbits_module._act
+    frame = CornerFrame(1, 1, 2)
+
+    # The action names another class for its image: caught as it acts.
+    def misnamed(path, scan, frame):
+        image, (first, last, cls, s) = act(path, scan, frame)
+        return image, (first, last, PathClass.Q2 if cls is PathClass.Q1 else cls, s)
+
+    monkeypatch.setattr(orbits_module, "_act", misnamed)
+    assert orbits_module.audit(frame).violations[0] == "action left Q1 at EEENNN"
+
+    # The image lies in another class than the one predicted: caught when the
+    # enumeration reaches it.
+    q1 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q1]
+    q2 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q2]
+    a, c = q1[0], q2[-1]
+
+    def leaves(path, scan, frame):
+        if path == a:
+            return c, scan[:3] + (sigma(c),)
+        if path == c:
+            return a, orbits_module._scan(a, frame)[:4]
+        return act(path, scan, frame)
+
+    monkeypatch.setattr(orbits_module, "_act", leaves)
+    assert f"action left Q1 at {path_text(a)}" in orbits_module.audit(frame).violations
+
+
+def test_audit_checks_each_prediction_on_arrival(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    act = orbits_module._act
+
+    # With no shift the predicted sigmas agree around each orbit, so the walk
+    # closes; only the scan of each image, when the enumeration reaches it,
+    # shows the shift law broken.
+    def no_shift(path, scan, frame):
+        image, predicted = act(path, scan, frame)
+        return image, predicted[:3] + (scan[3],)
+
+    monkeypatch.setattr(orbits_module, "_act", no_shift)
+    violations = orbits_module.audit(CornerFrame(1, 1, 2)).violations
+    assert "sigma shift law failed at EENNEN (Q1)" in violations
+    assert not any(v.startswith(("action", "orbits overlap")) for v in violations)
+
+
+def test_audit_reports_images_never_reached(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    act = orbits_module._act
+    frame = CornerFrame(1, 1, 2)
+    first = next(enumerate_paths(3, 3))
+    outside = first + ("E",)
+
+    # An image outside the frame: its orbit closes, but the enumeration never
+    # reaches the image.
+    def escapes(path, scan, frame):
+        if path == first:
+            return outside, scan
+        if path == outside:
+            return first, scan
+        return act(path, scan, frame)
+
+    monkeypatch.setattr(orbits_module, "_act", escapes)
+    report = orbits_module.audit(frame)
+    assert f"action image {path_text(outside)} of {path_text(first)} (Q1) never reached" in report.violations
+    monkeypatch.undo()
+
+    # An image enumerated before its orbit's start.
+    walk = orbits_module._walk_orbit
+    starts = []
+
+    def claims_an_earlier_path(path, scan, frame):
+        members = walk(path, scan, frame)
+        starts.append(path)
+        if len(starts) == 2:
+            members[first] = orbits_module._scan(first, frame)[:4], path
+        return members
+
+    monkeypatch.setattr(orbits_module, "_walk_orbit", claims_an_earlier_path)
+    report = orbits_module.audit(frame)
+    assert f"action image {path_text(first)} of {path_text(starts[1])} (Q1) never reached" in report.violations
+
+
+def test_audit_reports_two_orbits_claiming_one_image(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    frame = CornerFrame(1, 1, 2)
+    order = {path: i for i, path in enumerate(enumerate_paths(3, 3))}
+    walk = orbits_module._walk_orbit
+    pending, claimed = [], []
+
+    # An orbit walked while an earlier orbit's member still waits for the
+    # enumeration claims that member too.
+    def claims_again(path, scan, frame):
+        members = walk(path, scan, frame)
+        waiting = [p for p in pending if order[p] > order[path]]
+        if waiting and not claimed:
+            claimed.extend((waiting[0], path))
+            members[waiting[0]] = orbits_module._scan(waiting[0], frame)[:4], path
+        pending.extend(list(members)[1:])
+        return members
+
+    monkeypatch.setattr(orbits_module, "_walk_orbit", claims_again)
+    report = orbits_module.audit(frame)
+    image, start = claimed
+    cls = decompose(start, frame).path_class.value
+    assert f"orbits overlap at {path_text(image)} ({cls})" in report.violations
 
 
 @pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
