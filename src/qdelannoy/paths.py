@@ -78,7 +78,13 @@ def _walk(h: int, k: int) -> Iterator[Path]:
 
 
 def sigma_poly(h: int, k: int) -> IntPoly:
-    """Sum of q^sigma over all paths to (h,k); equals the q-Delannoy polynomial."""
+    """Sum of q^sigma over all paths to (h,k); equals the q-Delannoy polynomial.
+
+    It builds each path and then walks it again in `sigma`, which is about
+    twice the work of the prefix-trie walk `congruence._sigma_counts`.  That
+    is on purpose: this is the independent oracle that re-checks a case the
+    interp engine failed, so it must share no code with that walk.
+    """
     counts = [0] * (h * k + 1)
     for path in enumerate_paths(h, k):
         counts[sigma(path)] += 1

@@ -3,10 +3,13 @@
 Gaussian binomials are filled row by row by the Pascal-style recurrence on
 packed integers: a polynomial with coefficients in [0, 2**bits) is stored
 as its value at q = 2**bits, so adding is integer addition and multiplying
-by q^j is a left shift by j*bits.  The coefficients of [h,k] are
-nonnegative and sum to C(h,k), which fixes the slot width; the
-factorial-quotient form is exercised only as a test oracle.  Delannoy
-numbers come from the closed form sum_j 2^j C(h,j) C(k,j).
+by q^j is a left shift by j*bits.  `q_binomial` needs one entry, so it
+fills only the half of the table on one side of the diagonal, by
+[a+b,a] = [a+b,b]; `gaussian_rows` yields whole rows for callers that read
+entries on both sides.  The coefficients of [h,k] are nonnegative and
+sum to C(h,k), which fixes the slot width; the factorial-quotient form is
+exercised only as a test oracle.  Delannoy numbers come from the closed
+form sum_j 2^j C(h,j) C(k,j).
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ def gaussian_rows(bits: int, width: int, rows: int) -> Iterator[list[int]]:
 
     [a+b, a] = [a+b-1, a-1] + q^a [a+b-1, a], so each row is updated in
     place from the one before: the same list is yielded every time, and a
-    caller keeps what it needs before asking for the next row.
+    caller keeps what it needs before asking for the next row.  It serves
+    callers that read whole rows, on both sides of the diagonal; a single
+    entry is cheaper from `q_binomial`'s half fill.
     """
     row = [1] * (width + 1)
     for b in range(rows):
@@ -50,7 +55,10 @@ def neg_q_pochhammer(j: int) -> IntPoly:
 def q_binomial(h: int, k: int) -> IntPoly:
     """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h.
 
-    [h,k] = [h,h-k], so the row spans the shorter side.
+    [h,k] = [h,h-k], so the row spans the shorter side.  With
+    G(a,b) = [a+b,a], row b holds G(a,b) only for a <= b, as in
+    `gaussian_rows`.  The diagonal cell is G(b,b) = G(b-1,b) * (1+q^b),
+    because G(b,b-1) = G(b-1,b).
     """
     if h < 0:
         raise ValueError(f"upper index must be nonnegative, got {h}")
@@ -58,8 +66,13 @@ def q_binomial(h: int, k: int) -> IntPoly:
         return ZERO
     k = min(k, h - k)
     width = slot_bytes(comb(h, k))
-    for row in gaussian_rows(8 * width, k, h - k + 1):
-        pass
+    bits = 8 * width
+    row = [1] * (k + 1)
+    for b in range(1, h - k + 1):
+        for a in range(1, min(b, k + 1)):
+            row[a] = row[a - 1] + (row[a] << (a * bits))
+        if b <= k:
+            row[b] = row[b - 1] + (row[b - 1] << (b * bits))
     return IntPoly.from_packed(row[k], width)
 
 

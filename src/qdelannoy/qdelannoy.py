@@ -7,7 +7,9 @@ All three routes agree exactly:
 * ``q_delannoy_rec`` -- the three-term recurrence with q^k weights.
 
 Negative arguments give 0, both axes give 1, and evaluation at q=1 recovers
-the classical Delannoy number.
+the classical Delannoy number.  P(h,k) = P(k,h): the ``alt`` sum makes the
+symmetry manifest, and ``q_delannoy_rec`` rests on it to fill only the
+cells on one side of the diagonal.
 
 Each route works on packed integers, as in `qcore`: a polynomial is stored
 as its value at q = 2**bits.  The coefficients of P(h,k) are nonnegative
@@ -59,17 +61,21 @@ def q_delannoy_alt(h: int, k: int) -> IntPoly:
 def q_delannoy_rec(h: int, k: int) -> IntPoly:
     """Recurrence route: P(h,k) = P(h,k-1) + q^k*P(h-1,k) + q^k*P(h-1,k-1).
 
-    One row over k is updated in place for each h; `diag` keeps the entry
-    P(h-1,j-1) that the update of column j-1 overwrote.
+    P(h,k) = P(k,h), so only the cells P(i,j) with i <= j are filled, about
+    half the table.  One row over j holds P(i,j) for j >= i and is updated
+    in place for each i up to min(h,k); the cell left of the diagonal is
+    P(i,i-1) = P(i-1,i), the old entry at i.  `diag` keeps the entry
+    P(i-1,j-1) that the update of column j-1 overwrote.
     """
     if h < 0 or k < 0:
         return ZERO
     width = slot_bytes(delannoy(h, k))
     bits = 8 * width
+    m, k = min(h, k), max(h, k)
     row = [1] * (k + 1)
-    for _ in range(h):
-        diag = row[0]
-        for j in range(1, k + 1):
+    for i in range(1, m + 1):
+        diag, row[i - 1] = row[i - 1], row[i]
+        for j in range(i, k + 1):
             diag, row[j] = row[j], row[j - 1] + ((row[j] + diag) << (j * bits))
     return IntPoly.from_packed(row[k], width)
 

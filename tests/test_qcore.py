@@ -131,6 +131,10 @@ def test_q_binomial_matches_pascal_reference():
     for h in range(31):
         for k in range(h + 1):
             assert q_binomial(h, k) == reference.q_binomial(h, k), (h, k)
+    # Near the middle the half fill ends on its diagonal cell.
+    for h in (60, 61):
+        for k in (h // 2, (h + 1) // 2):
+            assert q_binomial(h, k) == reference.q_binomial(h, k), (h, k)
 
 
 def test_deep_arguments_have_no_recursion_limit():
