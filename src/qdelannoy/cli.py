@@ -2,7 +2,7 @@
 
 All output is deterministic: byte-identical across runs and across --jobs
 settings.  Exit codes: 0 all checks passed, 1 a verification failed, 2
-usage error.
+usage error or out of memory.
 """
 
 from __future__ import annotations
@@ -162,4 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_orbits(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the request is too large for this machine", file=sys.stderr)
         return 2

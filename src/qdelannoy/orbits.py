@@ -40,9 +40,13 @@ predicts, and the audit checks each prediction when the image arrives.
 The per-step kernel `_step` scans a path (check end, bar end, class, sigma
 and sigma reassembled from the pieces), once per prefix-trie node in the
 audit and over one path in `decompose` and `orbit`.  The orbit walk runs
-on predicted scans alone.  A scan that misses its prediction breaks the
-shift law or class closure; a prediction left over at the end, a path two
-orbits claim, and any LawError are violations too.
+on predicted scans alone.  An action rewrites only a path's segment (the
+tail for Q4, the hat for Q1/Q2) and keeps the head before it, so the audit
+walks each segment's orbit once and replays the walk's predictions after
+every other head; each replayed prediction is still checked when its image
+arrives.  A scan that misses its prediction breaks the shift law or class
+closure; a prediction left over at the end, a path two orbits claim, and
+any LawError are violations too.
 """
 
 from __future__ import annotations
@@ -424,6 +428,21 @@ def audit(frame: CornerFrame) -> AuditReport:
     # predictions for finished orbits' members that the enumeration has not
     # reached yet, each with the member the action was applied to
     ahead: dict[Path, tuple[Scan, Optional[Path]]] = {}
+    # An action rewrites only the segment after the cut (the check end for Q4,
+    # the bar end for Q1/Q2), so an orbit is walked once per segment and
+    # replayed after every other head.  Within a head the enumeration meets
+    # the members in the order of their segments, which no head changes, so
+    # each head meets the orbit first at the segment that started its walk
+    # (a head that meets it elsewhere walks it again).  `seen` maps that
+    # segment to the record: its slot in `vanishes`, the member segments in
+    # action order, and each member's bar end past the cut and sigma offset
+    # from member 0.  A Q4 head is a path to the corner, the only one when h
+    # or k is 0, so those orbits are never replayed and not recorded.
+    seen: dict[PathClass, dict[str, tuple]] = {Q1: {}, Q2: {}, Q4: {}}
+    replayable = {Q1: True, Q2: True, Q4: h > 0 and k > 0}
+    # vanishes[slot + s mod n]: the orbit sum test of a record's orbit whose
+    # start has sigma s, once decided
+    vanishes: list[Optional[bool]] = []
 
     for path, state in _scan_trie(frame):
         total_paths += 1
@@ -439,11 +458,31 @@ def audit(frame: CornerFrame) -> AuditReport:
             fixed_counts_by_sigma[cls][s] += 1
         if cls is Q3 or walked is not None:
             continue
-        try:
-            members = _walk_orbit(path, scan, frame)
-        except ValueError as exc:
-            violate(str(exc))
-            continue
+        cut = first if cls is Q4 else last
+        head, segment = path[:cut], "".join(path[cut:])
+        record = seen[cls].get(segment)
+        if record is not None:
+            # Replay the predictions the walk would make from this start.
+            _, segs, bars, ds = record
+            members, prev = {path: (scan, None)}, path
+            for j in range(1, len(segs)):
+                member = head + tuple(segs[j])
+                members[member] = (first, cut + bars[j], cls, s + ds[j]), prev
+                prev = member
+        else:
+            try:
+                members = _walk_orbit(path, scan, frame)
+            except ValueError as exc:
+                violate(str(exc))
+                continue
+            # Record a walk whose images all keep the head and the check end;
+            # any other walk is used once.
+            if replayable[cls] and all(m[:cut] == head and p[0] == first for m, (p, _) in members.items()):
+                segs = tuple("".join(m[cut:]) for m in members)
+                bars = tuple(p[1] - cut for p, _ in members.values())
+                ds = tuple(p[3] - s for p, _ in members.values())
+                record = seen[cls][segment] = len(vanishes), segs, bars, ds
+                vanishes += [None] * n
         if not ahead.keys().isdisjoint(members):
             claimed = next(p for p in members if p in ahead)
             violate(f"orbits overlap at {path_text(claimed)} ({cls.value})")
@@ -455,16 +494,23 @@ def audit(frame: CornerFrame) -> AuditReport:
         if n % size != 0:
             violate(f"orbit size {size} does not divide n at {path_text(path)}")
         if cls is Q1:
-            is_fixed_char = x_of(path[last:]) == 0
+            is_fixed_char = x_of(segment) == 0
         elif cls is Q2:
-            is_fixed_char = y_of(path[last:]) == 0
+            is_fixed_char = y_of(segment) == 0
         else:
-            is_fixed_char = path[first:].count(D) == n
+            is_fixed_char = segment.count(D) == n
         if (size == 1) != is_fixed_char:
             violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
         if size == 1:
             fixed_counts_by_sigma[cls][s] += 1
-        elif not _orbit_sum_vanishes([p[3] for p, _ in members.values()], n):
+            continue
+        # The folded orbit sum depends only on the record and s mod n.
+        vanish = None if record is None else vanishes[record[0] + s % n]
+        if vanish is None:
+            vanish = _orbit_sum_vanishes([p[3] for p, _ in members.values()], n)
+            if record is not None:
+                vanishes[record[0] + s % n] = vanish
+        if not vanish:
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
     # An image left here fell outside the frame, or came before its orbit's start.

@@ -243,6 +243,30 @@ def test_audit_violations_exit_1(monkeypatch, capsys):
     assert "VIOLATION synthetic violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cyclotomic", ["compute", "cyclotomic", "--n", "100000000"]),
+        ("sweep", ["verify", "thm2", "--max-n", "1000000000"]),
+        ("audit", ["orbits", "audit", "--h", "0", "--k", "0", "--n", "100000000"]),
+    ],
+)
+def test_out_of_memory_exits_2(name, argv, monkeypatch, capsys):
+    # Exit 1 means a check failed, so running out of memory is reported like
+    # a usage error: one line on stderr, nothing on stdout.
+    import qdelannoy.cli as cli_module
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, name, exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("what", ["delannoy", "qdelannoy", "qbinom", "sigma-poly"])
 def test_compute_negative_argument_exits_2(what, capsys):
     assert main(["compute", what, "--h", "-1", "--k", "2"]) == 2

@@ -627,3 +627,130 @@ def test_audit_memory_is_bounded(frame):
         tracemalloc.stop()
     assert report.ok
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Segment orbits walked once and replayed after every head
+# ---------------------------------------------------------------------------
+
+def _cut(state):
+    """Where a scanned path's segment starts: the check end for Q4, else the bar end."""
+    return state[0] if state[2] is PathClass.Q4 else state[1]
+
+
+@pytest.mark.parametrize("frame", [(1, 1, 2), (2, 1, 3), (0, 0, 4), (3, 0, 2)], ids=str)
+def test_action_depends_only_on_the_segment(frame):
+    # The premise of the replay: the image of head + segment is head + the
+    # image segment, and the bar end past the cut and the sigma shift depend
+    # on the segment alone.
+    import qdelannoy.orbits as orbits_module
+
+    frame = CornerFrame(*frame)
+    by_segment = {}
+    for path, state in orbits_module._scan_trie(frame):
+        first, last, cls, s = scan = state[:4]
+        if cls is PathClass.Q3:
+            continue
+        cut = _cut(state)
+        image, predicted = orbits_module._act(path, scan, frame)
+        assert image[:cut] == path[:cut], path_text(path)
+        assert predicted[0] == first and predicted[2] is cls, path_text(path)
+        effect = image[cut:], predicted[1] - cut, predicted[3] - s
+        assert by_segment.setdefault((cls, path[cut:]), effect) == effect, path_text(path)
+
+
+def _count_walks(monkeypatch):
+    """The start of every orbit walk the audit makes, in order."""
+    import qdelannoy.orbits as orbits_module
+
+    walk, walked = orbits_module._walk_orbit, []
+
+    def counted(path, scan, frame):
+        walked.append(path)
+        return walk(path, scan, frame)
+
+    monkeypatch.setattr(orbits_module, "_walk_orbit", counted)
+    return walked
+
+
+def _first_q4_orbit(frame):
+    """The first two segments x, y of the first Q4 orbit with more than one
+    member, and every head (path to the corner) that leads into x."""
+    import qdelannoy.orbits as orbits_module
+
+    scanned = list(orbits_module._scan_trie(frame))
+    start, state = next(
+        (p, st) for p, st in scanned if st[2] is PathClass.Q4 and orbit(p, frame).size > 1
+    )
+    cut = _cut(state)
+    x, y = start[cut:], orbit(start, frame).members[1][cut:]
+    heads = [p[: _cut(st)] for p, st in scanned if st[2] is PathClass.Q4 and p[_cut(st):] == x]
+    assert len(heads) == delannoy(frame.h, frame.k)
+    return x, y, heads
+
+
+@pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
+def test_audit_walks_each_segment_orbit_once(frame, monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    frame = CornerFrame(*frame)
+    segments = {
+        (state[2], path[_cut(state):])
+        for path, state in orbits_module._scan_trie(frame)
+        if state[2] is not PathClass.Q3
+    }
+    walked = _count_walks(monkeypatch)
+    assert orbits_module.audit(frame).ok
+    assert 0 < len(walked) <= len(segments)
+
+
+def test_audit_checks_replayed_predictions_on_arrival(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    frame = CornerFrame(2, 1, 3)
+    x, y, heads = _first_q4_orbit(frame)
+    starts = [head + x for head in heads]
+
+    # A wrong sigma shift for segment x, whatever the head.  The next step
+    # repays it, so every walk closes and only each image's arrival, at every
+    # head, shows the broken shift law.
+    act = orbits_module._act
+
+    def slips(path, scan, frame):
+        image, predicted = act(path, scan, frame)
+        segment = path[_cut(scan):]
+        return image, predicted[:3] + (predicted[3] + (segment == x) - (segment == y),)
+
+    monkeypatch.setattr(orbits_module, "_act", slips)
+    walked = _count_walks(monkeypatch)
+    violations = orbits_module.audit(frame).violations
+    assert [p for p in walked if p in starts] == starts[:1]
+    failed = [v for v in violations if v.startswith("sigma shift law failed")]
+    assert failed == [f"sigma shift law failed at {path_text(p)} (Q4)" for p in starts]
+
+
+def test_audit_walks_again_when_images_leave_the_head(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    frame = CornerFrame(2, 1, 2)
+    x, y, heads = _first_q4_orbit(frame)
+    starts = [head + x for head in heads]
+
+    # The action pairs head + x with the next head + y, with honest
+    # predictions, so each orbit closes but its images leave the head.  Such
+    # a walk says nothing about other heads: it is used once, not replayed.
+    act = orbits_module._act
+
+    def hops(path, scan, frame):
+        head, segment = path[: _cut(scan)], path[_cut(scan):]
+        if segment not in (x, y):
+            return act(path, scan, frame)
+        step = 1 if segment == x else -1
+        image = heads[(heads.index(head) + step) % len(heads)] + (y if segment == x else x)
+        return image, orbits_module._scan(image, frame)[:4]
+
+    monkeypatch.setattr(orbits_module, "_act", hops)
+    walked = _count_walks(monkeypatch)
+    violations = orbits_module.audit(frame).violations
+    assert len([p for p in walked if p in starts]) > 1
+    assert not any(v.startswith(("orbits overlap", "action", "sigma shift")) for v in violations)
