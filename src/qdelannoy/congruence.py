@@ -201,6 +201,9 @@ class SweepConfig(_SweepFields):
         entry = STATEMENTS.get(self.statement)
         if entry is None:
             raise ValueError(f"unknown statement {self.statement!r}; expected one of {tuple(STATEMENTS)}")
+        for name, value in zip(self._fields[1:], self[1:]):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be int, got {value!r}")
         for axis in "nachk":
             name = f"max_{axis}"
             value = getattr(self, name)

@@ -39,14 +39,15 @@ forms of the four fixed-point sums.  The enumeration scans, the action
 predicts, and the audit checks each prediction when the image arrives.
 The per-step kernel `_step` scans a path (check end, bar end, class, sigma
 and sigma reassembled from the pieces), once per prefix-trie node in the
-audit and over one path in `decompose` and `orbit`.  The orbit walk runs
-on predicted scans alone.  An action rewrites only a path's segment (the
-tail for Q4, the hat for Q1/Q2) and keeps the head before it, so the audit
-walks each segment's orbit once and replays the walk's predictions after
-every other head; each replayed prediction is still checked when its image
-arrives.  A scan that misses its prediction breaks the shift law or class
-closure; a prediction left over at the end, a path two orbits claim, and
-any LawError are violations too.
+audit and over one path in `decompose` and `orbit`.  An action rewrites
+only a path's segment (the tail for Q4, the hat for Q1/Q2) and keeps the
+head before it, so `_act` acts on segments and the orbit walk, which scans
+nothing, walks a segment.  The audit walks each segment once and builds
+every orbit as its head plus each member segment, each member's scan
+predicted from the walk and checked when the image arrives.  A scan that
+misses its prediction breaks the shift law or class closure; a prediction
+left over at the end, a path two orbits claim, and any LawError are
+violations too.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ class CornerFrame(_FrameFields):
 
     def __new__(cls, *args, **kwargs) -> CornerFrame:
         self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be int, got {value!r}")
         if self.h < 0 or self.k < 0:
             raise ValueError(f"corner must be in the first quadrant, got {(self.h, self.k)}")
         if self.n < 1:
@@ -240,18 +244,15 @@ def decompose(path: Path, frame: CornerFrame) -> Decomposition:
     return Decomposition(path[:first], path[first:last], path[last:], cls)
 
 
-def _act(path: Path, scan: Scan, frame: CornerFrame) -> tuple[Path, Scan]:
-    """Apply the class action (never to Q3) once; return the image and its predicted scan.
+def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int, int]:
+    """Apply the class action (never to Q3) to a segment once.
 
-    A block is a lead step (any step but the run step) plus the run after
-    it.  Raises LawError unless the segment has exactly n blocks and a Q1/Q2
-    hat opens with a lead.  The image keeps the check and the class, and a
-    Q1/Q2 image its bar; sigma moves by the exact shift.
+    Returns the image, the image's bar end past the cut (0 for Q1/Q2), and
+    the sigma shift.  A block is a lead step (any step but the run step)
+    plus the run after it.  Raises LawError unless the segment has exactly
+    n blocks and a Q1/Q2 hat opens with a lead.
     """
-    first, last, cls, s = scan
-    n = frame.n
     run = E if cls is Q1 else N
-    segment = path[first:] if cls is Q4 else path[last:]
     if cls is not Q4 and segment and segment[0] == run:
         raise LawError(f"a {cls.value} hat must open with {'a y' if cls is Q1 else 'an x'}-raising step")
     found = len(segment) - segment.count(run)
@@ -268,7 +269,7 @@ def _act(path: Path, scan: Scan, frame: CornerFrame) -> tuple[Path, Scan]:
         bar = 0  # the length of the run a Q4 tail opens with; a D opens none
         while tail[bar] == tail[0] != D:
             bar += 1
-        return path[:first] + tuple(tail), (first, first + bar, Q4, s + shift)
+        return tuple(tail), bar, shift
     # Q1/Q2: the final block, from the last lead on, moves to the front of the hat.
     cut = len(segment) - 1
     while segment[cut] == run:
@@ -278,7 +279,7 @@ def _act(path: Path, scan: Scan, frame: CornerFrame) -> tuple[Path, Scan]:
         shift = n * (len(block) - block.count(N)) - (len(segment) - segment.count(N))
     else:
         shift = len(segment) - segment.count(E) - n * (len(block) - block.count(E))
-    return path[:last] + block + segment[:cut], (first, last, cls, s + shift)
+    return block + segment[:cut], 0, shift
 
 
 def _mismatch(predicted: Scan, scanned: Scan, prev: Path) -> str:
@@ -293,31 +294,49 @@ def _weight(sigmas: list[int]) -> IntPoly:
     return sum((IntPoly.monomial(s) for s in sigmas), IntPoly())
 
 
-def _walk_orbit(path: Path, scan: Scan, frame: CornerFrame) -> dict[Path, tuple[Scan, Optional[Path]]]:
-    """Every member of the orbit of `path` in action order, with its predicted scan and predecessor.
+def _cut(scan: Scan) -> int:
+    """Where a path's segment starts: the check end for Q4, else the bar end."""
+    return scan[0] if scan[2] is Q4 else scan[1]
 
-    `scan` is the scan of `path`.  The walk scans nothing, so the caller
-    checks each later prediction.  Raises LawError when the action predicts
-    another class, returns to `path` off its scan, does not return within n
-    steps, or revisits a later member.
+
+def _walk_orbit(path: Path, scan: Scan, n: int) -> tuple[tuple[Path, ...], tuple[int, ...], tuple[int, ...]]:
+    """The orbit of `path`'s segment: the member segments in action order,
+    their bar ends past the cut and their sigma offsets from `path`.
+
+    `scan` is the scan of `path`; the walk scans nothing.  Raises LawError
+    when the action returns to the segment off its scan, does not return
+    within n steps, or revisits a later member.
     """
     cls = scan[2]
-    members: dict[Path, tuple[Scan, Optional[Path]]] = {path: (scan, None)}
-    prev = path
+    cut = _cut(scan)
+    segment = path[cut:]
+    segs, bars, ds = (segment,), (scan[1] - cut,), (0,)
     while True:
-        nxt, predicted = _act(prev, scan, frame)
-        if predicted[2] is not cls:
-            raise LawError(f"action left {cls.value} at {path_text(prev)}")
-        if nxt == path:
-            if predicted != members[path][0]:
-                raise LawError(_mismatch(predicted, members[path][0], prev))
-            return members
-        if len(members) == frame.n:
+        image, bar, shift = _act(segs[-1], cls, n)
+        d = ds[-1] + shift
+        if image == segment:
+            if (bar, d) != (bars[0], 0):
+                raise LawError(_mismatch((scan[0], cut + bar, cls, scan[3] + d), scan, path[:cut] + segs[-1]))
+            return segs, bars, ds
+        if len(segs) == n:
             raise LawError(f"action not n-periodic at {path_text(path)} ({cls.value})")
-        if nxt in members:
-            raise LawError(f"orbits overlap at {path_text(nxt)} ({cls.value})")
-        members[nxt] = predicted, prev
-        prev, scan = nxt, predicted
+        if image in segs:
+            raise LawError(f"orbits overlap at {path_text(path[:cut] + image)} ({cls.value})")
+        segs += (image,)
+        bars += (bar,)
+        ds += (d,)
+
+
+def _images(path: Path, scan: Scan, segs: tuple[Path, ...], bars: tuple[int, ...], ds: tuple[int, ...]) -> dict:
+    """The members after `path` of its orbit, each its head plus a member
+    segment, mapped to its predicted scan and its predecessor."""
+    first, _, cls, s = scan
+    head, prev, images = path[:_cut(scan)], path, {}
+    for j in range(1, len(segs)):
+        member = head + segs[j]
+        images[member] = (first, len(head) + bars[j], cls, s + ds[j]), prev
+        prev = member
+    return images
 
 
 def orbit(path: Path, frame: CornerFrame) -> Orbit:
@@ -329,13 +348,14 @@ def orbit(path: Path, frame: CornerFrame) -> Orbit:
     cls = scan[2]
     if cls is Q3:
         raise ClassError("Q3 paths carry no cyclic action")
-    members = _walk_orbit(path, scan, frame)
-    for member, (predicted, prev) in list(members.items())[1:]:
+    segs, bars, ds = _walk_orbit(path, scan, frame.n)
+    images = _images(path, scan, segs, bars, ds)
+    for member, (predicted, prev) in images.items():
         scanned = _scan(member, frame)[:4]
         if scanned != predicted:
             raise LawError(_mismatch(predicted, scanned, prev))
-    weight = _weight([p[3] for p, _ in members.values()])
-    return Orbit(tuple(members), len(members), weight, cls, path[scan[0]:].count(D) if cls is Q4 else None)
+    weight = _weight([scan[3] + d for d in ds])
+    return Orbit((path, *images), len(segs), weight, cls, path[scan[0]:].count(D) if cls is Q4 else None)
 
 
 # (n, bound) -> phi_test(n, bound).  An audit asks for one n, and an orbit has
@@ -427,26 +447,17 @@ def audit(frame: CornerFrame) -> AuditReport:
     total_paths = 0
     # predictions for finished orbits' members that the enumeration has not
     # reached yet, each with the member the action was applied to
-    ahead: dict[Path, tuple[Scan, Optional[Path]]] = {}
-    # An action rewrites only the segment after the cut (the check end for Q4,
-    # the bar end for Q1/Q2), so an orbit is walked once per segment and
-    # replayed after every other head.  Within a head the enumeration meets
-    # the members in the order of their segments, which no head changes, so
-    # each head meets the orbit first at the segment that started its walk
-    # (a head that meets it elsewhere walks it again).  `seen` maps that
-    # segment to the record: its slot in `vanishes`, the member segments in
-    # action order, and each member's bar end past the cut and sigma offset
-    # from member 0.  A Q4 head is a path to the corner, the only one when h
-    # or k is 0, so those orbits are never replayed and not recorded.
-    seen: dict[PathClass, dict[str, tuple]] = {Q1: {}, Q2: {}, Q4: {}}
-    replayable = {Q1: True, Q2: True, Q4: h > 0 and k > 0}
-    # vanishes[slot + s mod n]: the orbit sum test of a record's orbit whose
-    # start has sigma s, once decided
-    vanishes: list[Optional[bool]] = []
+    ahead: dict[Path, tuple[Scan, Path]] = {}
+    # Each (class, segment) is walked once, and every orbit is built from the
+    # walk after its own head.  A kept walk adds n slots: slot s mod n holds
+    # the orbit sum test of an orbit whose start has sigma s, once decided.
+    # A Q4 head is a path to the corner, the only one when h or k is 0, so
+    # those walks are not kept.
+    walks: dict[PathClass, dict[Path, tuple]] = {Q1: {}, Q2: {}, Q4: {}}
 
     for path, state in _scan_trie(frame):
         total_paths += 1
-        first, last, cls, s = scan = state[:4]
+        _, _, cls, s = scan = state[:4]
         if s != state[4]:
             violate(f"sigma reassembly failed for {path_text(path)}")
         counts[cls] += 1
@@ -458,37 +469,24 @@ def audit(frame: CornerFrame) -> AuditReport:
             fixed_counts_by_sigma[cls][s] += 1
         if cls is Q3 or walked is not None:
             continue
-        cut = first if cls is Q4 else last
-        head, segment = path[:cut], "".join(path[cut:])
-        record = seen[cls].get(segment)
-        if record is not None:
-            # Replay the predictions the walk would make from this start.
-            _, segs, bars, ds = record
-            members, prev = {path: (scan, None)}, path
-            for j in range(1, len(segs)):
-                member = head + tuple(segs[j])
-                members[member] = (first, cut + bars[j], cls, s + ds[j]), prev
-                prev = member
-        else:
+        segment = path[_cut(scan):]
+        walk = walks[cls].get(segment)
+        if walk is None:
             try:
-                members = _walk_orbit(path, scan, frame)
+                walk = *_walk_orbit(path, scan, n), [None] * n
             except ValueError as exc:
                 violate(str(exc))
                 continue
-            # Record a walk whose images all keep the head and the check end;
-            # any other walk is used once.
-            if replayable[cls] and all(m[:cut] == head and p[0] == first for m, (p, _) in members.items()):
-                segs = tuple("".join(m[cut:]) for m in members)
-                bars = tuple(p[1] - cut for p, _ in members.values())
-                ds = tuple(p[3] - s for p, _ in members.values())
-                record = seen[cls][segment] = len(vanishes), segs, bars, ds
-                vanishes += [None] * n
-        if not ahead.keys().isdisjoint(members):
-            claimed = next(p for p in members if p in ahead)
+            if cls is not Q4 or h and k:
+                walks[cls][walk[0][0]] = walk  # the key shares the walk's copy of the segment
+        segs, bars, ds, vanishes = walk
+        images = _images(path, scan, segs, bars, ds)
+        if not ahead.keys().isdisjoint(images):
+            claimed = next(p for p in images if p in ahead)
             violate(f"orbits overlap at {path_text(claimed)} ({cls.value})")
             continue
-        ahead.update(list(members.items())[1:])
-        size = len(members)
+        ahead.update(images)
+        size = len(segs)
         hist = orbit_histograms[cls.value]
         hist[size] = hist.get(size, 0) + 1
         if n % size != 0:
@@ -504,12 +502,10 @@ def audit(frame: CornerFrame) -> AuditReport:
         if size == 1:
             fixed_counts_by_sigma[cls][s] += 1
             continue
-        # The folded orbit sum depends only on the record and s mod n.
-        vanish = None if record is None else vanishes[record[0] + s % n]
+        # The folded orbit sum depends only on the walk and s mod n.
+        vanish = vanishes[s % n]
         if vanish is None:
-            vanish = _orbit_sum_vanishes([p[3] for p, _ in members.values()], n)
-            if record is not None:
-                vanishes[record[0] + s % n] = vanish
+            vanish = vanishes[s % n] = _orbit_sum_vanishes([s + d for d in ds], n)
         if not vanish:
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 

@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import qdelannoy
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly, ONE
 from qdelannoy.qcore import delannoy
@@ -28,7 +29,8 @@ from qdelannoy.congruence import (
 )
 from reference import delannoy_series_table
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# Where the imported package lives, so a subprocess runs the same copy.
+SRC = Path(qdelannoy.__file__).resolve().parent.parent
 
 
 class _Timer:

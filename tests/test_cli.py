@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import qdelannoy
 from qdelannoy.polyring import IntPoly
 from qdelannoy.cli import main
 from reference import poly_from_json
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# Where the imported package lives, so a subprocess runs the same copy.
+SRC = Path(qdelannoy.__file__).resolve().parent.parent
 
 
 def _src_env():
@@ -337,7 +339,7 @@ def test_verify_golden_output(args, text_digest, json_digest, as_json, tmp_path)
 
 def _readme_cli_commands():
     """(argv, expected output or None) for each command in README's CLI block."""
-    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```", 2)[1]
     commands = []
     for line in block.splitlines():
@@ -448,9 +450,9 @@ def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
 
     act = orbits_module._act
 
-    def wrong_shift(path, scan, frame):
-        image, predicted = act(path, scan, frame)
-        return image, predicted[:3] + (predicted[3] + 1,)
+    def wrong_shift(segment, cls, n):
+        image, bar, shift = act(segment, cls, n)
+        return image, bar, shift + 1
 
     monkeypatch.setattr(orbits_module, "_act", wrong_shift)
     target = tmp_path / "out.txt"

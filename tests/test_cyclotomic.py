@@ -13,7 +13,8 @@ import qdelannoy.cyclotomic as cyclotomic_module
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.polyring import IntPoly, ONE, Q
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# Where the imported package lives, so a subprocess runs the same copy.
+SRC = Path(qdelannoy.__file__).resolve().parent.parent
 
 
 def totient(n):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -81,14 +85,16 @@ def test_decompose_and_act_match_reference(n):
             assert dec == reference.decompose(path, frame), path_text(path)
             if dec.path_class is PathClass.Q3:
                 continue
-            scan = orbits_module._scan(path, frame)[:4]
-            image, predicted = orbits_module._act(path, scan, frame)
-            ref_image, shift = reference.act_with_shift(dec, frame)
-            assert image == ref_image, path_text(path)
-            assert predicted[3] == sigma(path) + shift, path_text(path)
+            first, _, cls, s = scan = orbits_module._scan(path, frame)[:4]
+            cut = orbits_module._cut(scan)
+            segment, bar, shift = orbits_module._act(path[cut:], cls, n)
+            # The reference rebuilds the whole path, so it also checks that
+            # the action keeps the head.
+            image = path[:cut] + segment
+            assert (image, shift) == reference.act_with_shift(dec, frame), path_text(path)
             # The image is a path of this frame too, so its scan is checked
             # against the reference where the loop reaches it.
-            assert predicted == orbits_module._scan(image, frame)[:4], path_text(path)
+            assert (first, cut + bar, cls, s + shift) == orbits_module._scan(image, frame)[:4], path_text(path)
 
 
 def test_scan_matches_reference():
@@ -267,35 +273,41 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 
     act = orbits_module._act
 
-    def no_shift(path, scan, frame):
-        image, predicted = act(path, scan, frame)
-        return image, predicted[:3] + (scan[3],)
+    def no_shift(segment, cls, n):
+        image, bar, _ = act(segment, cls, n)
+        return image, bar, 0
 
     monkeypatch.setattr(orbits_module, "_act", no_shift)
     with pytest.raises(LawError, match="sigma shift law failed at EDNNE"):
         orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
-    def wrong_shift(path, scan, frame):
-        image, predicted = act(path, scan, frame)
-        return image, predicted[:3] + (predicted[3] + 1,)
+    def wrong_shift(segment, cls, n):
+        image, bar, shift = act(segment, cls, n)
+        return image, bar, shift + 1
 
     monkeypatch.setattr(orbits_module, "_act", wrong_shift)
     with pytest.raises(LawError, match="sigma shift law failed at EDNEN"):
         orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
-    # an action that sends everything to EDNEN, with an honest prediction, never returns
-    def stuck(path, scan, frame):
-        return tuple("EDNEN"), orbits_module._scan(tuple("EDNEN"), frame)[:4]
+    # an action that sends every hat to NEN (EDNNE to EDNEN), with an honest
+    # shift, never returns
+    def stuck(segment, cls, n):
+        return tuple("NEN"), 0, 1
 
     monkeypatch.setattr(orbits_module, "_act", stuck)
     with pytest.raises(LawError, match="not n-periodic"):
         orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
+    # with n = 3 the walk meets the hat NENEE again before its n-th step
+    monkeypatch.setattr(orbits_module, "_act", lambda segment, cls, n: (tuple("NENEE"), 0, 1))
+    with pytest.raises(LawError, match=r"orbits overlap at EDNENEE \(Q1\)"):
+        orbit(tuple("EDNNNEE"), CornerFrame(1, 1, 3))
+
 
 def test_audit_lets_an_unrelated_assertion_error_through(monkeypatch):
     import qdelannoy.orbits as orbits_module
 
-    def broken(path, scan, frame):
+    def broken(segment, cls, n):
         raise AssertionError("not a law of the action")
 
     monkeypatch.setattr(orbits_module, "_act", broken)
@@ -364,21 +376,27 @@ def test_folded_orbit_sum_keeps_nonvanishing_weights():
 def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
     import qdelannoy.orbits as orbits_module
 
-    # Pair two Q1 paths whose sigmas differ by 2: 1 + q^2 is 2 mod Phi_2.
+    # Pair the hats of two Q1 paths with one head whose sigmas differ by 2:
+    # 1 + q^2 is 2 mod Phi_2.
     frame = CornerFrame(1, 1, 2)
-    q1 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q1]
-    a, b = next((a, b) for a in q1 for b in q1 if sigma(b) - sigma(a) == 2)
+    q1 = [(p, state[:4]) for p, state in orbits_module._scan_trie(frame) if state[2] is PathClass.Q1]
+    a, b, cut, d = next(
+        (a, b, sa[1], sb[3] - sa[3])
+        for i, (a, sa) in enumerate(q1)
+        for b, sb in q1[i + 1:]
+        if a[: sa[1]] == b[: sb[1]] and abs(sb[3] - sa[3]) == 2
+    )
+    x, y = a[cut:], b[cut:]
     act = orbits_module._act
 
-    def swap(path, scan, frame):
-        if path in (a, b):
-            other = b if path == a else a
-            return other, orbits_module._scan(other, frame)[:4]
-        return act(path, scan, frame)
+    def swap(segment, cls, n):
+        if cls is PathClass.Q1 and segment in (x, y):
+            return (y, 0, d) if segment == x else (x, 0, -d)
+        return act(segment, cls, n)
 
     monkeypatch.setattr(orbits_module, "_act", swap)
     report = orbits_module.audit(frame)
-    assert f"orbit sum not divisible by Phi_2 at {path_text(min(a, b, key=q1.index))}" in report.violations
+    assert f"orbit sum not divisible by Phi_2 at {path_text(a)}" in report.violations
 
 
 # ---------------------------------------------------------------------------
@@ -507,32 +525,25 @@ def test_audit_scans_each_path_once(monkeypatch):
 def test_audit_reports_a_wrong_predicted_class(monkeypatch):
     import qdelannoy.orbits as orbits_module
 
-    act = orbits_module._act
+    # The action sends the tail of the first Q4 path, which opens with E, to
+    # a D-free tail that opens with N, with an honest shift: the image is a
+    # Q3 path after it, caught when the enumeration reaches it.
     frame = CornerFrame(1, 1, 2)
+    a, state = next((p, st) for p, st in orbits_module._scan_trie(frame) if st[2] is PathClass.Q4)
+    cut = orbits_module._cut(state)
+    x, y = a[cut:], tuple("NNEE")
+    assert x[0] == "E"
+    shift = sigma(a[:cut] + y) - sigma(a)
+    act = orbits_module._act
 
-    # The action names another class for its image: caught as it acts.
-    def misnamed(path, scan, frame):
-        image, (first, last, cls, s) = act(path, scan, frame)
-        return image, (first, last, PathClass.Q2 if cls is PathClass.Q1 else cls, s)
-
-    monkeypatch.setattr(orbits_module, "_act", misnamed)
-    assert orbits_module.audit(frame).violations[0] == "action left Q1 at EEENNN"
-
-    # The image lies in another class than the one predicted: caught when the
-    # enumeration reaches it.
-    q1 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q1]
-    q2 = [p for p in enumerate_paths(3, 3) if decompose(p, frame).path_class is PathClass.Q2]
-    a, c = q1[0], q2[-1]
-
-    def leaves(path, scan, frame):
-        if path == a:
-            return c, scan[:3] + (sigma(c),)
-        if path == c:
-            return a, orbits_module._scan(a, frame)[:4]
-        return act(path, scan, frame)
+    def leaves(segment, cls, n):
+        if cls is PathClass.Q4 and segment in (x, y):
+            return (y, 0, shift) if segment == x else (x, state[1] - cut, -shift)
+        return act(segment, cls, n)
 
     monkeypatch.setattr(orbits_module, "_act", leaves)
-    assert f"action left Q1 at {path_text(a)}" in orbits_module.audit(frame).violations
+    assert decompose(a[:cut] + y, frame).path_class is PathClass.Q3
+    assert f"action left Q4 at {path_text(a)}" in orbits_module.audit(frame).violations
 
 
 def test_audit_checks_each_prediction_on_arrival(monkeypatch):
@@ -543,9 +554,9 @@ def test_audit_checks_each_prediction_on_arrival(monkeypatch):
     # With no shift the predicted sigmas agree around each orbit, so the walk
     # closes; only the scan of each image, when the enumeration reaches it,
     # shows the shift law broken.
-    def no_shift(path, scan, frame):
-        image, predicted = act(path, scan, frame)
-        return image, predicted[:3] + (scan[3],)
+    def no_shift(segment, cls, n):
+        image, bar, _ = act(segment, cls, n)
+        return image, bar, 0
 
     monkeypatch.setattr(orbits_module, "_act", no_shift)
     violations = orbits_module.audit(CornerFrame(1, 1, 2)).violations
@@ -558,57 +569,77 @@ def test_audit_reports_images_never_reached(monkeypatch):
 
     act = orbits_module._act
     frame = CornerFrame(1, 1, 2)
-    first = next(enumerate_paths(3, 3))
-    outside = first + ("E",)
+    scanned = {path: state[:4] for path, state in orbits_module._scan_trie(frame)}
+    first = next(iter(scanned))
+    cut = orbits_module._cut(scanned[first])
+    x = first[cut:]
 
     # An image outside the frame: its orbit closes, but the enumeration never
     # reaches the image.
-    def escapes(path, scan, frame):
-        if path == first:
-            return outside, scan
-        if path == outside:
-            return first, scan
-        return act(path, scan, frame)
+    def escapes(segment, cls, n):
+        if segment == x:
+            return x + ("E",), 0, 0
+        if segment == x + ("E",):
+            return x, 0, 0
+        return act(segment, cls, n)
 
     monkeypatch.setattr(orbits_module, "_act", escapes)
     report = orbits_module.audit(frame)
+    outside = first + ("E",)
     assert f"action image {path_text(outside)} of {path_text(first)} (Q1) never reached" in report.violations
     monkeypatch.undo()
 
-    # An image enumerated before its orbit's start.
+    # An image enumerated before its orbit's start: the first walk whose
+    # head leads to an earlier Q1 path claims that path too.
     walk = orbits_module._walk_orbit
-    starts = []
+    order = list(scanned)
+    claimed = []
 
-    def claims_an_earlier_path(path, scan, frame):
-        members = walk(path, scan, frame)
-        starts.append(path)
-        if len(starts) == 2:
-            members[first] = orbits_module._scan(first, frame)[:4], path
-        return members
+    def claims_an_earlier_path(path, scan, n):
+        segs, bars, ds = walk(path, scan, n)
+        cut = orbits_module._cut(scan)
+        earlier = [
+            p for p in order[: order.index(path)]
+            if scanned[p][2] is PathClass.Q1 and p[:cut] == path[:cut] and p[cut:] not in segs
+        ]
+        if scan[2] is PathClass.Q1 and earlier and not claimed:
+            claimed.extend((earlier[0], path))
+            # right after the start, so the start is its predecessor
+            p = scanned[earlier[0]]
+            segs = segs[:1] + (earlier[0][cut:],) + segs[1:]
+            bars = bars[:1] + (p[1] - cut,) + bars[1:]
+            ds = ds[:1] + (p[3] - scan[3],) + ds[1:]
+        return segs, bars, ds
 
     monkeypatch.setattr(orbits_module, "_walk_orbit", claims_an_earlier_path)
     report = orbits_module.audit(frame)
-    assert f"action image {path_text(first)} of {path_text(starts[1])} (Q1) never reached" in report.violations
+    image, start = claimed
+    assert f"action image {path_text(image)} of {path_text(start)} (Q1) never reached" in report.violations
 
 
 def test_audit_reports_two_orbits_claiming_one_image(monkeypatch):
     import qdelannoy.orbits as orbits_module
 
     frame = CornerFrame(1, 1, 2)
-    order = {path: i for i, path in enumerate(enumerate_paths(3, 3))}
+    scanned = {path: state[:4] for path, state in orbits_module._scan_trie(frame)}
+    order = {path: i for i, path in enumerate(scanned)}
     walk = orbits_module._walk_orbit
     pending, claimed = [], []
 
-    # An orbit walked while an earlier orbit's member still waits for the
-    # enumeration claims that member too.
-    def claims_again(path, scan, frame):
-        members = walk(path, scan, frame)
-        waiting = [p for p in pending if order[p] > order[path]]
+    # An orbit walked while an earlier orbit's member with the same head
+    # still waits for the enumeration claims that member too.
+    def claims_again(path, scan, n):
+        segs, bars, ds = walk(path, scan, n)
+        cut = orbits_module._cut(scan)
+        waiting = [p for p in pending if order[p] > order[path] and p[:cut] == path[:cut]]
         if waiting and not claimed:
             claimed.extend((waiting[0], path))
-            members[waiting[0]] = orbits_module._scan(waiting[0], frame)[:4], path
-        pending.extend(list(members)[1:])
-        return members
+            p = scanned[waiting[0]]
+            segs += (waiting[0][cut:],)
+            bars += (p[1] - cut,)
+            ds += (p[3] - scan[3],)
+        pending.extend(path[:cut] + seg for seg in segs[1:])
+        return segs, bars, ds
 
     monkeypatch.setattr(orbits_module, "_walk_orbit", claims_again)
     report = orbits_module.audit(frame)
@@ -630,34 +661,8 @@ def test_audit_memory_is_bounded(frame):
 
 
 # ---------------------------------------------------------------------------
-# Segment orbits walked once and replayed after every head
+# Segment orbits walked once and built after every head
 # ---------------------------------------------------------------------------
-
-def _cut(state):
-    """Where a scanned path's segment starts: the check end for Q4, else the bar end."""
-    return state[0] if state[2] is PathClass.Q4 else state[1]
-
-
-@pytest.mark.parametrize("frame", [(1, 1, 2), (2, 1, 3), (0, 0, 4), (3, 0, 2)], ids=str)
-def test_action_depends_only_on_the_segment(frame):
-    # The premise of the replay: the image of head + segment is head + the
-    # image segment, and the bar end past the cut and the sigma shift depend
-    # on the segment alone.
-    import qdelannoy.orbits as orbits_module
-
-    frame = CornerFrame(*frame)
-    by_segment = {}
-    for path, state in orbits_module._scan_trie(frame):
-        first, last, cls, s = scan = state[:4]
-        if cls is PathClass.Q3:
-            continue
-        cut = _cut(state)
-        image, predicted = orbits_module._act(path, scan, frame)
-        assert image[:cut] == path[:cut], path_text(path)
-        assert predicted[0] == first and predicted[2] is cls, path_text(path)
-        effect = image[cut:], predicted[1] - cut, predicted[3] - s
-        assert by_segment.setdefault((cls, path[cut:]), effect) == effect, path_text(path)
-
 
 def _count_walks(monkeypatch):
     """The start of every orbit walk the audit makes, in order."""
@@ -665,9 +670,9 @@ def _count_walks(monkeypatch):
 
     walk, walked = orbits_module._walk_orbit, []
 
-    def counted(path, scan, frame):
+    def counted(path, scan, n):
         walked.append(path)
-        return walk(path, scan, frame)
+        return walk(path, scan, n)
 
     monkeypatch.setattr(orbits_module, "_walk_orbit", counted)
     return walked
@@ -678,13 +683,13 @@ def _first_q4_orbit(frame):
     member, and every head (path to the corner) that leads into x."""
     import qdelannoy.orbits as orbits_module
 
+    cut = orbits_module._cut
     scanned = list(orbits_module._scan_trie(frame))
     start, state = next(
         (p, st) for p, st in scanned if st[2] is PathClass.Q4 and orbit(p, frame).size > 1
     )
-    cut = _cut(state)
-    x, y = start[cut:], orbit(start, frame).members[1][cut:]
-    heads = [p[: _cut(st)] for p, st in scanned if st[2] is PathClass.Q4 and p[_cut(st):] == x]
+    x, y = start[cut(state):], orbit(start, frame).members[1][cut(state):]
+    heads = [p[: cut(st)] for p, st in scanned if st[2] is PathClass.Q4 and p[cut(st):] == x]
     assert len(heads) == delannoy(frame.h, frame.k)
     return x, y, heads
 
@@ -695,7 +700,7 @@ def test_audit_walks_each_segment_orbit_once(frame, monkeypatch):
 
     frame = CornerFrame(*frame)
     segments = {
-        (state[2], path[_cut(state):])
+        (state[2], path[orbits_module._cut(state):])
         for path, state in orbits_module._scan_trie(frame)
         if state[2] is not PathClass.Q3
     }
@@ -710,47 +715,75 @@ def test_audit_checks_replayed_predictions_on_arrival(monkeypatch):
     frame = CornerFrame(2, 1, 3)
     x, y, heads = _first_q4_orbit(frame)
     starts = [head + x for head in heads]
+    z = orbit(starts[0], frame).members[2][len(heads[0]):]
 
-    # A wrong sigma shift for segment x, whatever the head.  The next step
+    # A wrong sigma shift for one segment, whatever the head.  The next step
     # repays it, so every walk closes and only each image's arrival, at every
-    # head, shows the broken shift law.
+    # head, shows the broken shift law at the member the action slipped on.
     act = orbits_module._act
-
-    def slips(path, scan, frame):
-        image, predicted = act(path, scan, frame)
-        segment = path[_cut(scan):]
-        return image, predicted[:3] + (predicted[3] + (segment == x) - (segment == y),)
-
-    monkeypatch.setattr(orbits_module, "_act", slips)
     walked = _count_walks(monkeypatch)
-    violations = orbits_module.audit(frame).violations
-    assert [p for p in walked if p in starts] == starts[:1]
-    failed = [v for v in violations if v.startswith("sigma shift law failed")]
-    assert failed == [f"sigma shift law failed at {path_text(p)} (Q4)" for p in starts]
+    for slip, repay in ((x, y), (y, z)):
+
+        def slips(segment, cls, n):
+            image, bar, shift = act(segment, cls, n)
+            return image, bar, shift + (segment == slip) - (segment == repay)
+
+        monkeypatch.setattr(orbits_module, "_act", slips)
+        violations = orbits_module.audit(frame).violations
+        failed = [v for v in violations if v.startswith("sigma shift law failed")]
+        assert failed == [f"sigma shift law failed at {path_text(head + slip)} (Q4)" for head in heads]
+    assert [p for p in walked if p in starts] == starts[:1] * 2
 
 
-def test_audit_walks_again_when_images_leave_the_head(monkeypatch):
+def test_audit_keeps_no_walk_of_a_corner_with_one_head():
+    # At h = 0 or k = 0 one path leads to the corner, so no Q4 walk is met
+    # again and none is kept; keeping them doubles the traced peak at
+    # (0,0,5).  A fresh process, since a warm one reuses objects freed before
+    # tracing began, which tracemalloc does not count.
     import qdelannoy.orbits as orbits_module
 
-    frame = CornerFrame(2, 1, 2)
-    x, y, heads = _first_q4_orbit(frame)
-    starts = [head + x for head in heads]
+    script = (
+        "import tracemalloc\n"
+        "from qdelannoy.orbits import CornerFrame, audit\n"
+        "tracemalloc.start()\n"
+        "assert audit(CornerFrame(0, 0, 5)).ok\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(orbits_module.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    peak = int(result.stdout)
+    assert peak < 2**18, f"peak {peak / 2**20:.2f} MB"
 
-    # The action pairs head + x with the next head + y, with honest
-    # predictions, so each orbit closes but its images leave the head.  Such
-    # a walk says nothing about other heads: it is used once, not replayed.
+
+def test_audit_and_orbit_catch_a_wrong_bar_end(monkeypatch):
+    import qdelannoy.orbits as orbits_module
+
+    frame = CornerFrame(1, 1, 2)
+    x, y, heads = _first_q4_orbit(frame)
     act = orbits_module._act
 
-    def hops(path, scan, frame):
-        head, segment = path[: _cut(scan)], path[_cut(scan):]
-        if segment not in (x, y):
-            return act(path, scan, frame)
-        step = 1 if segment == x else -1
-        image = heads[(heads.index(head) + step) % len(heads)] + (y if segment == x else x)
-        return image, orbits_module._scan(image, frame)[:4]
+    # Every Q4 image's bar one step too long: each walk misses its start's
+    # scan on the way back.
+    def long_bars(segment, cls, n):
+        image, bar, shift = act(segment, cls, n)
+        return image, bar + (cls is PathClass.Q4), shift
 
-    monkeypatch.setattr(orbits_module, "_act", hops)
-    walked = _count_walks(monkeypatch)
+    monkeypatch.setattr(orbits_module, "_act", long_bars)
+    assert any(v.startswith("action left Q4 at ") for v in orbits_module.audit(frame).violations)
+    with pytest.raises(LawError, match=f"action left Q4 at {path_text(heads[0] + y)}"):
+        orbit(heads[0] + x, frame)
+
+    # Only segment x's image has a long bar, so each walk closes and the
+    # image's arrival, after every head, shows the wrong bar end.
+    def long_bar(segment, cls, n):
+        image, bar, shift = act(segment, cls, n)
+        return image, bar + (cls is PathClass.Q4 and segment == x), shift
+
+    monkeypatch.setattr(orbits_module, "_act", long_bar)
     violations = orbits_module.audit(frame).violations
-    assert len([p for p in walked if p in starts]) > 1
-    assert not any(v.startswith(("orbits overlap", "action", "sigma shift")) for v in violations)
+    assert [v for v in violations if v.startswith("action left")] == [
+        f"action left Q4 at {path_text(head + x)}" for head in heads
+    ]
+    with pytest.raises(LawError, match=f"action left Q4 at {path_text(heads[0] + x)}"):
+        orbit(heads[0] + x, frame)

@@ -73,35 +73,41 @@ def test_keyword_and_positional_construction_agree(record):
 
 
 INVALID = [
-    (CornerFrame, (-1, 0, 1), "corner must be in the first quadrant"),
-    (CornerFrame, (0, -2, 1), "corner must be in the first quadrant"),
-    (CornerFrame, (0, 0, 0), "segment length must be positive"),
-    (SweepConfig, ("nope", 0, 0, 0, 0, 0, 1), "unknown statement 'nope'"),
-    (SweepConfig, ("thm2", -1, 0, 0, 0, 0, 1), "max_n must be nonnegative"),
-    (SweepConfig, ("thm2", 1, 2, 0, 0, 0, 1), "thm2 does not read max_a"),
-    (SweepConfig, ("thm2", 1, 0, 0, 0, 0, 0), "jobs must be at least 1"),
+    (CornerFrame, (-1, 0, 1), ValueError, "corner must be in the first quadrant"),
+    (CornerFrame, (0, -2, 1), ValueError, "corner must be in the first quadrant"),
+    (CornerFrame, (0, 0, 0), ValueError, "segment length must be positive"),
+    (CornerFrame, (1.5, 0, 1), TypeError, "h must be int, got 1.5"),
+    (CornerFrame, (True, 0, 1), TypeError, "h must be int, got True"),
+    (CornerFrame, (0, 0, "2"), TypeError, "n must be int, got '2'"),
+    (SweepConfig, ("nope", 0, 0, 0, 0, 0, 1), ValueError, "unknown statement 'nope'"),
+    (SweepConfig, ("thm2", -1, 0, 0, 0, 0, 1), ValueError, "max_n must be nonnegative"),
+    (SweepConfig, ("thm2", 1, 2, 0, 0, 0, 1), ValueError, "thm2 does not read max_a"),
+    (SweepConfig, ("thm2", 1, 0, 0, 0, 0, 0), ValueError, "jobs must be at least 1"),
+    (SweepConfig, ("thm2", 3, 0, 0, 1.0, 0, 1), TypeError, "max_h must be int, got 1.0"),
+    (SweepConfig, ("thm2", True, 0, 0, 0, 0, 1), TypeError, "max_n must be int, got True"),
+    (SweepConfig, ("thm2", 1, 0, 0, 0, 0, False), TypeError, "jobs must be int, got False"),
 ]
-INVALID_IDS = [f"{cls.__name__}{fields}" for cls, fields, _ in INVALID]
+INVALID_IDS = [f"{cls.__name__}{fields}" for cls, fields, _, _ in INVALID]
 
 
-@pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
-def test_validating_records_reject_bad_fields_when_constructed(cls, fields, message):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("cls, fields, error, message", INVALID, ids=INVALID_IDS)
+def test_validating_records_reject_bad_fields_when_constructed(cls, fields, error, message):
+    with pytest.raises(error, match=message):
         cls(*fields)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         cls(**dict(zip(cls._fields, fields)))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         cls._make(fields)
 
 
-@pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
-def test_validating_records_reject_bad_fields_when_unpickled(cls, fields, message):
+@pytest.mark.parametrize("cls, fields, error, message", INVALID, ids=INVALID_IDS)
+def test_validating_records_reject_bad_fields_when_unpickled(cls, fields, error, message):
     # tuple.__new__ skips validation, so this stands for a bad record made
     # elsewhere; a library user who pickles a SweepConfig to a process of
     # their own gets it back this way (--jobs workers are forked and pickle nothing).
     forged = tuple.__new__(cls, fields)
     data = pickle.dumps(forged)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         pickle.loads(data)
 
 
@@ -110,6 +116,10 @@ def test_validating_records_reject_bad_fields_when_replaced():
         CornerFrame(1, 1, 2)._replace(n=0)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         SweepConfig("thm2", max_n=1)._replace(jobs=0)
+    with pytest.raises(TypeError, match="k must be int"):
+        CornerFrame(1, 1, 2)._replace(k=1.0)
+    with pytest.raises(TypeError, match="max_k must be int"):
+        SweepConfig("thm2", max_n=1)._replace(max_k=True)
     assert CornerFrame(1, 1, 2)._replace(n=3) == CornerFrame(1, 1, 3)
 
 
