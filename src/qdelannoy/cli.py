@@ -8,7 +8,7 @@ usage error or out of memory.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 
 from .congruence import STATEMENTS, SweepConfig, sweep
@@ -19,55 +19,67 @@ from .qdelannoy import ROUTES, q_delannoy
 from .paths import sigma_poly
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED_INT = {"type": int, "required": True}
+_HK = (("--h", _REQUIRED_INT), ("--k", _REQUIRED_INT))
+# The flags every leaf ends with.
+_OUTPUT = (
+    ("--json", {"action": "store_true"}),
+    ("--out", {"default": None, "help": "write output to a file instead of stdout"}),
+)
+
+# command -> (help, dest of its leaf, leaf -> (help or None, flags before
+# _OUTPUT)), in the order help lists them.  A flag is (name, add_argument
+# keywords).
+COMMANDS = {
+    "compute": ("print one exact value", "what", {
+        "delannoy": ("classical Delannoy number", _HK),
+        "qdelannoy": ("q-Delannoy polynomial", (("--route", {"choices": sorted(ROUTES), "default": "rec"}), *_HK)),
+        "qbinom": ("Gaussian binomial coefficient", _HK),
+        "cyclotomic": ("cyclotomic polynomial", (("--n", _REQUIRED_INT),)),
+        "sigma-poly": ("path-statistic polynomial by enumeration", _HK),
+    }),
+    "verify": ("sweep a statement over a parameter grid", "statement", {
+        name: (None, (
+            *((f"--max-{axis}", {
+                "type": int,
+                "default": 0,
+                "help": "modulus bound (primes for lucas/dlucas)" if axis == "n" else None,
+            }) for axis in entry.axes),
+            ("--jobs", {"type": int, "default": 1}),
+        ))
+        for name, entry in STATEMENTS.items()
+    }),
+    "orbits": ("group-action machinery", "action", {
+        "audit": ("exhaustively audit one frame", (*_HK, ("--n", _REQUIRED_INT))),
+    }),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `argv`, built only as far as `argv` reaches.
+
+    Every command and leaf is registered by name and help, so help, usage
+    lines and errors read as if every parser were built.  Only the command
+    `argv` names gets its leaves, and only the leaf it names gets its flags.
+    No parser above a leaf has an option that takes a value, so argparse
+    dispatches each level on the first remaining word that does not start
+    with "-", or on an earlier "-" word, which names nothing and fails as an
+    invalid choice.
+    """
+    words = [arg for arg in argv if not arg.startswith("-")][:2]
     parser = argparse.ArgumentParser(prog="qdelannoy")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="print one exact value")
-    csub = compute.add_subparsers(dest="what", required=True)
-
-    def add_hk(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--h", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        _add_output_flags(p)
-
-    p = csub.add_parser("delannoy", help="classical Delannoy number")
-    add_hk(p)
-    p = csub.add_parser("qdelannoy", help="q-Delannoy polynomial")
-    p.add_argument("--route", choices=sorted(ROUTES), default="rec")
-    add_hk(p)
-    p = csub.add_parser("qbinom", help="Gaussian binomial coefficient")
-    add_hk(p)
-    p = csub.add_parser("cyclotomic", help="cyclotomic polynomial")
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
-    p = csub.add_parser("sigma-poly", help="path-statistic polynomial by enumeration")
-    add_hk(p)
-
-    verify = sub.add_parser("verify", help="sweep a statement over a parameter grid")
-    vsub = verify.add_subparsers(dest="statement", required=True)
-    for name, entry in STATEMENTS.items():
-        p = vsub.add_parser(name)
-        for axis in entry.axes:
-            note = "modulus bound (primes for lucas/dlucas)" if axis == "n" else None
-            p.add_argument(f"--max-{axis}", type=int, default=0, help=note)
-        p.add_argument("--jobs", type=int, default=1)
-        _add_output_flags(p)
-
-    orbits = sub.add_parser("orbits", help="group-action machinery")
-    osub = orbits.add_subparsers(dest="action", required=True)
-    p = osub.add_parser("audit", help="exhaustively audit one frame")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (command_help, dest, leaves) in COMMANDS.items():
+        if words[:1] != [command]:
+            commands.add_parser(command, help=command_help, add_help=False)
+            continue
+        sub = commands.add_parser(command, help=command_help).add_subparsers(dest=dest, required=True)
+        for leaf, (leaf_help, flags) in leaves.items():
+            named = words[1:] == [leaf]
+            p = sub.add_parser(leaf, add_help=named, **({} if leaf_help is None else {"help": leaf_help}))
+            for flag, options in (*flags, *_OUTPUT) if named else ():
+                p.add_argument(flag, **options)
     return parser
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,6 +96,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(obj: object) -> str:
+    import json  # here, so a plain-text request never loads it
+
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -153,7 +167,9 @@ def _run_orbits(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "compute":
             return _run_compute(args)
@@ -166,3 +182,16 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; the request is too large for this machine", file=sys.stderr)
         return 2
+
+
+def run() -> None:
+    """The process entry of `python -m qdelannoy` and the `qdelannoy` script.
+
+    Every module is imported by now and its objects live until exit, so
+    `gc.freeze` moves them out of the collector: no later collection, the
+    ones at shutdown included, walks them, and forked --jobs workers do not
+    copy their pages to write GC headers.  `main` never freezes, because its
+    other callers are long-lived processes.
+    """
+    gc.freeze()
+    sys.exit(main())

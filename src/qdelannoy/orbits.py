@@ -358,22 +358,14 @@ def orbit(path: Path, frame: CornerFrame) -> Orbit:
     return Orbit((path, *images), len(segs), weight, cls, path[scan[0]:].count(D) if cls is Q4 else None)
 
 
-# (n, bound) -> phi_test(n, bound).  An audit asks for one n, and an orbit has
-# at most n members, so this holds about one entry per frame modulus.
-_PHI_TESTS: dict[tuple[int, int], tuple[int, Callable[[int, int], bool]]] = {}
-
-
-def _orbit_sum_vanishes(sigmas: list[int], n: int) -> bool:
+def _orbit_sum_vanishes(sigmas: list[int], n: int, test: tuple[int, Callable[[int, int], bool]]) -> bool:
     """Whether the sum of q^sigma is 0 mod Phi_n.
 
     Exponents fold mod n first: Phi_n divides q^n - 1, so q^s and q^(s mod n)
-    agree mod Phi_n.  The folded counts, each at most len(sigmas), are packed
-    into n slots and decided by `residue.phi_test`, with no division.
+    agree mod Phi_n.  The folded counts are packed into n slots and decided
+    by `test`, which is `residue.phi_test(n, n)`, with no division: an orbit
+    has at most n members, so no count exceeds n.
     """
-    key = n, max(n, len(sigmas))
-    test = _PHI_TESTS.get(key)
-    if test is None:
-        test = _PHI_TESTS[key] = phi_test(*key)
     bits, divides = test
     return divides(sum(1 << s % n * bits for s in sigmas), 0)
 
@@ -454,6 +446,7 @@ def audit(frame: CornerFrame) -> AuditReport:
     # A Q4 head is a path to the corner, the only one when h or k is 0, so
     # those walks are not kept.
     walks: dict[PathClass, dict[Path, tuple]] = {Q1: {}, Q2: {}, Q4: {}}
+    phi = phi_test(n, n)
 
     for path, state in _scan_trie(frame):
         total_paths += 1
@@ -505,7 +498,7 @@ def audit(frame: CornerFrame) -> AuditReport:
         # The folded orbit sum depends only on the walk and s mod n.
         vanish = vanishes[s % n]
         if vanish is None:
-            vanish = vanishes[s % n] = _orbit_sum_vanishes([s + d for d in ds], n)
+            vanish = vanishes[s % n] = _orbit_sum_vanishes([s + d for d in ds], n, phi)
         if not vanish:
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import qdelannoy
 from qdelannoy.polyring import IntPoly
-from qdelannoy.cli import main
+from qdelannoy.cli import COMMANDS, main
 from reference import poly_from_json
 
 # Where the imported package lives, so a subprocess runs the same copy.
@@ -161,26 +162,33 @@ def test_byte_identical_across_runs_and_jobs():
     assert run_cli(*audit_run).stdout == run_cli(*audit_run).stdout
 
 
-def test_requests_do_not_import_a_process_pool():
-    # --jobs workers are forked directly, so no request, pooled or not,
-    # pays for importing concurrent.futures or multiprocessing.
+def _loaded_after(requests, modules):
+    """Run each request through `main` in turn, in one fresh process; one
+    line per request: its exit code and whether each module is loaded."""
     script = (
         "import contextlib, io, sys\n"
         "from qdelannoy.cli import main\n"
-        "for argv in sys.argv[1:]:\n"
+        "for argv in sys.argv[2:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv.split())\n"
-        "    print(code, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "    print(code, *(m in sys.modules for m in sys.argv[1].split()))\n"
     )
+    argv = [sys.executable, "-c", script, " ".join(modules), *requests]
+    result = subprocess.run(argv, capture_output=True, env=_src_env(), text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_requests_do_not_import_a_process_pool():
+    # --jobs workers are forked directly, so no request, pooled or not,
+    # pays for importing concurrent.futures or multiprocessing.
     requests = (
         "compute delannoy --h 0 --k 0",
         "orbits audit --h 1 --k 0 --n 3",
         "verify interp --max-h 3 --max-k 3 --jobs 1",
         "verify thm1 --max-n 3 --max-a 1 --max-c 1 --jobs 2",
     )
-    result = subprocess.run([sys.executable, "-c", script, *requests], capture_output=True, env=_src_env(), text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "0 False False\n" * len(requests)
+    assert _loaded_after(requests, ("concurrent.futures", "multiprocessing")) == "0 False False\n" * len(requests)
 
 
 def test_unflushed_output_before_a_pooled_sweep_appears_once():
@@ -199,22 +207,85 @@ def test_unflushed_output_before_a_pooled_sweep_appears_once():
 def test_requests_do_not_import_dataclasses_or_inspect():
     # The package's records are NamedTuples, so no request pays for
     # dataclasses and the inspect/ast/dis/tokenize chain it imports.
-    script = (
-        "import contextlib, io, sys\n"
-        "from qdelannoy.cli import main\n"
-        "for argv in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = main(argv.split())\n"
-        "    print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
-    )
     requests = (
         "compute delannoy --h 0 --k 0",
         "verify thm2 --max-n 2 --max-h 1 --max-k 1 --jobs 1",
         "orbits audit --h 1 --k 0 --n 3",
     )
-    result = subprocess.run([sys.executable, "-c", script, *requests], capture_output=True, env=_src_env(), text=True)
+    assert _loaded_after(requests, ("dataclasses", "inspect")) == "0 False False\n" * len(requests)
+
+
+def test_only_json_requests_import_json():
+    requests = (
+        "compute delannoy --h 0 --k 0",
+        "compute qdelannoy --h 2 --k 1 --route alt",
+        "verify thm1 --max-n 3 --max-a 1 --max-c 1 --jobs 2",
+        "orbits audit --h 1 --k 0 --n 3",
+        "compute delannoy --h 0 --k 0 --json",
+    )
+    assert _loaded_after(requests, ("json",)) == "0 False\n" * 4 + "0 True\n"
+
+
+def test_process_entry_freezes_start_up_objects_and_main_does_not():
+    # `python -m qdelannoy` runs cli.run, which freezes what the imports
+    # made before it calls main; main alone, as a library caller runs it,
+    # leaves the collector as it was.
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "from qdelannoy.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print(gc.get_freeze_count())\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "runpy.run_module('qdelannoy', run_name='__main__')\n"
+    )
+    argv = ("compute", "delannoy", "--h", "2", "--k", "1")
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=_src_env(), text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "0 False False\n" * len(requests)
+    assert result.stdout == "5\n0\n5\nTrue\n"
+
+
+# Every level of the command tree: the root, each command and each leaf.
+LEVELS = [
+    (),
+    *((command,) for command in COMMANDS),
+    *((command, leaf) for command, (_, _, leaves) in COMMANDS.items() for leaf in leaves),
+]
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: " ".join(level) or "root")
+def test_help_lists_the_registry(level):
+    # The parser builds only the level argv names, so each level's help must
+    # still list every command, leaf and flag the registry holds.
+    result = run_cli(*level, "--help")
+    assert result.returncode == 0, result.stderr
+    text = result.stdout.decode()
+    assert text.startswith(f"usage: {' '.join(('qdelannoy', *level))} [-h]")
+    if len(level) < 2:
+        helps = {name: entry[0] for name, entry in (COMMANDS if not level else COMMANDS[level[0]][2]).items()}
+        assert re.findall(r"\{([^}]*)\}", text)[0].split(",") == list(helps)
+        assert dict(re.findall(r"^    (\S+) *(.*)$", text, re.M)) == {k: v for k, v in helps.items() if v}
+    else:
+        flags = COMMANDS[level[0]][2][level[1]][1]
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) == {
+            "-h", "--help", *(flag for flag, _ in flags), "--json", "--out"
+        }
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: " ".join(level) or "root")
+def test_usage_error_names_its_level(level):
+    # Above a leaf an unknown name is the error; at a leaf, its first flag
+    # with no value, which that leaf's parser reports itself.
+    if len(level) < 2:
+        bad = ("nonsense",)
+    else:
+        bad = (COMMANDS[level[0]][2][level[1]][1][0][0],)
+    result = run_cli(*level, *bad)
+    prog = " ".join(("qdelannoy", *level))
+    lines = result.stderr.decode().splitlines()
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert lines[0].startswith(f"usage: {prog} [-h]")
+    assert lines[-1].startswith(f"{prog}: error: ")
 
 
 def test_main_callable_in_process(capsys):

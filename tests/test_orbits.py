@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,6 +22,7 @@ from qdelannoy.orbits import (
     orbit,
 )
 from qdelannoy.paths import enumerate_paths, path_text, sigma, x_of, y_of
+from qdelannoy.residue import phi_test
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +350,8 @@ def test_folded_orbit_sum_matches_full_reduction(monkeypatch):
     folded_decision = orbits_module._orbit_sum_vanishes
     decided = []
 
-    def both_ways(sigmas, n):
-        folded = folded_decision(sigmas, n)
+    def both_ways(sigmas, n, test):
+        folded = folded_decision(sigmas, n, test)
         assert folded == reduce_mod(orbits_module._weight(sigmas), n).is_zero()
         decided.append(folded)
         return folded
@@ -367,10 +367,13 @@ def test_folded_orbit_sum_matches_full_reduction(monkeypatch):
 def test_folded_orbit_sum_keeps_nonvanishing_weights():
     import qdelannoy.orbits as orbits_module
 
-    assert not orbits_module._orbit_sum_vanishes([0, 1], 3)  # 1 + q
-    assert not orbits_module._orbit_sum_vanishes([4, 7], 3)  # folds onto 2q
-    assert orbits_module._orbit_sum_vanishes([0, 1, 2], 3)
-    assert orbits_module._orbit_sum_vanishes([6, 7, 8, 9], 4)  # q^6(1 + q + q^2 + q^3)
+    def vanishes(sigmas, n):
+        return orbits_module._orbit_sum_vanishes(sigmas, n, phi_test(n, n))
+
+    assert not vanishes([0, 1], 3)  # 1 + q
+    assert not vanishes([4, 7], 3)  # folds onto 2q
+    assert vanishes([0, 1, 2], 3)
+    assert vanishes([6, 7, 8, 9], 4)  # q^6(1 + q + q^2 + q^3)
 
 
 def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
@@ -648,15 +651,31 @@ def test_audit_reports_two_orbits_claiming_one_image(monkeypatch):
     assert f"orbits overlap at {path_text(image)} ({cls})" in report.violations
 
 
+def _audit_peak(frame):
+    """Whether a fresh process audits `frame` clean, and its traced peak in
+    bytes.  A fresh process, since a warm one reuses objects freed before
+    tracing began, which tracemalloc does not count: the same audit reads
+    less the later it runs in a test session."""
+    import qdelannoy.orbits as orbits_module
+
+    script = (
+        "import sys, tracemalloc\n"
+        "from qdelannoy.orbits import CornerFrame, audit\n"
+        "tracemalloc.start()\n"
+        "ok = audit(CornerFrame(*map(int, sys.argv[1:]))).ok\n"
+        "print(ok, tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(orbits_module.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", script, *map(str, frame)], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    ok, peak = result.stdout.split()
+    return ok == "True", int(peak)
+
+
 @pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
 def test_audit_memory_is_bounded(frame):
-    tracemalloc.start()
-    try:
-        report = audit(CornerFrame(*frame))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ok
+    ok, peak = _audit_peak(frame)
+    assert ok
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
@@ -738,21 +757,9 @@ def test_audit_checks_replayed_predictions_on_arrival(monkeypatch):
 def test_audit_keeps_no_walk_of_a_corner_with_one_head():
     # At h = 0 or k = 0 one path leads to the corner, so no Q4 walk is met
     # again and none is kept; keeping them doubles the traced peak at
-    # (0,0,5).  A fresh process, since a warm one reuses objects freed before
-    # tracing began, which tracemalloc does not count.
-    import qdelannoy.orbits as orbits_module
-
-    script = (
-        "import tracemalloc\n"
-        "from qdelannoy.orbits import CornerFrame, audit\n"
-        "tracemalloc.start()\n"
-        "assert audit(CornerFrame(0, 0, 5)).ok\n"
-        "print(tracemalloc.get_traced_memory()[1])\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(orbits_module.__file__).resolve().parents[1])}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    peak = int(result.stdout)
+    # (0,0,5).
+    ok, peak = _audit_peak((0, 0, 5))
+    assert ok
     assert peak < 2**18, f"peak {peak / 2**20:.2f} MB"
 
 
