@@ -64,16 +64,18 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     No parser above a leaf has an option that takes a value, so argparse
     dispatches each level on the first remaining word that does not start
     with "-", or on an earlier "-" word, which names nothing and fails as an
-    invalid choice.
+    invalid choice.  Those parsers take no abbreviations, so a leaf's flag
+    given too early, such as `--h`, is a usage error and not `--help`.
     """
     words = [arg for arg in argv if not arg.startswith("-")][:2]
-    parser = argparse.ArgumentParser(prog="qdelannoy")
+    parser = argparse.ArgumentParser(prog="qdelannoy", allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (command_help, dest, leaves) in COMMANDS.items():
         if words[:1] != [command]:
             commands.add_parser(command, help=command_help, add_help=False)
             continue
-        sub = commands.add_parser(command, help=command_help).add_subparsers(dest=dest, required=True)
+        command_parser = commands.add_parser(command, help=command_help, allow_abbrev=False)
+        sub = command_parser.add_subparsers(dest=dest, required=True)
         for leaf, (leaf_help, flags) in leaves.items():
             named = words[1:] == [leaf]
             p = sub.add_parser(leaf, add_help=named, **({} if leaf_help is None else {"help": leaf_help}))

@@ -37,24 +37,25 @@ is why every non-singleton orbit's q^sigma sum vanishes mod Phi_n.  The
 audit verifies all of this exhaustively for one frame, plus the closed
 forms of the four fixed-point sums.  The enumeration scans, the action
 predicts, and the audit checks each prediction when the image arrives.
-The per-step kernel `_step` scans a path (check end, bar end, class, sigma
-and sigma reassembled from the pieces), once per prefix-trie node in the
-audit and over one path in `decompose` and `orbit`.  An action rewrites
-only a path's segment (the tail for Q4, the hat for Q1/Q2) and keeps the
-head before it, so `_act` acts on segments and the orbit walk, which scans
-nothing, walks a segment.  The audit walks each segment once and builds
-every orbit as its head plus each member segment, each member's scan
-predicted from the walk and checked when the image arrives.  A scan that
-misses its prediction breaks the shift law or class closure; a prediction
-left over at the end, a path two orbits claim, and any LawError are
-violations too.
+The per-step kernel `_step` scans a path (check end, bar end, class and
+sigma), once per prefix-trie node in the audit and over one path in
+`decompose`.  An action rewrites only a path's segment (the tail for Q4,
+the hat for Q1/Q2) and keeps the head before it, so `_act` acts on
+segments and the orbit walk, which scans nothing, walks a segment.  The
+audit walks each segment once and builds every orbit as its head plus each
+member segment, each member's scan predicted from the walk and checked when
+the image arrives.  A scan that misses its prediction breaks the shift law
+or class closure; a prediction left over at the end, a path two orbits
+claim, and any LawError are violations too.  The Phi_n test of an orbit sum
+is decided once per walk: a head multiplies the sum by a power of q, a unit
+mod Phi_n, so every orbit built from one walk gets the same answer.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterator
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .cyclotomic import congruent
 from .polyring import IntPoly
@@ -66,10 +67,6 @@ from .paths import D, E, N, Path, path_text, x_of, y_of
 
 class FrameError(ValueError):
     """A path does not fit the frame it is being decomposed against."""
-
-
-class ClassError(ValueError):
-    """An operation was applied to a path of the wrong class."""
 
 
 class LawError(ValueError):
@@ -145,62 +142,46 @@ class Decomposition(NamedTuple):
         return self.bar + self.hat
 
 
-class Orbit(NamedTuple):
-    members: tuple[Path, ...]
-    size: int
-    weight: IntPoly
-    path_class: PathClass
-    s_count: Optional[int]
-
-
 Scan = tuple[int, int, PathClass, int]  # where the check ends, where the bar ends, class, sigma
 
 
 def _start(h: int, k: int) -> tuple:
     """The `_step` state of the empty path; at h = k = 0 the origin is the corner."""
-    return ((None, None, None) if h or k else (0, None, Q3)) + (0, 0, 0, 0, 0, None, 0, 0)
+    return ((None, None, None) if h or k else (0, None, Q3)) + (0, 0, 0, 0, None)
 
 
 def _step(state: tuple, s: str, h: int, k: int) -> tuple:
     """Extend a path's scan by one step s, for the corner (h,k).
 
-    The state is (first, last, class, sigma, reassembled, steps, x, y, arm,
-    base, own_x), and its first four fields are the `Scan`.  The check ends
-    at the first point with x >= h and y >= k, which lies on an arm: an open
-    arm gives Q1 or Q2, and at the corner the next step picks the arm (a D
-    leaves the bar empty); the class stays Q3 until a D in the hat (Q4).  The
-    reassembled sigma sums the check's sigma, x(check) per north bar step,
-    and per y-raising hat step the hat's own x plus `base`, its start x.
+    The state is (first, last, class, sigma, steps, x, y, arm), and its
+    first four fields are the `Scan`.  The check ends at the first point
+    with x >= h and y >= k, which lies on an arm: an open arm gives Q1 or
+    Q2, and at the corner the next step picks the arm (a D leaves the bar
+    empty); the class stays Q3 until a D in the hat (Q4).
     """
-    first, last, cls, total, reassembled, i, x, y, arm, base, own_x = state
+    first, last, cls, total, i, x, y, arm = state
     if last is None and first is not None and s != arm:
         if arm is None and s != D:
             arm = s
         else:
-            last, base = i, x
+            last = i
     i += 1
     x += s != N
     if s != E:
         y += 1
         total += x
     if last is not None:
-        own_x += s != N
-        if s != E:
-            reassembled += own_x + base
-            if s == D and cls is Q3:
-                cls = Q4
-    elif first is None:
-        if x >= h and y >= k:
-            first, reassembled = i, total
-            if x > h:
-                cls, arm = Q1, E
-            elif y > k:
-                cls, arm = Q2, N
-            else:
-                cls = Q3
-    elif s == N:
-        reassembled += x
-    return first, last, cls, total, reassembled, i, x, y, arm, base, own_x
+        if s == D and cls is Q3:
+            cls = Q4
+    elif first is None and x >= h and y >= k:
+        first = i
+        if x > h:
+            cls, arm = Q1, E
+        elif y > k:
+            cls, arm = Q2, N
+        else:
+            cls = Q3
+    return first, last, cls, total, i, x, y, arm
 
 
 def _scan(path: Path, frame: CornerFrame) -> tuple:
@@ -226,7 +207,7 @@ def _scan_trie(frame: CornerFrame) -> Iterator[tuple[Path, tuple]]:
     stack = [(_start(h, k), ())]
     while stack:
         state, path = stack.pop()
-        x, y = state[6], state[7]
+        x, y = state[5], state[6]
         if x < h + n:
             if y < k + n:
                 stack.append((step(state, D, h, k), path + (D,)))
@@ -290,10 +271,6 @@ def _mismatch(predicted: Scan, scanned: Scan, prev: Path) -> str:
     return f"action left {cls} at {path_text(prev)}"
 
 
-def _weight(sigmas: list[int]) -> IntPoly:
-    return sum((IntPoly.monomial(s) for s in sigmas), IntPoly())
-
-
 def _cut(scan: Scan) -> int:
     """Where a path's segment starts: the check end for Q4, else the bar end."""
     return scan[0] if scan[2] is Q4 else scan[1]
@@ -337,25 +314,6 @@ def _images(path: Path, scan: Scan, segs: tuple[Path, ...], bars: tuple[int, ...
         images[member] = (first, len(head) + bars[j], cls, s + ds[j]), prev
         prev = member
     return images
-
-
-def orbit(path: Path, frame: CornerFrame) -> Orbit:
-    """Trajectory of a path under its action; the size always divides n.
-
-    Raises LawError when a law breaks, or a member's scan misses its prediction.
-    """
-    scan = _scan(path, frame)[:4]
-    cls = scan[2]
-    if cls is Q3:
-        raise ClassError("Q3 paths carry no cyclic action")
-    segs, bars, ds = _walk_orbit(path, scan, frame.n)
-    images = _images(path, scan, segs, bars, ds)
-    for member, (predicted, prev) in images.items():
-        scanned = _scan(member, frame)[:4]
-        if scanned != predicted:
-            raise LawError(_mismatch(predicted, scanned, prev))
-    weight = _weight([scan[3] + d for d in ds])
-    return Orbit((path, *images), len(segs), weight, cls, path[scan[0]:].count(D) if cls is Q4 else None)
 
 
 def _orbit_sum_vanishes(sigmas: list[int], n: int, test: tuple[int, Callable[[int, int], bool]]) -> bool:
@@ -440,19 +398,17 @@ def audit(frame: CornerFrame) -> AuditReport:
     # predictions for finished orbits' members that the enumeration has not
     # reached yet, each with the member the action was applied to
     ahead: dict[Path, tuple[Scan, Path]] = {}
-    # Each (class, segment) is walked once, and every orbit is built from the
-    # walk after its own head.  A kept walk adds n slots: slot s mod n holds
-    # the orbit sum test of an orbit whose start has sigma s, once decided.
-    # A Q4 head is a path to the corner, the only one when h or k is 0, so
-    # those walks are not kept.
-    walks: dict[PathClass, dict[Path, tuple]] = {Q1: {}, Q2: {}, Q4: {}}
+    # Each segment is walked once, and every orbit is built from the walk
+    # after its own head.  A segment's displacement fixes its class: (n-i, n)
+    # for a Q1 hat, (n, n-i) for a Q2 hat, (n, n) for a Q4 tail.  A Q4 head
+    # is a path to the corner, the only one when h or k is 0, so those walks
+    # are not kept.
+    walks: dict[Path, tuple] = {}
     phi = phi_test(n, n)
 
     for path, state in _scan_trie(frame):
         total_paths += 1
         _, _, cls, s = scan = state[:4]
-        if s != state[4]:
-            violate(f"sigma reassembly failed for {path_text(path)}")
         counts[cls] += 1
         grand_counts[s] += 1
         walked = ahead.pop(path, None)
@@ -463,15 +419,18 @@ def audit(frame: CornerFrame) -> AuditReport:
         if cls is Q3 or walked is not None:
             continue
         segment = path[_cut(scan):]
-        walk = walks[cls].get(segment)
+        walk = walks.get(segment)
         if walk is None:
             try:
-                walk = *_walk_orbit(path, scan, n), [None] * n
+                segs, bars, ds = _walk_orbit(path, scan, n)
             except ValueError as exc:
                 violate(str(exc))
                 continue
+            # Whether the orbit sum vanishes, the same after every head: a head
+            # multiplies it by a power of q, a unit mod Phi_n.
+            walk = segs, bars, ds, len(segs) == 1 or _orbit_sum_vanishes([s + d for d in ds], n, phi)
             if cls is not Q4 or h and k:
-                walks[cls][walk[0][0]] = walk  # the key shares the walk's copy of the segment
+                walks[segs[0]] = walk  # the key shares the walk's copy of the segment
         segs, bars, ds, vanishes = walk
         images = _images(path, scan, segs, bars, ds)
         if not ahead.keys().isdisjoint(images):
@@ -495,11 +454,7 @@ def audit(frame: CornerFrame) -> AuditReport:
         if size == 1:
             fixed_counts_by_sigma[cls][s] += 1
             continue
-        # The folded orbit sum depends only on the walk and s mod n.
-        vanish = vanishes[s % n]
-        if vanish is None:
-            vanish = vanishes[s % n] = _orbit_sum_vanishes([s + d for d in ds], n, phi)
-        if not vanish:
+        if not vanishes:
             violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
 
     # An image left here fell outside the frame, or came before its orbit's start.

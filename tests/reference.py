@@ -15,7 +15,7 @@ a sweep shard) exist only for the tests.
 from functools import cache
 from itertools import product
 
-from qdelannoy.orbits import ClassError, Decomposition, PathClass
+from qdelannoy.orbits import Decomposition, PathClass
 from qdelannoy.polyring import ONE, IntPoly, ZERO
 from qdelannoy.qcore import neg_q_pochhammer, q_binomial as packed_q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec as packed_q_delannoy_rec
@@ -133,7 +133,7 @@ def blocks(dec, frame):
     elif cls is PathClass.Q4:
         leading, parts = split_on_leads(dec.tail, ("E", "D"))
     else:
-        raise ClassError("Q3 paths carry no block structure")
+        raise ValueError("Q3 paths carry no block structure")
     if cls is not PathClass.Q4 and leading:
         raise AssertionError(f"a {cls.value} hat opens with its run step")
     if len(parts) != frame.n:

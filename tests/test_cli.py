@@ -288,6 +288,19 @@ def test_usage_error_names_its_level(level):
     assert lines[-1].startswith(f"{prog}: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [["compute", "--h", "3", "delannoy", "--k", "2"], ["--h", "1"]], ids=["compute", "root"]
+)
+def test_flag_before_its_leaf_is_usage_error(argv, capsys):
+    # Above a leaf, `--h` must not abbreviate `--help`, which exits 0.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_main_callable_in_process(capsys):
     code = main(["compute", "qdelannoy", "--h", "1", "--k", "1"])
     assert code == 0
@@ -483,8 +496,8 @@ def test_sigma_poly_long_path_exit_0():
 
 # sha256 of `orbits audit` output, text then --json.  The first five were
 # recorded from the audit that walked orbits inline before it was rebuilt on
-# `orbit()`; the orbit-audit benchmark's frames (3,3,4) and (2,2,5) from that
-# rebuilt audit, which still decomposed every path twice.
+# a separate `orbit()` function; the orbit-audit benchmark's frames (3,3,4)
+# and (2,2,5) from that rebuilt audit, which still decomposed every path twice.
 AUDIT_GOLDEN = [
     ((0, 0, 1), "832c887d26d2aaecf4f2749be54ac9fae97adc69d91baf82fd005c0f59c02682",
      "5fe82471ce07227d55d9ed681ffa13aec35251994bbe8ab57483b88aa21aae62"),
@@ -531,20 +544,3 @@ def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
     payload = json.loads(target.read_text())
     assert payload["ok"] is False
     assert payload["violations"][0] == "sigma shift law failed at EEENNN (Q1)"
-
-
-def test_audit_reassembly_fault_is_a_violation(monkeypatch, tmp_path):
-    import qdelannoy.orbits as orbits_module
-
-    step = orbits_module._step
-
-    def off_by_one(state, s, h, k):
-        state = step(state, s, h, k)
-        return state[:4] + (state[4] + 1,) + state[5:]
-
-    monkeypatch.setattr(orbits_module, "_step", off_by_one)
-    target = tmp_path / "out.txt"
-    assert main(["orbits", "audit", "--h", "1", "--k", "1", "--n", "2", "--json", "--out", str(target)]) == 1
-    payload = json.loads(target.read_text())
-    assert payload["ok"] is False
-    assert payload["violations"][0] == "sigma reassembly failed for EEENNN"

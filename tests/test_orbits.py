@@ -11,18 +11,38 @@ from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
 from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
+import qdelannoy.orbits as orbits_module
 from qdelannoy.orbits import (
-    ClassError,
     CornerFrame,
     FrameError,
     LawError,
     PathClass,
     audit,
     decompose,
-    orbit,
 )
 from qdelannoy.paths import enumerate_paths, path_text, sigma, x_of, y_of
 from qdelannoy.residue import phi_test
+
+
+def _orbit(path, frame):
+    """The orbit of `path` as the audit builds it, and its members' sigmas.
+
+    The walk of the path's segment after its head gives the members and
+    their predicted scans; each member's own scan must equal its prediction.
+    Raises LawError when the walk breaks a law or a scan misses.
+    """
+    scan = orbits_module._scan(path, frame)[:4]
+    segs, bars, ds = orbits_module._walk_orbit(path, scan, frame.n)
+    images = orbits_module._images(path, scan, segs, bars, ds)
+    for member, (predicted, prev) in images.items():
+        scanned = orbits_module._scan(member, frame)[:4]
+        if scanned != predicted:
+            raise LawError(orbits_module._mismatch(predicted, scanned, prev))
+    return (path, *images), [scan[3] + d for d in ds]
+
+
+def _weight(sigmas):
+    return sum((IntPoly.monomial(s) for s in sigmas), IntPoly())
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +96,6 @@ ORACLE_FRAMES = {n: [(h, k) for h in range(4) for k in range(4)] for n in range(
 
 @pytest.mark.parametrize("n", sorted(ORACLE_FRAMES))
 def test_decompose_and_act_match_reference(n):
-    import qdelannoy.orbits as orbits_module
-
     for h, k in ORACLE_FRAMES[n]:
         frame = CornerFrame(h, k, n)
         for path in enumerate_paths(h + n, k + n):
@@ -100,22 +118,21 @@ def test_decompose_and_act_match_reference(n):
 def test_scan_matches_reference():
     # The trie walk drives the per-step kernel; every path's final state must
     # agree with the reference decomposition and with `sigma`.
-    import qdelannoy.orbits as orbits_module
-
     for n, corners in ORACLE_FRAMES.items():
         for h, k in corners:
             frame = CornerFrame(h, k, n)
             scanned = list(orbits_module._scan_trie(frame))
             assert [path for path, _ in scanned] == list(enumerate_paths(h + n, k + n))
             for path, state in scanned:
-                first, last, cls, s, reassembled = state[:5]
+                first, last, cls, s = state[:4]
                 dec = reference.decompose(path, frame)
                 assert (first, last) == (len(dec.check), len(dec.check + dec.bar)), path_text(path)
                 assert cls is dec.path_class, path_text(path)
                 assert s == sigma(path), path_text(path)
                 xc, xb = reference.x_of(dec.check), reference.x_of(dec.bar)
                 cross = xc * reference.y_of(dec.bar) + (xc + xb) * reference.y_of(dec.hat)
-                assert reassembled == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
+                # the concatenation law over the three pieces
+                assert s == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
                 assert orbits_module._scan(path, frame) == state
 
 
@@ -184,9 +201,10 @@ def test_classes_are_total_and_disjoint():
 def test_blocks_q4_with_leading_north_run():
     # corner (1,0); the tail N D E is a leading north run, then the blocks D
     # and E: the action swaps their labels and leaves the north run in place
-    o = orbit(tuple("ENDE"), CornerFrame(1, 0, 2))
-    assert o.path_class is PathClass.Q4
-    assert [path_text(m) for m in o.members] == ["ENDE", "ENED"]
+    frame = CornerFrame(1, 0, 2)
+    assert decompose(tuple("ENDE"), frame).path_class is PathClass.Q4
+    members, _ = _orbit(tuple("ENDE"), frame)
+    assert [path_text(m) for m in members] == ["ENDE", "ENED"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +214,7 @@ def test_blocks_q4_with_leading_north_run():
 def test_act_q1_example():
     frame = CornerFrame(1, 1, 2)
     before = tuple("EDNNE")
-    _, after = orbit(before, frame).members
+    (_, after), _ = _orbit(before, frame)
     assert path_text(after) == "EDNEN"
     assert sigma(before) == 6 and sigma(after) == 7
     # exact shift law: n*x(last block) - x(hat) = 2*1 - 1
@@ -204,8 +222,8 @@ def test_act_q1_example():
 
 
 def test_act_fixed_points():
-    assert orbit(tuple("EDD"), CornerFrame(1, 0, 2)).members == (tuple("EDD"),)  # all-diagonal tail
-    assert orbit(tuple("NDNEE"), CornerFrame(1, 1, 2)).members == (tuple("NDNEE"),)  # all-east hat
+    assert _orbit(tuple("EDD"), CornerFrame(1, 0, 2))[0] == (tuple("EDD"),)  # all-diagonal tail
+    assert _orbit(tuple("NDNEE"), CornerFrame(1, 1, 2))[0] == (tuple("NDNEE"),)  # all-east hat
 
 
 def test_act_preserves_class_and_has_period_n():
@@ -216,11 +234,11 @@ def test_act_preserves_class_and_has_period_n():
         cls = decompose(path, frame).path_class
         if cls is PathClass.Q3:
             continue
-        members = orbit(path, frame).members
+        members, _ = _orbit(path, frame)
         assert members[0] == path and frame.n % len(members) == 0
         for i, member in enumerate(members):
             assert decompose(member, frame).path_class is cls
-            assert orbit(member, frame).members == members[i:] + members[:i]
+            assert _orbit(member, frame)[0] == members[i:] + members[:i]
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +246,40 @@ def test_act_preserves_class_and_has_period_n():
 # ---------------------------------------------------------------------------
 
 def test_orbit_q1_pair():
-    o = orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
-    assert o.size == 2
-    assert o.weight == IntPoly.monomial(6) + IntPoly.monomial(7)
-    assert reduce_mod(o.weight, 2).is_zero()
+    members, sigmas = _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
+    assert len(members) == 2
+    assert sigmas == [6, 7]
+    assert reduce_mod(_weight(sigmas), 2).is_zero()
 
 
 def test_orbit_fixed_point():
-    o = orbit(tuple("EDD"), CornerFrame(1, 0, 2))
-    assert o.size == 1
-    assert o.weight == IntPoly.monomial(sigma(tuple("EDD")))
-    assert o.s_count == 2
+    frame = CornerFrame(1, 0, 2)
+    members, sigmas = _orbit(tuple("EDD"), frame)
+    assert len(members) == 1
+    assert sigmas == [sigma(tuple("EDD"))]
+    assert decompose(tuple("EDD"), frame).tail.count("D") == 2
 
 
 def test_orbit_q4_mixed_labels():
     # tail D then E from the corner (1,0): labels rotate with period 2
-    o = orbit(tuple("EDNE"), CornerFrame(1, 0, 2))
-    assert o.path_class is PathClass.Q4
-    assert o.size == 2
-    assert o.s_count == 1
-    assert reduce_mod(o.weight, 2).is_zero()
+    frame = CornerFrame(1, 0, 2)
+    dec = decompose(tuple("EDNE"), frame)
+    assert dec.path_class is PathClass.Q4
+    assert dec.tail.count("D") == 1
+    members, sigmas = _orbit(tuple("EDNE"), frame)
+    assert len(members) == 2
+    assert reduce_mod(_weight(sigmas), 2).is_zero()
 
 
-def test_orbit_rejects_q3():
-    with pytest.raises(ClassError):
-        orbit(tuple("EN"), CornerFrame(0, 0, 1))
+def test_orbit_rejects_q3(monkeypatch):
+    # Q3 paths carry no action: the audit walks none of them, and the
+    # reference finds no blocks to rotate.
+    frame = CornerFrame(1, 1, 2)
+    walked = _count_walks(monkeypatch)
+    assert audit(frame).ok
+    assert walked and all(decompose(p, frame).path_class is not PathClass.Q3 for p in walked)
+    with pytest.raises(ValueError, match="Q3 paths carry no block structure"):
+        reference.blocks(decompose(tuple("EN"), CornerFrame(0, 0, 1)), CornerFrame(0, 0, 1))
 
 
 def test_orbit_sizes_divide_n_and_sums_vanish():
@@ -261,16 +288,14 @@ def test_orbit_sizes_divide_n_and_sums_vanish():
     for path in enumerate_paths(4, 5):
         if path in seen or decompose(path, frame).path_class is PathClass.Q3:
             continue
-        o = orbit(path, frame)
-        seen.update(o.members)
-        assert frame.n % o.size == 0
-        if o.size > 1:
-            assert reduce_mod(o.weight, frame.n).is_zero()
+        members, sigmas = _orbit(path, frame)
+        seen.update(members)
+        assert frame.n % len(members) == 0
+        if len(members) > 1:
+            assert reduce_mod(_weight(sigmas), frame.n).is_zero()
 
 
 def test_orbit_raises_when_a_law_breaks(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     act = orbits_module._act
 
     def no_shift(segment, cls, n):
@@ -279,7 +304,7 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 
     monkeypatch.setattr(orbits_module, "_act", no_shift)
     with pytest.raises(LawError, match="sigma shift law failed at EDNNE"):
-        orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
+        _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
     def wrong_shift(segment, cls, n):
         image, bar, shift = act(segment, cls, n)
@@ -287,7 +312,7 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 
     monkeypatch.setattr(orbits_module, "_act", wrong_shift)
     with pytest.raises(LawError, match="sigma shift law failed at EDNEN"):
-        orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
+        _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
     # an action that sends every hat to NEN (EDNNE to EDNEN), with an honest
     # shift, never returns
@@ -296,17 +321,15 @@ def test_orbit_raises_when_a_law_breaks(monkeypatch):
 
     monkeypatch.setattr(orbits_module, "_act", stuck)
     with pytest.raises(LawError, match="not n-periodic"):
-        orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
+        _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
     # with n = 3 the walk meets the hat NENEE again before its n-th step
     monkeypatch.setattr(orbits_module, "_act", lambda segment, cls, n: (tuple("NENEE"), 0, 1))
     with pytest.raises(LawError, match=r"orbits overlap at EDNENEE \(Q1\)"):
-        orbit(tuple("EDNNNEE"), CornerFrame(1, 1, 3))
+        _orbit(tuple("EDNNNEE"), CornerFrame(1, 1, 3))
 
 
 def test_audit_lets_an_unrelated_assertion_error_through(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     def broken(segment, cls, n):
         raise AssertionError("not a law of the action")
 
@@ -333,26 +356,24 @@ def test_orbit_action_invariants_on_random_frames():
         frame, path = case
         cls = decompose(path, frame).path_class
         hypothesis.assume(cls is not PathClass.Q3)
-        o = orbit(path, frame)
-        assert frame.n % o.size == 0
-        assert all(decompose(m, frame).path_class is cls for m in o.members)
-        if o.size > 1:
-            assert reduce_mod(o.weight, frame.n).is_zero()
+        members, sigmas = _orbit(path, frame)
+        assert frame.n % len(members) == 0
+        assert all(decompose(m, frame).path_class is cls for m in members)
+        if len(members) > 1:
+            assert reduce_mod(_weight(sigmas), frame.n).is_zero()
         # the action takes the last member back to the path
-        assert orbit(o.members[-1], frame).members == o.members[-1:] + o.members[:-1]
+        assert _orbit(members[-1], frame)[0] == members[-1:] + members[:-1]
 
     invariants()
 
 
 def test_folded_orbit_sum_matches_full_reduction(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     folded_decision = orbits_module._orbit_sum_vanishes
     decided = []
 
     def both_ways(sigmas, n, test):
         folded = folded_decision(sigmas, n, test)
-        assert folded == reduce_mod(orbits_module._weight(sigmas), n).is_zero()
+        assert folded == reduce_mod(_weight(sigmas), n).is_zero()
         decided.append(folded)
         return folded
 
@@ -365,8 +386,6 @@ def test_folded_orbit_sum_matches_full_reduction(monkeypatch):
 
 
 def test_folded_orbit_sum_keeps_nonvanishing_weights():
-    import qdelannoy.orbits as orbits_module
-
     def vanishes(sigmas, n):
         return orbits_module._orbit_sum_vanishes(sigmas, n, phi_test(n, n))
 
@@ -377,8 +396,6 @@ def test_folded_orbit_sum_keeps_nonvanishing_weights():
 
 
 def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     # Pair the hats of two Q1 paths with one head whose sigmas differ by 2:
     # 1 + q^2 is 2 mod Phi_2.
     frame = CornerFrame(1, 1, 2)
@@ -483,8 +500,6 @@ def test_audit_report_json_shape():
 
 
 def test_audit_reports_violations_instead_of_raising(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     # break the S3 closed form on purpose; the audit must record it as data
     monkeypatch.setattr(orbits_module, "q_binomial", lambda h, k: IntPoly([5]))
     report = orbits_module.audit(CornerFrame(0, 0, 2))
@@ -492,8 +507,47 @@ def test_audit_reports_violations_instead_of_raising(monkeypatch):
     assert any("S3" in v for v in report.violations)
 
 
+def _off_at(point):
+    """Breaks `q_delannoy_rec`: 1 is added to P(point) alone."""
+    return lambda rec: lambda h, k: rec(h, k) + IntPoly.monomial(0) if (h, k) == point else rec(h, k)
+
+
+def _acting_as(cls_from, cls_to):
+    """Breaks `_act`: `cls_from` segments get the action of `cls_to`."""
+    return lambda act: lambda segment, cls, n: act(segment, cls_to if cls is cls_from else cls, n)
+
+
+def _walks_cut_to(size):
+    """Breaks `_walk_orbit`: each walk keeps only its first `size` members."""
+    return lambda walk: lambda *args: tuple(t[:size] for t in walk(*args))
+
+
+# A name in `orbits`, a wrapper that breaks it, a frame, and the start of a
+# violation the audit must report.  Frame (1,1,3) has orbits of size 3.
+BROKEN_PARTS = {
+    "S1": ("q_delannoy_rec", _off_at((3, 1)), (1, 1, 2), "fixed sum S1 differs from its closed form"),
+    "S2": ("q_delannoy_rec", _off_at((1, 3)), (1, 1, 2), "fixed sum S2 differs from its closed form"),
+    "S4": ("q_delannoy_rec", _off_at((1, 1)), (1, 1, 2), "fixed sum S4 differs from its closed form"),
+    "total": ("q_delannoy_rec", _off_at((3, 3)), (1, 1, 2), "grand total differs from the q-Delannoy polynomial"),
+    "S3-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "S3 does not reduce to twice the corner"),
+    "total-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "grand total congruence failed"),
+    "count": ("delannoy", lambda d: lambda h, k: d(h, k) + 1, (1, 1, 2), "enumerated 63 paths, expected"),
+    "blocks": ("_act", lambda act: lambda s, cls, n: act(s, cls, n + 1), (1, 1, 2), "expected 3 blocks, found 2"),
+    "Q1-hat": ("_act", _acting_as(PathClass.Q2, PathClass.Q1), (1, 1, 2), "a Q1 hat must open with a y-raising"),
+    "Q2-hat": ("_act", _acting_as(PathClass.Q1, PathClass.Q2), (1, 1, 2), "a Q2 hat must open with an x-raising"),
+    "size": ("_walk_orbit", _walks_cut_to(2), (1, 1, 3), "orbit size 2 does not divide n at "),
+    "fixed": ("_walk_orbit", _walks_cut_to(1), (1, 1, 2), "fixed-point characterization failed at "),
+}
+
+
+@pytest.mark.parametrize("part", BROKEN_PARTS)
+def test_audit_reports_each_broken_part(part, monkeypatch):
+    name, breaks, frame, message = BROKEN_PARTS[part]
+    monkeypatch.setattr(orbits_module, name, breaks(getattr(orbits_module, name)))
+    assert any(v.startswith(message) for v in audit(CornerFrame(*frame)).violations)
+
+
 def test_audit_scans_each_path_once(monkeypatch):
-    import qdelannoy.orbits as orbits_module
     import qdelannoy.paths as paths_module
 
     calls = {"_step": 0, "_scan": 0, "decompose": 0, "sigma": 0}
@@ -526,8 +580,6 @@ def test_audit_scans_each_path_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_audit_reports_a_wrong_predicted_class(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     # The action sends the tail of the first Q4 path, which opens with E, to
     # a D-free tail that opens with N, with an honest shift: the image is a
     # Q3 path after it, caught when the enumeration reaches it.
@@ -550,8 +602,6 @@ def test_audit_reports_a_wrong_predicted_class(monkeypatch):
 
 
 def test_audit_checks_each_prediction_on_arrival(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     act = orbits_module._act
 
     # With no shift the predicted sigmas agree around each orbit, so the walk
@@ -568,8 +618,6 @@ def test_audit_checks_each_prediction_on_arrival(monkeypatch):
 
 
 def test_audit_reports_images_never_reached(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     act = orbits_module._act
     frame = CornerFrame(1, 1, 2)
     scanned = {path: state[:4] for path, state in orbits_module._scan_trie(frame)}
@@ -621,8 +669,6 @@ def test_audit_reports_images_never_reached(monkeypatch):
 
 
 def test_audit_reports_two_orbits_claiming_one_image(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     frame = CornerFrame(1, 1, 2)
     scanned = {path: state[:4] for path, state in orbits_module._scan_trie(frame)}
     order = {path: i for i, path in enumerate(scanned)}
@@ -656,8 +702,6 @@ def _audit_peak(frame):
     bytes.  A fresh process, since a warm one reuses objects freed before
     tracing began, which tracemalloc does not count: the same audit reads
     less the later it runs in a test session."""
-    import qdelannoy.orbits as orbits_module
-
     script = (
         "import sys, tracemalloc\n"
         "from qdelannoy.orbits import CornerFrame, audit\n"
@@ -685,8 +729,6 @@ def test_audit_memory_is_bounded(frame):
 
 def _count_walks(monkeypatch):
     """The start of every orbit walk the audit makes, in order."""
-    import qdelannoy.orbits as orbits_module
-
     walk, walked = orbits_module._walk_orbit, []
 
     def counted(path, scan, n):
@@ -700,14 +742,12 @@ def _count_walks(monkeypatch):
 def _first_q4_orbit(frame):
     """The first two segments x, y of the first Q4 orbit with more than one
     member, and every head (path to the corner) that leads into x."""
-    import qdelannoy.orbits as orbits_module
-
     cut = orbits_module._cut
     scanned = list(orbits_module._scan_trie(frame))
     start, state = next(
-        (p, st) for p, st in scanned if st[2] is PathClass.Q4 and orbit(p, frame).size > 1
+        (p, st) for p, st in scanned if st[2] is PathClass.Q4 and len(_orbit(p, frame)[0]) > 1
     )
-    x, y = start[cut(state):], orbit(start, frame).members[1][cut(state):]
+    x, y = start[cut(state):], _orbit(start, frame)[0][1][cut(state):]
     heads = [p[: cut(st)] for p, st in scanned if st[2] is PathClass.Q4 and p[cut(st):] == x]
     assert len(heads) == delannoy(frame.h, frame.k)
     return x, y, heads
@@ -715,8 +755,6 @@ def _first_q4_orbit(frame):
 
 @pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
 def test_audit_walks_each_segment_orbit_once(frame, monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     frame = CornerFrame(*frame)
     segments = {
         (state[2], path[orbits_module._cut(state):])
@@ -729,12 +767,10 @@ def test_audit_walks_each_segment_orbit_once(frame, monkeypatch):
 
 
 def test_audit_checks_replayed_predictions_on_arrival(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     frame = CornerFrame(2, 1, 3)
     x, y, heads = _first_q4_orbit(frame)
     starts = [head + x for head in heads]
-    z = orbit(starts[0], frame).members[2][len(heads[0]):]
+    z = _orbit(starts[0], frame)[0][2][len(heads[0]):]
 
     # A wrong sigma shift for one segment, whatever the head.  The next step
     # repays it, so every walk closes and only each image's arrival, at every
@@ -764,8 +800,6 @@ def test_audit_keeps_no_walk_of_a_corner_with_one_head():
 
 
 def test_audit_and_orbit_catch_a_wrong_bar_end(monkeypatch):
-    import qdelannoy.orbits as orbits_module
-
     frame = CornerFrame(1, 1, 2)
     x, y, heads = _first_q4_orbit(frame)
     act = orbits_module._act
@@ -779,7 +813,7 @@ def test_audit_and_orbit_catch_a_wrong_bar_end(monkeypatch):
     monkeypatch.setattr(orbits_module, "_act", long_bars)
     assert any(v.startswith("action left Q4 at ") for v in orbits_module.audit(frame).violations)
     with pytest.raises(LawError, match=f"action left Q4 at {path_text(heads[0] + y)}"):
-        orbit(heads[0] + x, frame)
+        _orbit(heads[0] + x, frame)
 
     # Only segment x's image has a long bar, so each walk closes and the
     # image's arrival, after every head, shows the wrong bar end.
@@ -793,4 +827,4 @@ def test_audit_and_orbit_catch_a_wrong_bar_end(monkeypatch):
         f"action left Q4 at {path_text(head + x)}" for head in heads
     ]
     with pytest.raises(LawError, match=f"action left Q4 at {path_text(heads[0] + x)}"):
-        orbit(heads[0] + x, frame)
+        _orbit(heads[0] + x, frame)

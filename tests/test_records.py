@@ -18,11 +18,9 @@ from qdelannoy.orbits import (
     AuditReport,
     CornerFrame,
     Decomposition,
-    Orbit,
     PathClass,
     audit,
     decompose,
-    orbit,
 )
 from qdelannoy.paths import D, E, N
 
@@ -32,7 +30,6 @@ Q2_PATH = (N, E, N, E, E)
 RECORDS = [
     FRAME,
     decompose(Q2_PATH, FRAME),
-    orbit(Q2_PATH, FRAME),
     audit(CornerFrame(0, 0, 1)),
     verify_theorem2(1, 0, 0),
     SweepConfig("thm2", max_n=1),
@@ -45,7 +42,6 @@ def test_every_record_type_is_covered():
     assert [type(record) for record in RECORDS] == [
         CornerFrame,
         Decomposition,
-        Orbit,
         AuditReport,
         CongruenceReport,
         SweepConfig,
