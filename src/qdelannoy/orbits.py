@@ -35,20 +35,22 @@ Each action preserves its class, has period dividing n, and changes sigma
 by an exact amount that is nonzero mod n away from the fixed points, which
 is why every non-singleton orbit's q^sigma sum vanishes mod Phi_n.  The
 audit verifies all of this exhaustively for one frame, plus the closed
-forms of the four fixed-point sums.  The enumeration scans, the action
-predicts, and the audit checks each prediction when the image arrives.
-The per-step kernel `_step` scans a path (check end, bar end, class and
-sigma), once per prefix-trie node in the audit and over one path in
-`decompose`.  An action rewrites only a path's segment (the tail for Q4,
-the hat for Q1/Q2) and keeps the head before it, so `_act` acts on
-segments and the orbit walk, which scans nothing, walks a segment.  The
-audit walks each segment once and builds every orbit as its head plus each
-member segment, each member's scan predicted from the walk and checked when
-the image arrives.  A scan that misses its prediction breaks the shift law
-or class closure; a prediction left over at the end, a path two orbits
-claim, and any LawError are violations too.  The Phi_n test of an orbit sum
-is decided once per walk: a head multiplies the sum by a power of q, a unit
-mod Phi_n, so every orbit built from one walk gets the same answer.
+forms of the four fixed-point sums.
+
+The audit cuts every path where its action starts: at the corner for Q3/Q4
+(the segment is the tail) and at the bar end for Q1/Q2 (the segment is the
+hat).  There are at most 2n+1 cut points, the corner and the n points of
+each open arm.  A head is a path to the corner, or a path to an open-arm
+point that avoids the corner, and every head joins every segment from its
+cut point.  Since sigma(head + segment) =
+sigma(head) + sigma(segment) + x(head)*y(segment), and y(segment) is fixed
+at a cut point, every count and sum of the report is the heads' sigma
+counts (`_heads`) convolved with the segments' (`_segments`).  An action
+rewrites the segment alone, so the audit walks each segment orbit once per
+cut point (`_orbit`), whatever the head, and checks every member it
+predicts when the segment stream reaches it.  A head multiplies an orbit
+sum by a power of q, a unit mod Phi_n, so the Phi_n test reads segment
+sigmas only.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .cyclotomic import congruent
-from .polyring import IntPoly
+from .polyring import IntPoly, ZERO
 from .qcore import delannoy, q_binomial
 from .qdelannoy import q_delannoy_rec
 from .residue import phi_test
@@ -80,7 +82,7 @@ class PathClass(enum.Enum):
     Q4 = "Q4"
 
     # Members compare by identity, so they may hash by it too; Enum's own
-    # __hash__ is a Python call on every dict access the audit makes per path.
+    # __hash__ is a Python call on every dict access the audit makes per segment.
     __hash__ = object.__hash__
 
 
@@ -142,96 +144,91 @@ class Decomposition(NamedTuple):
         return self.bar + self.hat
 
 
-Scan = tuple[int, int, PathClass, int]  # where the check ends, where the bar ends, class, sigma
+def decompose(path: Path, frame: CornerFrame) -> Decomposition:
+    """Split a path around its anchor stretch, and give its class.
 
-
-def _start(h: int, k: int) -> tuple:
-    """The `_step` state of the empty path; at h = k = 0 the origin is the corner."""
-    return ((None, None, None) if h or k else (0, None, Q3)) + (0, 0, 0, 0, None)
-
-
-def _step(state: tuple, s: str, h: int, k: int) -> tuple:
-    """Extend a path's scan by one step s, for the corner (h,k).
-
-    The state is (first, last, class, sigma, steps, x, y, arm), and its
-    first four fields are the `Scan`.  The check ends at the first point
-    with x >= h and y >= k, which lies on an arm: an open arm gives Q1 or
-    Q2, and at the corner the next step picks the arm (a D leaves the bar
-    empty); the class stays Q3 until a D in the hat (Q4).
+    The check ends at the first point with x >= h and y >= k, which lies on
+    an arm: an open arm gives Q1 or Q2, and at the corner the first step of
+    the tail picks the arm (a D leaves the bar empty).
     """
-    first, last, cls, total, i, x, y, arm = state
-    if last is None and first is not None and s != arm:
-        if arm is None and s != D:
-            arm = s
-        else:
-            last = i
-    i += 1
-    x += s != N
-    if s != E:
-        y += 1
-        total += x
-    if last is not None:
-        if s == D and cls is Q3:
-            cls = Q4
-    elif first is None and x >= h and y >= k:
-        first = i
-        if x > h:
-            cls, arm = Q1, E
-        elif y > k:
-            cls, arm = Q2, N
-        else:
-            cls = Q3
-    return first, last, cls, total, i, x, y, arm
-
-
-def _scan(path: Path, frame: CornerFrame) -> tuple:
-    """The `_step` state of one whole path."""
     h, k, n = frame
-    end = (len(path) - path.count(N), len(path) - path.count(E))
+    end = (x_of(path), y_of(path))
     if end != frame.target:
         raise FrameError(f"path ends at {end}, frame expects {frame.target}")
-    state = _start(h, k)
-    for s in path:
-        state = _step(state, s, h, k)
-    return state
-
-
-def _scan_trie(frame: CornerFrame) -> Iterator[tuple[Path, tuple]]:
-    """Every path of the frame in `enumerate_paths` order, with its `_step` state.
-
-    Depth first over the E -> N -> D prefix trie on an explicit stack: each
-    trie node is one `_step` from its parent's state.
-    """
-    h, k, n = frame
-    step = _step
-    stack = [(_start(h, k), ())]
-    while stack:
-        state, path = stack.pop()
-        x, y = state[5], state[6]
-        if x < h + n:
-            if y < k + n:
-                stack.append((step(state, D, h, k), path + (D,)))
-                stack.append((step(state, N, h, k), path + (N,)))
-            stack.append((step(state, E, h, k), path + (E,)))
-        elif y < k + n:
-            stack.append((step(state, N, h, k), path + (N,)))
-        else:
-            yield path, state
-
-
-def decompose(path: Path, frame: CornerFrame) -> Decomposition:
-    """Split a path around its anchor stretch, and give its class."""
-    first, last, cls = _scan(path, frame)[:3]
+    x = y = first = 0
+    while x < h or y < k:
+        x += path[first] != N
+        y += path[first] != E
+        first += 1
+    if x > h:
+        cls, run = Q1, E
+    elif y > k:
+        cls, run = Q2, N
+    else:
+        cls, run = Q4 if D in path[first:] else Q3, path[first]
+    last = first
+    while last < len(path) and path[last] == run != D:
+        last += 1
     return Decomposition(path[:first], path[first:last], path[last:], cls)
 
 
-def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int, int]:
+def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], list[int]]:
+    """Every cut point's heads counted by sigma: counts[cut][s].
+
+    One depth-first walk of the prefix trie on an explicit stack of
+    (x, y, sigma), each node one path from the origin.  A node with x >= h
+    and y >= k is a cut point: the corner ends its path, and an open-arm
+    point goes on along its arm only.  One step from any other node of the
+    box stays inside the two arms' strips, so that node takes every step.
+    """
+    cuts = [(h, k), *((h + i, k) for i in range(1, n + 1)), *((h, k + i) for i in range(1, n + 1))]
+    counts = {(x, y): [0] * (x * y + 1) for x, y in cuts}
+    stack = [(0, 0, 0)]
+    while stack:
+        x, y, s = stack.pop()
+        if x >= h and y >= k:
+            counts[x, y][s] += 1
+            if y == k and h < x < h + n:
+                stack.append((x + 1, y, s))
+            elif x == h and k < y < k + n:
+                stack.append((x, y + 1, s + x))
+            continue
+        if x < h + n:
+            stack.append((x + 1, y, s))
+        if y < k + n:
+            stack.append((x, y + 1, s + x))
+            if x < h + n:
+                stack.append((x + 1, y + 1, s + x + 1))
+    return counts
+
+
+def _segments(dx: int, dy: int, run: str | None) -> Iterator[tuple[Path, int]]:
+    """Every path by (dx, dy) that does not open with `run`, with its own
+    sigma, in `enumerate_paths` order.
+
+    Depth first over the E -> N -> D prefix trie on an explicit stack of
+    (path, x, y, sigma), each node one step from its parent.
+    """
+    firsts = (((D,), 1, 1, 1), ((N,), 0, 1, 0), ((E,), 1, 0, 0))
+    stack = [node for node in firsts if node[0][0] != run and node[1] <= dx and node[2] <= dy]
+    while stack:
+        path, x, y, s = stack.pop()
+        if y < dy:
+            if x < dx:
+                stack.append((path + (D,), x + 1, y + 1, s + x + 1))
+            stack.append((path + (N,), x, y + 1, s + x))
+        if x < dx:
+            stack.append((path + (E,), x + 1, y, s))
+        elif y == dy:
+            yield path, s
+
+
+def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int]:
     """Apply the class action (never to Q3) to a segment once.
 
-    Returns the image, the image's bar end past the cut (0 for Q1/Q2), and
-    the sigma shift.  A block is a lead step (any step but the run step)
-    plus the run after it.  Raises LawError unless the segment has exactly
-    n blocks and a Q1/Q2 hat opens with a lead.
+    Returns the image and the sigma shift.  A block is a lead step (any
+    step but the run step) plus the run after it.  Raises LawError unless
+    the segment has exactly n blocks and a Q1/Q2 hat opens with a lead.
     """
     run = E if cls is Q1 else N
     if cls is not Q4 and segment and segment[0] == run:
@@ -247,10 +244,7 @@ def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int, int]:
         shift = segment.count(D) - n * (label == D)
         for i in leads:
             tail[i], label = label, tail[i]
-        bar = 0  # the length of the run a Q4 tail opens with; a D opens none
-        while tail[bar] == tail[0] != D:
-            bar += 1
-        return tuple(tail), bar, shift
+        return tuple(tail), shift
     # Q1/Q2: the final block, from the last lead on, moves to the front of the hat.
     cut = len(segment) - 1
     while segment[cut] == run:
@@ -260,60 +254,29 @@ def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int, int]:
         shift = n * (len(block) - block.count(N)) - (len(segment) - segment.count(N))
     else:
         shift = len(segment) - segment.count(E) - n * (len(block) - block.count(E))
-    return block + segment[:cut], 0, shift
+    return block + segment[:cut], shift
 
 
-def _mismatch(predicted: Scan, scanned: Scan, prev: Path) -> str:
-    """The law broken at `prev` when its image's scan misses the prediction: sigma's shift, else class closure."""
-    cls = predicted[2].value
-    if predicted[3] != scanned[3]:
-        return f"sigma shift law failed at {path_text(prev)} ({cls})"
-    return f"action left {cls} at {path_text(prev)}"
+def _orbit(segment: Path, cls: PathClass, n: int) -> tuple[list[Path], list[int]]:
+    """A segment's orbit: its members in action order, and their sigma offsets from it.
 
-
-def _cut(scan: Scan) -> int:
-    """Where a path's segment starts: the check end for Q4, else the bar end."""
-    return scan[0] if scan[2] is Q4 else scan[1]
-
-
-def _walk_orbit(path: Path, scan: Scan, n: int) -> tuple[tuple[Path, ...], tuple[int, ...], tuple[int, ...]]:
-    """The orbit of `path`'s segment: the member segments in action order,
-    their bar ends past the cut and their sigma offsets from `path`.
-
-    `scan` is the scan of `path`; the walk scans nothing.  Raises LawError
-    when the action returns to the segment off its scan, does not return
-    within n steps, or revisits a later member.
+    Raises LawError when the action returns to the segment with shifts that
+    do not sum to 0, does not return within n steps, or revisits a member.
     """
-    cls = scan[2]
-    cut = _cut(scan)
-    segment = path[cut:]
-    segs, bars, ds = (segment,), (scan[1] - cut,), (0,)
+    members, offsets = [segment], [0]
     while True:
-        image, bar, shift = _act(segs[-1], cls, n)
-        d = ds[-1] + shift
+        image, shift = _act(members[-1], cls, n)
+        offset = offsets[-1] + shift
         if image == segment:
-            if (bar, d) != (bars[0], 0):
-                raise LawError(_mismatch((scan[0], cut + bar, cls, scan[3] + d), scan, path[:cut] + segs[-1]))
-            return segs, bars, ds
-        if len(segs) == n:
-            raise LawError(f"action not n-periodic at {path_text(path)} ({cls.value})")
-        if image in segs:
-            raise LawError(f"orbits overlap at {path_text(path[:cut] + image)} ({cls.value})")
-        segs += (image,)
-        bars += (bar,)
-        ds += (d,)
-
-
-def _images(path: Path, scan: Scan, segs: tuple[Path, ...], bars: tuple[int, ...], ds: tuple[int, ...]) -> dict:
-    """The members after `path` of its orbit, each its head plus a member
-    segment, mapped to its predicted scan and its predecessor."""
-    first, _, cls, s = scan
-    head, prev, images = path[:_cut(scan)], path, {}
-    for j in range(1, len(segs)):
-        member = head + segs[j]
-        images[member] = (first, len(head) + bars[j], cls, s + ds[j]), prev
-        prev = member
-    return images
+            if offset:
+                raise LawError("sigma shift law failed")
+            return members, offsets
+        if len(members) == n:
+            raise LawError("action not n-periodic")
+        if image in members:
+            raise LawError("orbits overlap")
+        members.append(image)
+        offsets.append(offset)
 
 
 def _orbit_sum_vanishes(sigmas: list[int], n: int, test: tuple[int, Callable[[int, int], bool]]) -> bool:
@@ -378,7 +341,8 @@ def audit(frame: CornerFrame) -> AuditReport:
     """Exhaustively verify the partition, actions, and sum identities of a frame.
 
     Violations are collected, not raised; an empty list means the frame
-    passes every check.
+    passes every check.  A broken action law names the segment and its cut
+    point.
     """
     h, k, n = frame.h, frame.k, frame.n
     violations: list[str] = []
@@ -387,90 +351,86 @@ def audit(frame: CornerFrame) -> AuditReport:
         if len(violations) < 100:
             violations.append(msg)
 
+    def at(segment: Path) -> str:
+        """The segment and the cut point (x, y) whose stream is being audited."""
+        return f"{path_text(segment)} from ({x},{y})"
+
     counts = dict.fromkeys(PathClass, 0)
     orbit_histograms: dict[str, dict[int, int]] = {cls.value: {} for cls in PathClass}
-    # Paths per sigma: of every path, and of every Q3 path and every fixed
-    # point of Q1, Q2 and Q4.
-    degrees = (h + n) * (k + n) + 1
-    grand_counts = [0] * degrees
-    fixed_counts_by_sigma = {cls: [0] * degrees for cls in PathClass}
+    # The sums of q^sigma over every Q3 path and every fixed point of Q1, Q2 and Q4.
+    fixed_sums = dict.fromkeys(PathClass, ZERO)
+    grand_total = ZERO
     total_paths = 0
-    # predictions for finished orbits' members that the enumeration has not
-    # reached yet, each with the member the action was applied to
-    ahead: dict[Path, tuple[Scan, Path]] = {}
-    # Each segment is walked once, and every orbit is built from the walk
-    # after its own head.  A segment's displacement fixes its class: (n-i, n)
-    # for a Q1 hat, (n, n-i) for a Q2 hat, (n, n) for a Q4 tail.  A Q4 head
-    # is a path to the corner, the only one when h or k is 0, so those walks
-    # are not kept.
-    walks: dict[Path, tuple] = {}
     phi = phi_test(n, n)
 
-    for path, state in _scan_trie(frame):
-        total_paths += 1
-        _, _, cls, s = scan = state[:4]
-        counts[cls] += 1
-        grand_counts[s] += 1
-        walked = ahead.pop(path, None)
-        if walked is not None and walked[0] != scan:
-            violate(_mismatch(walked[0], scan, walked[1]))
-        if cls is Q3:
-            fixed_counts_by_sigma[cls][s] += 1
-        if cls is Q3 or walked is not None:
+    for (x, y), head_counts in _heads(h, k, n).items():
+        heads = sum(head_counts)
+        if not heads:
             continue
-        segment = path[_cut(scan):]
-        walk = walks.get(segment)
-        if walk is None:
-            try:
-                segs, bars, ds = _walk_orbit(path, scan, n)
-            except ValueError as exc:
-                violate(str(exc))
+        dx, dy = h + n - x, k + n - y
+        arm, run = (Q1, E) if x > h else (Q2, N) if y > k else (None, None)
+        every = [0] * (dx * dy + 1)
+        fixed = {cls: [0] * (dx * dy + 1) for cls in PathClass}
+        # predicted sigmas of the members of walked orbits not reached yet
+        ahead: dict[Path, int] = {}
+        for segment, s in _segments(dx, dy, run):
+            cls = arm or (Q4 if D in segment else Q3)
+            counts[cls] += heads
+            every[s] += 1
+            predicted = ahead.pop(segment, None)
+            if predicted is not None:
+                if cls is Q3:
+                    violate(f"action left Q4 at {at(segment)}")
+                elif predicted != s:
+                    violate(f"sigma shift law failed at {at(segment)} ({cls.value})")
                 continue
-            # Whether the orbit sum vanishes, the same after every head: a head
-            # multiplies it by a power of q, a unit mod Phi_n.
-            walk = segs, bars, ds, len(segs) == 1 or _orbit_sum_vanishes([s + d for d in ds], n, phi)
-            if cls is not Q4 or h and k:
-                walks[segs[0]] = walk  # the key shares the walk's copy of the segment
-        segs, bars, ds, vanishes = walk
-        images = _images(path, scan, segs, bars, ds)
-        if not ahead.keys().isdisjoint(images):
-            claimed = next(p for p in images if p in ahead)
-            violate(f"orbits overlap at {path_text(claimed)} ({cls.value})")
-            continue
-        ahead.update(images)
-        size = len(segs)
-        hist = orbit_histograms[cls.value]
-        hist[size] = hist.get(size, 0) + 1
-        if n % size != 0:
-            violate(f"orbit size {size} does not divide n at {path_text(path)}")
-        if cls is Q1:
-            is_fixed_char = x_of(segment) == 0
-        elif cls is Q2:
-            is_fixed_char = y_of(segment) == 0
-        else:
-            is_fixed_char = segment.count(D) == n
-        if (size == 1) != is_fixed_char:
-            violate(f"fixed-point characterization failed at {path_text(path)} ({cls.value})")
-        if size == 1:
-            fixed_counts_by_sigma[cls][s] += 1
-            continue
-        if not vanishes:
-            violate(f"orbit sum not divisible by Phi_{n} at {path_text(path)}")
+            if cls is Q3:
+                fixed[cls][s] += 1
+                continue
+            try:
+                members, offsets = _orbit(segment, cls, n)
+            except LawError as exc:
+                violate(f"{exc} at {at(segment)} ({cls.value})")
+                continue
+            images = {member: s + d for member, d in zip(members[1:], offsets[1:])}
+            if not ahead.keys().isdisjoint(images):
+                claimed = next(member for member in images if member in ahead)
+                violate(f"orbits overlap at {at(claimed)} ({cls.value})")
+                continue
+            ahead.update(images)
+            size = len(members)
+            hist = orbit_histograms[cls.value]
+            hist[size] = hist.get(size, 0) + heads
+            if n % size != 0:
+                violate(f"orbit size {size} does not divide n at {at(segment)}")
+            # A fixed point: a Q1 hat with no x step, a Q2 hat with no y step, a Q4 tail of n D steps.
+            free = x_of(segment) if cls is Q1 else y_of(segment) if cls is Q2 else n - segment.count(D)
+            if (size == 1) != (free == 0):
+                violate(f"fixed-point characterization failed at {at(segment)} ({cls.value})")
+            if size == 1:
+                fixed[cls][s] += 1
+            elif not _orbit_sum_vanishes([s + d for d in offsets], n, phi):
+                violate(f"orbit sum not divisible by Phi_{n} at {at(segment)}")
 
-    # An image left here fell outside the frame, or came before its orbit's start.
-    for image, (predicted, prev) in ahead.items():
-        violate(f"action image {path_text(image)} of {path_text(prev)} ({predicted[2].value}) never reached")
+        # An image left here fell outside the frame, or came before its orbit's start.
+        for image in ahead:
+            violate(f"action image {at(image)} ({(arm or Q4).value}) never reached")
+        # Every head to (x, y) raises sigma by x * dy on each segment from it.
+        head = IntPoly(head_counts)
+        grand_total += (head * IntPoly(every)).shift(x * dy)
+        for cls in PathClass:
+            fixed_sums[cls] += (head * IntPoly(fixed[cls])).shift(x * dy)
+        total_paths += heads * sum(every)
+
     if total_paths != delannoy(h + n, k + n):
         violate(f"enumerated {total_paths} paths, expected delannoy({h + n},{k + n})")
     class_counts = {cls.value: c for cls, c in counts.items()}
-    if sum(class_counts.values()) != total_paths:
-        violate("classification is not a partition of the path set")
-    fixed_counts = {cls.value: sum(counts) for cls, counts in fixed_counts_by_sigma.items()}
+    fixed_counts = {cls.value: sum(fixed_sums[cls].coeffs) for cls in PathClass}
 
     dq_hk = q_delannoy_rec(h, k)
     dq_h_kn = q_delannoy_rec(h, k + n)
     dq_hn_k = q_delannoy_rec(h + n, k)
-    s1, s2, s3, s4 = (IntPoly(fixed_counts_by_sigma[cls]) for cls in PathClass)
+    s1, s2, s3, s4 = fixed_sums.values()
 
     if s1 != (dq_hn_k - dq_hk).shift(n * (h + n)):
         violate("fixed sum S1 differs from its closed form")
@@ -483,7 +443,6 @@ def audit(frame: CornerFrame) -> AuditReport:
     if not congruent(s3, dq_hk * 2, n):
         violate("S3 does not reduce to twice the corner polynomial mod Phi_n")
 
-    grand_total = IntPoly(grand_counts)
     sign = 1 if n % 2 else -1
     if not congruent(grand_total, dq_hn_k + dq_h_kn + dq_hk * sign, n):
         violate("grand total congruence failed")

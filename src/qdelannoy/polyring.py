@@ -147,13 +147,6 @@ class IntPoly:
                 r[i] = 0
         return IntPoly(quot), IntPoly(r[:dm])
 
-    def evaluate(self, x: int) -> int:
-        """Horner evaluation at an integer point."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_text(self) -> str:
         """Canonical report form, terms ascending: "1 + 2*q + 2*q^2"."""
         if not self.coeffs:
@@ -212,4 +205,3 @@ def _as_coeffs(value: object) -> tuple[int, ...] | None:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-Q = IntPoly((0, 1))

@@ -5,17 +5,19 @@ products, coefficient-wise sums and memoized recursion, with no packed
 integers; (-q;q)_j comes from `qcore.neg_q_pochhammer`, which multiplies
 IntPoly factors too.  These are the package's original routes, kept as the
 oracle the fast ones are checked against, plus the original recursive path
-enumeration and the original corner decomposition and cyclic actions, which
-build the point list of a path and cut it into lists of blocks.  The small
-helpers at the end (q-integers, the q-binomial theorem, the series table of
-1/(1-x-y-xy), evaluation at q=1, JSON read-back, path points, the cases of
-a sweep shard) exist only for the tests.
+enumeration, the original corner decomposition and cyclic actions, which
+build the point list of a path and cut it into lists of blocks, and the
+orbit audit built from them one path at a time.  The small helpers at the
+end (q-integers, the q-binomial theorem, the series table of
+1/(1-x-y-xy), evaluation at q=1 and at any integer, JSON read-back, path
+points, the cases of a sweep shard) exist only for the tests.
 """
 
 from functools import cache
 from itertools import product
 
 from qdelannoy.orbits import Decomposition, PathClass
+from qdelannoy.paths import sigma
 from qdelannoy.polyring import ONE, IntPoly, ZERO
 from qdelannoy.qcore import neg_q_pochhammer, q_binomial as packed_q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec as packed_q_delannoy_rec
@@ -165,6 +167,47 @@ def act_with_shift(dec, frame):
     return head + tuple(body), shift
 
 
+def audit(frame):
+    """The orbit audit path by path, as the fields of `orbits.AuditReport` it must match.
+
+    Every path of the frame is decomposed and weighed on its own, and the
+    first path of each orbit the enumeration reaches walks the orbit of whole
+    paths with `act_with_shift`.
+    """
+    h, k, n = frame
+    size = (h + n) * (k + n) + 1
+    counts = {cls.value: 0 for cls in PathClass}
+    histograms = {cls.value: {} for cls in PathClass}
+    fixed = {cls: [0] * size for cls in PathClass}
+    every = [0] * size
+    seen = set()
+    for path in enumerate_paths(h + n, k + n):
+        cls, s = decompose(path, frame).path_class, sigma(path)
+        counts[cls.value] += 1
+        every[s] += 1
+        if cls is PathClass.Q3:
+            fixed[cls][s] += 1
+        if cls is PathClass.Q3 or path in seen:
+            continue
+        orbit = [path]
+        while (image := act_with_shift(decompose(orbit[-1], frame), frame)[0]) != path:
+            orbit.append(image)
+        seen.update(orbit)
+        hist = histograms[cls.value]
+        hist[len(orbit)] = hist.get(len(orbit), 0) + 1
+        if len(orbit) == 1:
+            fixed[cls][s] += 1
+    sums = {f"S{i}": IntPoly(fixed[cls]) for i, cls in enumerate(PathClass, 1)}
+    return {
+        "total_paths": sum(every),
+        "class_counts": counts,
+        "orbit_histograms": histograms,
+        "fixed_counts": {cls.value: sum(fixed[cls]) for cls in PathClass},
+        "sums": sums,
+        "grand_total": IntPoly(every),
+    }
+
+
 def path_points(path, start=(0, 0)):
     """Every lattice point the path visits, start included."""
     x, y = start
@@ -216,7 +259,15 @@ def specialize_q1(h, k):
     """The package's q-Delannoy polynomial at q=1; equals delannoy(h,k)."""
     if h < 0 or k < 0:
         raise ValueError("specialization expects nonnegative arguments")
-    return packed_q_delannoy_rec(h, k).evaluate(1)
+    return evaluate(packed_q_delannoy_rec(h, k), 1)
+
+
+def evaluate(poly, x):
+    """Horner evaluation of an IntPoly at an integer point."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def poly_from_json(items):

@@ -535,12 +535,12 @@ def test_audit_wrong_shift_is_a_violation(monkeypatch, tmp_path):
     act = orbits_module._act
 
     def wrong_shift(segment, cls, n):
-        image, bar, shift = act(segment, cls, n)
-        return image, bar, shift + 1
+        image, shift = act(segment, cls, n)
+        return image, shift + 1
 
     monkeypatch.setattr(orbits_module, "_act", wrong_shift)
     target = tmp_path / "out.txt"
     assert main(["orbits", "audit", "--h", "1", "--k", "1", "--n", "2", "--json", "--out", str(target)]) == 1
     payload = json.loads(target.read_text())
     assert payload["ok"] is False
-    assert payload["violations"][0] == "sigma shift law failed at EEENNN (Q1)"
+    assert payload["violations"][0] == "sigma shift law failed at END from (1,1) (Q4)"

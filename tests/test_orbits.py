@@ -9,7 +9,7 @@ import reference
 from reference import path_points, poly_from_json
 from qdelannoy.cyclotomic import congruent, reduce_mod
 from qdelannoy.polyring import IntPoly
-from qdelannoy.qcore import delannoy, q_binomial
+from qdelannoy.qcore import q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
 import qdelannoy.orbits as orbits_module
 from qdelannoy.orbits import (
@@ -24,21 +24,47 @@ from qdelannoy.paths import enumerate_paths, path_text, sigma, x_of, y_of
 from qdelannoy.residue import phi_test
 
 
+def _cut(dec):
+    """Where a path's segment starts: the check end for Q3/Q4, else the bar end."""
+    return len(dec.check) if dec.path_class in (PathClass.Q3, PathClass.Q4) else len(dec.check + dec.bar)
+
+
+def _cut_point(segment, frame):
+    """The cut point a segment starts from; its displacement fixes it."""
+    x, y = frame.target
+    return x - x_of(segment), y - y_of(segment)
+
+
 def _orbit(path, frame):
     """The orbit of `path` as the audit builds it, and its members' sigmas.
 
-    The walk of the path's segment after its head gives the members and
-    their predicted scans; each member's own scan must equal its prediction.
-    Raises LawError when the walk breaks a law or a scan misses.
+    The walk of the path's segment gives the member segments and their
+    sigma offsets; each member, the path's head plus a member segment, must
+    keep the class and the cut and have its predicted sigma.  Raises
+    LawError when the walk breaks a law or a member misses.
     """
-    scan = orbits_module._scan(path, frame)[:4]
-    segs, bars, ds = orbits_module._walk_orbit(path, scan, frame.n)
-    images = orbits_module._images(path, scan, segs, bars, ds)
-    for member, (predicted, prev) in images.items():
-        scanned = orbits_module._scan(member, frame)[:4]
-        if scanned != predicted:
-            raise LawError(orbits_module._mismatch(predicted, scanned, prev))
-    return (path, *images), [scan[3] + d for d in ds]
+    dec = decompose(path, frame)
+    cls, cut = dec.path_class, _cut(dec)
+    segments, offsets = orbits_module._orbit(path[cut:], cls, frame.n)
+    members = tuple(path[:cut] + segment for segment in segments)
+    sigmas = [sigma(path) + d for d in offsets]
+    for member, s in zip(members, sigmas):
+        image = decompose(member, frame)
+        if image.path_class is not cls or _cut(image) != cut:
+            raise LawError(f"action left {cls.value} at {path_text(member)}")
+        if sigma(member) != s:
+            raise LawError(f"sigma shift law failed at {path_text(member)}")
+    return members, sigmas
+
+
+def _streams(frame):
+    """Each cut point's segments, in the order the audit streams them."""
+    h, k, n = frame
+    streams = {}
+    for x, y in orbits_module._heads(h, k, n):
+        run = "E" if x > h else "N" if y > k else None
+        streams[x, y] = [seg for seg, _ in orbits_module._segments(h + n - x, k + n - y, run)]
+    return streams
 
 
 def _weight(sigmas):
@@ -103,37 +129,53 @@ def test_decompose_and_act_match_reference(n):
             assert dec == reference.decompose(path, frame), path_text(path)
             if dec.path_class is PathClass.Q3:
                 continue
-            first, _, cls, s = scan = orbits_module._scan(path, frame)[:4]
-            cut = orbits_module._cut(scan)
-            segment, bar, shift = orbits_module._act(path[cut:], cls, n)
+            cut = _cut(dec)
+            segment, shift = orbits_module._act(path[cut:], dec.path_class, n)
             # The reference rebuilds the whole path, so it also checks that
             # the action keeps the head.
             image = path[:cut] + segment
             assert (image, shift) == reference.act_with_shift(dec, frame), path_text(path)
-            # The image is a path of this frame too, so its scan is checked
-            # against the reference where the loop reaches it.
-            assert (first, cut + bar, cls, s + shift) == orbits_module._scan(image, frame)[:4], path_text(path)
+            # The shift is sigma's exact change, and the image keeps the
+            # class and the cut.
+            assert sigma(image) - sigma(path) == shift, path_text(path)
+            assert decompose(image, frame).path_class is dec.path_class, path_text(path)
+            assert _cut(decompose(image, frame)) == cut, path_text(path)
 
 
-def test_scan_matches_reference():
-    # The trie walk drives the per-step kernel; every path's final state must
-    # agree with the reference decomposition and with `sigma`.
+def test_heads_and_segments_match_reference():
+    # Every path is a head to its cut point plus a segment from it.  The
+    # heads' sigma counts and each cut point's segment stream must match what
+    # the reference decomposition cuts out of every path, and sigma must obey
+    # the concatenation law over head and segment.
     for n, corners in ORACLE_FRAMES.items():
         for h, k in corners:
             frame = CornerFrame(h, k, n)
-            scanned = list(orbits_module._scan_trie(frame))
-            assert [path for path, _ in scanned] == list(enumerate_paths(h + n, k + n))
-            for path, state in scanned:
-                first, last, cls, s = state[:4]
+            heads, segments = {}, {}
+            for path in enumerate_paths(h + n, k + n):
                 dec = reference.decompose(path, frame)
-                assert (first, last) == (len(dec.check), len(dec.check + dec.bar)), path_text(path)
-                assert cls is dec.path_class, path_text(path)
-                assert s == sigma(path), path_text(path)
-                xc, xb = reference.x_of(dec.check), reference.x_of(dec.bar)
-                cross = xc * reference.y_of(dec.bar) + (xc + xb) * reference.y_of(dec.hat)
-                # the concatenation law over the three pieces
-                assert s == sigma(dec.check) + sigma(dec.bar) + sigma(dec.hat) + cross
-                assert orbits_module._scan(path, frame) == state
+                cut = _cut(dec)
+                head, segment = path[:cut], path[cut:]
+                point = (x_of(head), y_of(head))
+                heads.setdefault(point, set()).add(head)
+                segments.setdefault(point, set()).add(segment)
+                assert sigma(path) == sigma(head) + sigma(segment) + x_of(head) * y_of(segment)
+            counted = orbits_module._heads(h, k, n)
+            assert set(heads) <= set(counted) and len(counted) == 2 * n + 1
+            streams = _streams(frame)
+            for point, counts in counted.items():
+                expected = [0] * len(counts)
+                for head in heads.get(point, ()):
+                    expected[sigma(head)] += 1
+                assert counts == expected, (frame, point)
+                if point in segments:
+                    assert set(streams[point]) == segments[point], (frame, point)
+            for point, stream in streams.items():
+                x, y = point
+                run = "E" if x > h else "N" if y > k else None
+                every = enumerate_paths(h + n - x, k + n - y)
+                assert stream == [p for p in every if p[0] != run], (frame, point)
+                dx, dy = h + n - x, k + n - y
+                assert [s for _, s in orbits_module._segments(dx, dy, run)] == [sigma(p) for p in stream]
 
 
 def test_reassembly_covers_whole_path():
@@ -272,12 +314,13 @@ def test_orbit_q4_mixed_labels():
 
 
 def test_orbit_rejects_q3(monkeypatch):
-    # Q3 paths carry no action: the audit walks none of them, and the
+    # Q3 paths carry no action: the audit walks none of their tails, and the
     # reference finds no blocks to rotate.
     frame = CornerFrame(1, 1, 2)
     walked = _count_walks(monkeypatch)
     assert audit(frame).ok
-    assert walked and all(decompose(p, frame).path_class is not PathClass.Q3 for p in walked)
+    assert walked and all(cls is not PathClass.Q3 for _, cls in walked)
+    assert all("D" in segment for segment, cls in walked if cls is PathClass.Q4)
     with pytest.raises(ValueError, match="Q3 paths carry no block structure"):
         reference.blocks(decompose(tuple("EN"), CornerFrame(0, 0, 1)), CornerFrame(0, 0, 1))
 
@@ -298,34 +341,35 @@ def test_orbit_sizes_divide_n_and_sums_vanish():
 def test_orbit_raises_when_a_law_breaks(monkeypatch):
     act = orbits_module._act
 
+    # With no shift the walk closes, and the member EDNEN misses its sigma.
     def no_shift(segment, cls, n):
-        image, bar, _ = act(segment, cls, n)
-        return image, bar, 0
+        return act(segment, cls, n)[0], 0
 
     monkeypatch.setattr(orbits_module, "_act", no_shift)
-    with pytest.raises(LawError, match="sigma shift law failed at EDNNE"):
+    with pytest.raises(LawError, match="sigma shift law failed at EDNEN"):
         _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
+    # Shifts of 2 and 0 around a 2-cycle do not sum to 0.
     def wrong_shift(segment, cls, n):
-        image, bar, shift = act(segment, cls, n)
-        return image, bar, shift + 1
+        image, shift = act(segment, cls, n)
+        return image, shift + 1
 
     monkeypatch.setattr(orbits_module, "_act", wrong_shift)
-    with pytest.raises(LawError, match="sigma shift law failed at EDNEN"):
+    with pytest.raises(LawError, match="sigma shift law failed"):
         _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
     # an action that sends every hat to NEN (EDNNE to EDNEN), with an honest
     # shift, never returns
     def stuck(segment, cls, n):
-        return tuple("NEN"), 0, 1
+        return tuple("NEN"), 1
 
     monkeypatch.setattr(orbits_module, "_act", stuck)
     with pytest.raises(LawError, match="not n-periodic"):
         _orbit(tuple("EDNNE"), CornerFrame(1, 1, 2))
 
     # with n = 3 the walk meets the hat NENEE again before its n-th step
-    monkeypatch.setattr(orbits_module, "_act", lambda segment, cls, n: (tuple("NENEE"), 0, 1))
-    with pytest.raises(LawError, match=r"orbits overlap at EDNENEE \(Q1\)"):
+    monkeypatch.setattr(orbits_module, "_act", lambda segment, cls, n: (tuple("NENEE"), 1))
+    with pytest.raises(LawError, match="orbits overlap"):
         _orbit(tuple("EDNNNEE"), CornerFrame(1, 1, 3))
 
 
@@ -396,27 +440,23 @@ def test_folded_orbit_sum_keeps_nonvanishing_weights():
 
 
 def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
-    # Pair the hats of two Q1 paths with one head whose sigmas differ by 2:
-    # 1 + q^2 is 2 mod Phi_2.
+    # Pair the first Q4 tail from the corner (1,1), the first segment the
+    # audit walks, with a later one whose sigma differs by 2: 1 + q^2 is 2
+    # mod Phi_2.
     frame = CornerFrame(1, 1, 2)
-    q1 = [(p, state[:4]) for p, state in orbits_module._scan_trie(frame) if state[2] is PathClass.Q1]
-    a, b, cut, d = next(
-        (a, b, sa[1], sb[3] - sa[3])
-        for i, (a, sa) in enumerate(q1)
-        for b, sb in q1[i + 1:]
-        if a[: sa[1]] == b[: sb[1]] and abs(sb[3] - sa[3]) == 2
-    )
-    x, y = a[cut:], b[cut:]
+    tails = [(seg, s) for seg, s in orbits_module._segments(2, 2, None) if "D" in seg]
+    (x, sx), (y, sy) = tails[0], next(t for t in tails[1:] if abs(t[1] - tails[0][1]) == 2)
+    d = sy - sx
     act = orbits_module._act
 
     def swap(segment, cls, n):
-        if cls is PathClass.Q1 and segment in (x, y):
-            return (y, 0, d) if segment == x else (x, 0, -d)
+        if segment in (x, y):
+            return (y, d) if segment == x else (x, -d)
         return act(segment, cls, n)
 
     monkeypatch.setattr(orbits_module, "_act", swap)
     report = orbits_module.audit(frame)
-    assert f"orbit sum not divisible by Phi_2 at {path_text(a)}" in report.violations
+    assert f"orbit sum not divisible by Phi_2 at {path_text(x)} from (1,1)" in report.violations
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +529,20 @@ def test_audit_grand_total_congruence():
         assert congruent(report.grand_total, rhs, n)
 
 
+# Every frame with h,k <= 3 and n <= 3, plus the benchmark's frames and two
+# edge frames: the origin as the corner, and a corner on the x axis.
+AUDIT_ORACLE_FRAMES = [(h, k, n) for n in range(1, 4) for h in range(4) for k in range(4)]
+AUDIT_ORACLE_FRAMES += [(3, 3, 4), (2, 2, 5), (0, 0, 6), (5, 0, 3)]
+
+
+def test_audit_matches_the_per_path_reference():
+    for frame in AUDIT_ORACLE_FRAMES:
+        report = audit(CornerFrame(*frame))
+        assert report.ok, frame
+        for name, value in reference.audit(CornerFrame(*frame)).items():
+            assert getattr(report, name) == value, (frame, name)
+
+
 def test_audit_report_json_shape():
     report = audit(CornerFrame(1, 0, 2))
     payload = report.to_json()
@@ -518,25 +572,42 @@ def _acting_as(cls_from, cls_to):
 
 
 def _walks_cut_to(size):
-    """Breaks `_walk_orbit`: each walk keeps only its first `size` members."""
+    """Breaks `_orbit`: each walk keeps only its first `size` members."""
     return lambda walk: lambda *args: tuple(t[:size] for t in walk(*args))
 
 
+def _shifted(extra):
+    """Breaks `_act`: every shift is off by `extra`."""
+    return lambda act: lambda s, cls, n: (act(s, cls, n)[0], act(s, cls, n)[1] + extra)
+
+
 # A name in `orbits`, a wrapper that breaks it, a frame, and the start of a
-# violation the audit must report.  Frame (1,1,3) has orbits of size 3.
+# violation the audit must report.  Frame (1,1,3) has orbits of size 3.  The
+# corner (1,1) is the first cut point, and END the first Q4 tail from it.
 BROKEN_PARTS = {
     "S1": ("q_delannoy_rec", _off_at((3, 1)), (1, 1, 2), "fixed sum S1 differs from its closed form"),
     "S2": ("q_delannoy_rec", _off_at((1, 3)), (1, 1, 2), "fixed sum S2 differs from its closed form"),
     "S4": ("q_delannoy_rec", _off_at((1, 1)), (1, 1, 2), "fixed sum S4 differs from its closed form"),
+    "S3": ("q_binomial", lambda qb: lambda a, b: qb(a, b) + 1, (1, 1, 2), "class sum S3 differs from its closed form"),
     "total": ("q_delannoy_rec", _off_at((3, 3)), (1, 1, 2), "grand total differs from the q-Delannoy polynomial"),
     "S3-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "S3 does not reduce to twice the corner"),
     "total-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "grand total congruence failed"),
     "count": ("delannoy", lambda d: lambda h, k: d(h, k) + 1, (1, 1, 2), "enumerated 63 paths, expected"),
-    "blocks": ("_act", lambda act: lambda s, cls, n: act(s, cls, n + 1), (1, 1, 2), "expected 3 blocks, found 2"),
-    "Q1-hat": ("_act", _acting_as(PathClass.Q2, PathClass.Q1), (1, 1, 2), "a Q1 hat must open with a y-raising"),
-    "Q2-hat": ("_act", _acting_as(PathClass.Q1, PathClass.Q2), (1, 1, 2), "a Q2 hat must open with an x-raising"),
-    "size": ("_walk_orbit", _walks_cut_to(2), (1, 1, 3), "orbit size 2 does not divide n at "),
-    "fixed": ("_walk_orbit", _walks_cut_to(1), (1, 1, 2), "fixed-point characterization failed at "),
+    "blocks": ("_act", lambda act: lambda s, cls, n: act(s, cls, n + 1), (1, 1, 2),
+               "expected 3 blocks, found 2 at END from (1,1) (Q4)"),
+    "Q1-hat": ("_act", _acting_as(PathClass.Q2, PathClass.Q1), (1, 1, 2),
+               "a Q1 hat must open with a y-raising step at EEN from (1,2) (Q2)"),
+    "Q2-hat": ("_act", _acting_as(PathClass.Q1, PathClass.Q2), (1, 1, 2),
+               "a Q2 hat must open with an x-raising step at NEN from (2,1) (Q1)"),
+    "shift": ("_act", _shifted(1), (1, 1, 2), "sigma shift law failed at END from (1,1) (Q4)"),
+    # every segment goes to NEN, which goes to itself: no walk returns
+    "periodic": ("_act", lambda _: lambda s, cls, n: (tuple("NEN"), 0), (1, 1, 2),
+                 "action not n-periodic at END from (1,1) (Q4)"),
+    # sorting is idempotent, so a walk meets its second member again
+    "revisit": ("_act", lambda _: lambda s, cls, n: (tuple(sorted(s)), 0), (1, 1, 3),
+                "orbits overlap at EENND from (1,1) (Q4)"),
+    "size": ("_orbit", _walks_cut_to(2), (1, 1, 3), "orbit size 2 does not divide n at "),
+    "fixed": ("_orbit", _walks_cut_to(1), (1, 1, 2), "fixed-point characterization failed at "),
 }
 
 
@@ -547,10 +618,14 @@ def test_audit_reports_each_broken_part(part, monkeypatch):
     assert any(v.startswith(message) for v in audit(CornerFrame(*frame)).violations)
 
 
-def test_audit_scans_each_path_once(monkeypatch):
+def test_audit_streams_each_segment_once(monkeypatch):
+    # The audit builds no whole path: it calls none of `decompose`, `sigma`
+    # and `enumerate_paths`.  It counts the heads in one walk and streams the
+    # segments of each cut point once; (2,2,3) has heads at all 2n+1 of them.
     import qdelannoy.paths as paths_module
 
-    calls = {"_step": 0, "_scan": 0, "decompose": 0, "sigma": 0}
+    calls = {"decompose": 0, "sigma": 0, "enumerate_paths": 0, "_heads": 0}
+    streams = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -559,142 +634,122 @@ def test_audit_scans_each_path_once(monkeypatch):
 
         return wrapper
 
-    for name in ("_step", "_scan", "decompose"):
+    for name in ("decompose", "_heads"):
         monkeypatch.setattr(orbits_module, name, counted(name, getattr(orbits_module, name)))
-    for module in (paths_module, orbits_module):
-        monkeypatch.setattr(module, "sigma", counted("sigma", paths_module.sigma), raising=False)
+    for name in ("sigma", "enumerate_paths"):
+        for module in (paths_module, orbits_module):
+            monkeypatch.setattr(module, name, counted(name, getattr(paths_module, name)), raising=False)
+    segments = orbits_module._segments
+    monkeypatch.setattr(orbits_module, "_segments", lambda *args: streams.append(args) or segments(*args))
     report = orbits_module.audit(CornerFrame(2, 2, 3))
     assert report.ok
-
-    # One kernel step per trie node: every non-empty prefix of a path to
-    # (5,5) is one path from the origin to a point of the box.
-    def nodes(x, y):
-        return sum(delannoy(i, j) for i in range(x + 1) for j in range(y + 1)) - 1
-
-    assert nodes(7, 7) == 132_863  # the benchmark's frames (3,3,4) and (2,2,5)
-    assert calls == {"_step": nodes(5, 5), "_scan": 0, "decompose": 0, "sigma": 0}
+    assert calls == {"decompose": 0, "sigma": 0, "enumerate_paths": 0, "_heads": 1}
+    assert len(streams) == len(set(streams)) == 7
 
 
 # ---------------------------------------------------------------------------
-# Predictions the enumeration must confirm
+# Predictions the segment stream must confirm
 # ---------------------------------------------------------------------------
 
 def test_audit_reports_a_wrong_predicted_class(monkeypatch):
-    # The action sends the tail of the first Q4 path, which opens with E, to
-    # a D-free tail that opens with N, with an honest shift: the image is a
-    # Q3 path after it, caught when the enumeration reaches it.
+    # The action sends the first Q4 tail from the corner (1,1), which opens
+    # with E, to the D-free tail NNEE, with an honest shift: the image is a Q3
+    # segment later in the stream, caught when the stream reaches it.
     frame = CornerFrame(1, 1, 2)
-    a, state = next((p, st) for p, st in orbits_module._scan_trie(frame) if st[2] is PathClass.Q4)
-    cut = orbits_module._cut(state)
-    x, y = a[cut:], tuple("NNEE")
+    x = next(seg for seg, _ in orbits_module._segments(2, 2, None) if "D" in seg)
+    y = tuple("NNEE")
     assert x[0] == "E"
-    shift = sigma(a[:cut] + y) - sigma(a)
+    shift = sigma(y) - sigma(x)
     act = orbits_module._act
 
     def leaves(segment, cls, n):
         if cls is PathClass.Q4 and segment in (x, y):
-            return (y, 0, shift) if segment == x else (x, state[1] - cut, -shift)
+            return (y, shift) if segment == x else (x, -shift)
         return act(segment, cls, n)
 
     monkeypatch.setattr(orbits_module, "_act", leaves)
-    assert decompose(a[:cut] + y, frame).path_class is PathClass.Q3
-    assert f"action left Q4 at {path_text(a)}" in orbits_module.audit(frame).violations
+    assert "action left Q4 at NNEE from (1,1)" in orbits_module.audit(frame).violations
 
 
 def test_audit_checks_each_prediction_on_arrival(monkeypatch):
     act = orbits_module._act
 
     # With no shift the predicted sigmas agree around each orbit, so the walk
-    # closes; only the scan of each image, when the enumeration reaches it,
-    # shows the shift law broken.
+    # closes; only each image's own sigma, when the stream reaches it, shows
+    # the shift law broken.
     def no_shift(segment, cls, n):
-        image, bar, _ = act(segment, cls, n)
-        return image, bar, 0
+        return act(segment, cls, n)[0], 0
 
     monkeypatch.setattr(orbits_module, "_act", no_shift)
     violations = orbits_module.audit(CornerFrame(1, 1, 2)).violations
-    assert "sigma shift law failed at EENNEN (Q1)" in violations
+    assert "sigma shift law failed at NNE from (2,1) (Q1)" in violations
     assert not any(v.startswith(("action", "orbits overlap")) for v in violations)
 
 
 def test_audit_reports_images_never_reached(monkeypatch):
     act = orbits_module._act
     frame = CornerFrame(1, 1, 2)
-    scanned = {path: state[:4] for path, state in orbits_module._scan_trie(frame)}
-    first = next(iter(scanned))
-    cut = orbits_module._cut(scanned[first])
-    x = first[cut:]
+    x = next(seg for seg, _ in orbits_module._segments(2, 2, None) if "D" in seg)
 
-    # An image outside the frame: its orbit closes, but the enumeration never
+    # An image outside the frame: its orbit closes, but the stream never
     # reaches the image.
     def escapes(segment, cls, n):
         if segment == x:
-            return x + ("E",), 0, 0
+            return x + ("E",), 0
         if segment == x + ("E",):
-            return x, 0, 0
+            return x, 0
         return act(segment, cls, n)
 
     monkeypatch.setattr(orbits_module, "_act", escapes)
     report = orbits_module.audit(frame)
-    outside = first + ("E",)
-    assert f"action image {path_text(outside)} of {path_text(first)} (Q1) never reached" in report.violations
+    assert f"action image {path_text(x)}E from (1,1) (Q4) never reached" in report.violations
     monkeypatch.undo()
 
-    # An image enumerated before its orbit's start: the first walk whose
-    # head leads to an earlier Q1 path claims that path too.
-    walk = orbits_module._walk_orbit
-    order = list(scanned)
-    claimed = []
+    # An image streamed before its orbit's start: the first walk from a cut
+    # point where another orbit was walked earlier claims that orbit's start.
+    walk, walked, claimed = orbits_module._orbit, [], []
 
-    def claims_an_earlier_path(path, scan, n):
-        segs, bars, ds = walk(path, scan, n)
-        cut = orbits_module._cut(scan)
-        earlier = [
-            p for p in order[: order.index(path)]
-            if scanned[p][2] is PathClass.Q1 and p[:cut] == path[:cut] and p[cut:] not in segs
-        ]
-        if scan[2] is PathClass.Q1 and earlier and not claimed:
-            claimed.extend((earlier[0], path))
-            # right after the start, so the start is its predecessor
-            p = scanned[earlier[0]]
-            segs = segs[:1] + (earlier[0][cut:],) + segs[1:]
-            bars = bars[:1] + (p[1] - cut,) + bars[1:]
-            ds = ds[:1] + (p[3] - scan[3],) + ds[1:]
-        return segs, bars, ds
+    def claims_an_earlier_segment(segment, cls, n):
+        members, offsets = walk(segment, cls, n)
+        cut = _cut_point(segment, frame)
+        earlier = [w for w in walked if _cut_point(w, frame) == cut and w not in members]
+        walked.append(segment)
+        if earlier and not claimed:
+            claimed.append(earlier[0])
+            members = members[:1] + earlier[:1] + members[1:]
+            offsets = offsets[:1] + [sigma(earlier[0]) - sigma(segment)] + offsets[1:]
+        return members, offsets
 
-    monkeypatch.setattr(orbits_module, "_walk_orbit", claims_an_earlier_path)
+    monkeypatch.setattr(orbits_module, "_orbit", claims_an_earlier_segment)
     report = orbits_module.audit(frame)
-    image, start = claimed
-    assert f"action image {path_text(image)} of {path_text(start)} (Q1) never reached" in report.violations
+    (image,) = claimed
+    x, y = _cut_point(image, frame)
+    assert f"action image {path_text(image)} from ({x},{y}) (Q4) never reached" in report.violations
 
 
 def test_audit_reports_two_orbits_claiming_one_image(monkeypatch):
     frame = CornerFrame(1, 1, 2)
-    scanned = {path: state[:4] for path, state in orbits_module._scan_trie(frame)}
-    order = {path: i for i, path in enumerate(scanned)}
-    walk = orbits_module._walk_orbit
+    order = {(cut, seg): i for cut, stream in _streams(frame).items() for i, seg in enumerate(stream)}
+    walk = orbits_module._orbit
     pending, claimed = [], []
 
-    # An orbit walked while an earlier orbit's member with the same head
-    # still waits for the enumeration claims that member too.
-    def claims_again(path, scan, n):
-        segs, bars, ds = walk(path, scan, n)
-        cut = orbits_module._cut(scan)
-        waiting = [p for p in pending if order[p] > order[path] and p[:cut] == path[:cut]]
+    # An orbit walked while an earlier orbit's member from the same cut point
+    # still waits for the stream claims that member too.
+    def claims_again(segment, cls, n):
+        members, offsets = walk(segment, cls, n)
+        cut = _cut_point(segment, frame)
+        waiting = [m for m in pending if _cut_point(m, frame) == cut and order[cut, m] > order[cut, segment]]
         if waiting and not claimed:
-            claimed.extend((waiting[0], path))
-            p = scanned[waiting[0]]
-            segs += (waiting[0][cut:],)
-            bars += (p[1] - cut,)
-            ds += (p[3] - scan[3],)
-        pending.extend(path[:cut] + seg for seg in segs[1:])
-        return segs, bars, ds
+            claimed.append((cut, waiting[0], cls))
+            members = members + [waiting[0]]
+            offsets = offsets + [sigma(waiting[0]) - sigma(segment)]
+        pending.extend(members[1:])
+        return members, offsets
 
-    monkeypatch.setattr(orbits_module, "_walk_orbit", claims_again)
+    monkeypatch.setattr(orbits_module, "_orbit", claims_again)
     report = orbits_module.audit(frame)
-    image, start = claimed
-    cls = decompose(start, frame).path_class.value
-    assert f"orbits overlap at {path_text(image)} ({cls})" in report.violations
+    ((x, y), image, cls), = claimed
+    assert f"orbits overlap at {path_text(image)} from ({x},{y}) ({cls.value})" in report.violations
 
 
 def _audit_peak(frame):
@@ -716,7 +771,7 @@ def _audit_peak(frame):
     return ok == "True", int(peak)
 
 
-@pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
+@pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5), (4, 4, 6)], ids=["3-3-4", "2-2-5", "4-4-6"])
 def test_audit_memory_is_bounded(frame):
     ok, peak = _audit_peak(frame)
     assert ok
@@ -724,107 +779,72 @@ def test_audit_memory_is_bounded(frame):
 
 
 # ---------------------------------------------------------------------------
-# Segment orbits walked once and built after every head
+# Segment orbits walked once per cut point, whatever the head
 # ---------------------------------------------------------------------------
 
 def _count_walks(monkeypatch):
-    """The start of every orbit walk the audit makes, in order."""
-    walk, walked = orbits_module._walk_orbit, []
+    """Every orbit walk the audit makes, as (segment, class), in order."""
+    walk, walked = orbits_module._orbit, []
 
-    def counted(path, scan, n):
-        walked.append(path)
-        return walk(path, scan, n)
+    def counted(segment, cls, n):
+        walked.append((segment, cls))
+        return walk(segment, cls, n)
 
-    monkeypatch.setattr(orbits_module, "_walk_orbit", counted)
+    monkeypatch.setattr(orbits_module, "_orbit", counted)
     return walked
-
-
-def _first_q4_orbit(frame):
-    """The first two segments x, y of the first Q4 orbit with more than one
-    member, and every head (path to the corner) that leads into x."""
-    cut = orbits_module._cut
-    scanned = list(orbits_module._scan_trie(frame))
-    start, state = next(
-        (p, st) for p, st in scanned if st[2] is PathClass.Q4 and len(_orbit(p, frame)[0]) > 1
-    )
-    x, y = start[cut(state):], _orbit(start, frame)[0][1][cut(state):]
-    heads = [p[: cut(st)] for p, st in scanned if st[2] is PathClass.Q4 and p[cut(st):] == x]
-    assert len(heads) == delannoy(frame.h, frame.k)
-    return x, y, heads
 
 
 @pytest.mark.parametrize("frame", [(3, 3, 4), (2, 2, 5)], ids=["3-3-4", "2-2-5"])
 def test_audit_walks_each_segment_orbit_once(frame, monkeypatch):
+    # The walks' members cover every segment the action moves, at every cut
+    # point with heads, exactly once.
     frame = CornerFrame(*frame)
-    segments = {
-        (state[2], path[orbits_module._cut(state):])
-        for path, state in orbits_module._scan_trie(frame)
-        if state[2] is not PathClass.Q3
+    heads = orbits_module._heads(*frame)
+    moved = {
+        (cut, seg) for cut, stream in _streams(frame).items() if sum(heads[cut])
+        for seg in stream if cut != frame[:2] or "D" in seg
     }
+    walk = orbits_module._orbit
     walked = _count_walks(monkeypatch)
     assert orbits_module.audit(frame).ok
-    assert 0 < len(walked) <= len(segments)
+    members = [(_cut_point(seg, frame), m) for seg, cls in walked for m in walk(seg, cls, frame.n)[0]]
+    assert len(members) == len(set(members))
+    assert set(members) == moved
+
+
+def _first_q4_orbit(frame):
+    """The members of the first orbit of size n among the tails from the corner."""
+    n = frame.n
+    stream = _streams(frame)[frame.h, frame.k]
+    return next(m for seg in stream if "D" in seg and len(m := orbits_module._orbit(seg, PathClass.Q4, n)[0]) == n)
 
 
 def test_audit_checks_replayed_predictions_on_arrival(monkeypatch):
+    # One walk's predictions stand for every head: (2,1) has 3 paths to it.
+    # A wrong sigma shift for one segment, repaid by the next step, lets
+    # every walk close, so only the arrival of the image the action slipped
+    # on shows the broken shift law, once for all heads.
     frame = CornerFrame(2, 1, 3)
-    x, y, heads = _first_q4_orbit(frame)
-    starts = [head + x for head in heads]
-    z = _orbit(starts[0], frame)[0][2][len(heads[0]):]
-
-    # A wrong sigma shift for one segment, whatever the head.  The next step
-    # repays it, so every walk closes and only each image's arrival, at every
-    # head, shows the broken shift law at the member the action slipped on.
+    x, y, z = _first_q4_orbit(frame)
     act = orbits_module._act
     walked = _count_walks(monkeypatch)
     for slip, repay in ((x, y), (y, z)):
 
         def slips(segment, cls, n):
-            image, bar, shift = act(segment, cls, n)
-            return image, bar, shift + (segment == slip) - (segment == repay)
+            image, shift = act(segment, cls, n)
+            return image, shift + (segment == slip) - (segment == repay)
 
         monkeypatch.setattr(orbits_module, "_act", slips)
         violations = orbits_module.audit(frame).violations
         failed = [v for v in violations if v.startswith("sigma shift law failed")]
-        assert failed == [f"sigma shift law failed at {path_text(head + slip)} (Q4)" for head in heads]
-    assert [p for p in walked if p in starts] == starts[:1] * 2
+        assert failed == [f"sigma shift law failed at {path_text(repay)} from (2,1) (Q4)"]
+    assert [seg for seg, _ in walked if seg in (x, y, z)] == [x, x]
 
 
 def test_audit_keeps_no_walk_of_a_corner_with_one_head():
-    # At h = 0 or k = 0 one path leads to the corner, so no Q4 walk is met
-    # again and none is kept; keeping them doubles the traced peak at
-    # (0,0,5).
+    # No walk is kept: only the members not reached yet wait.  At h = k = 0
+    # the origin is the corner, so all 8,989 paths of (0,0,5) are tails of
+    # one empty head, and the peak stays small.
     ok, peak = _audit_peak((0, 0, 5))
     assert ok
     assert peak < 2**18, f"peak {peak / 2**20:.2f} MB"
-
-
-def test_audit_and_orbit_catch_a_wrong_bar_end(monkeypatch):
-    frame = CornerFrame(1, 1, 2)
-    x, y, heads = _first_q4_orbit(frame)
-    act = orbits_module._act
-
-    # Every Q4 image's bar one step too long: each walk misses its start's
-    # scan on the way back.
-    def long_bars(segment, cls, n):
-        image, bar, shift = act(segment, cls, n)
-        return image, bar + (cls is PathClass.Q4), shift
-
-    monkeypatch.setattr(orbits_module, "_act", long_bars)
-    assert any(v.startswith("action left Q4 at ") for v in orbits_module.audit(frame).violations)
-    with pytest.raises(LawError, match=f"action left Q4 at {path_text(heads[0] + y)}"):
-        _orbit(heads[0] + x, frame)
-
-    # Only segment x's image has a long bar, so each walk closes and the
-    # image's arrival, after every head, shows the wrong bar end.
-    def long_bar(segment, cls, n):
-        image, bar, shift = act(segment, cls, n)
-        return image, bar + (cls is PathClass.Q4 and segment == x), shift
-
-    monkeypatch.setattr(orbits_module, "_act", long_bar)
-    violations = orbits_module.audit(frame).violations
-    assert [v for v in violations if v.startswith("action left")] == [
-        f"action left Q4 at {path_text(head + x)}" for head in heads
-    ]
-    with pytest.raises(LawError, match=f"action left Q4 at {path_text(heads[0] + x)}"):
-        _orbit(heads[0] + x, frame)

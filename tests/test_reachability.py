@@ -54,9 +54,8 @@ ALLOWED = {
     ("orbits", "CornerFrame._make"): _RECORD,
     ("orbits", "CornerFrame.target"): _DECOMPOSE,
     ("orbits", "Decomposition.tail"): _DECOMPOSE,
-    ("orbits", "_scan"): _DECOMPOSE,
     ("orbits", "decompose"): _DECOMPOSE,
-    ("orbits", "_mismatch"): _VIOLATION,
+    ("orbits", "audit.<locals>.at"): _VIOLATION,
     ("orbits", "audit.<locals>.violate"): _VIOLATION,
     ("paths", "path_text"): _VIOLATION,
     ("polyring", "IntPoly.__bool__"): _RING,
@@ -66,7 +65,6 @@ ALLOWED = {
     ("polyring", "IntPoly.__rsub__"): _RING,
     ("polyring", "IntPoly.const"): _RING,
     ("polyring", "IntPoly.degree"): _RING,
-    ("polyring", "IntPoly.evaluate"): _RING,
     ("qcore", "neg_q_pochhammer"): "a traced span name; the reference's alt route multiplies with it",
 }
 
