@@ -169,12 +169,9 @@ def test_heads_and_segments_match_reference():
                 assert counts == expected, (frame, point)
                 if point in segments:
                     assert set(streams[point]) == segments[point], (frame, point)
-            for point, stream in streams.items():
-                x, y = point
-                run = "E" if x > h else "N" if y > k else None
-                every = enumerate_paths(h + n - x, k + n - y)
-                assert stream == [p for p in every if p[0] != run], (frame, point)
-                dx, dy = h + n - x, k + n - y
+            for (x, y), stream in streams.items():
+                dx, dy, run = h + n - x, k + n - y, "E" if x > h else "N" if y > k else None
+                assert stream == [p for p in enumerate_paths(dx, dy) if p[0] != run], (frame, x, y)
                 assert [s for _, s in orbits_module._segments(dx, dy, run)] == [sigma(p) for p in stream]
 
 
