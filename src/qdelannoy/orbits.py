@@ -41,22 +41,23 @@ The audit cuts every path where its action starts: at the corner for Q3/Q4
 (the segment is the tail) and at the bar end for Q1/Q2 (the segment is the
 hat).  There are at most 2n+1 cut points, the corner and the n points of
 each open arm.  A head is a path to the corner, or a path to an open-arm
-point that avoids the corner, and every head joins every segment from its
-cut point.  Since sigma(head + segment) =
-sigma(head) + sigma(segment) + x(head)*y(segment), and y(segment) is fixed
-at a cut point, every count and sum of the report is the heads' sigma
-counts (`_heads`) convolved with the segments' (`_segments`).  An action
-rewrites the segment alone, so the audit walks each segment orbit once per
-cut point (`_orbit`), whatever the head, and checks every member it
-predicts when the segment stream reaches it.  A head multiplies an orbit
-sum by a power of q, a unit mod Phi_n, so the Phi_n test reads segment
-sigmas only.
+point that avoids the corner.  A segment is a path from the cut point to
+the target, except one that goes on along the arm from an open-arm point,
+and every head joins every segment from its cut point.  Since
+sigma(head + segment) = sigma(head) + sigma(segment) + x(head)*y(segment),
+and y(segment) is fixed at a cut point, every count and sum of the report
+is the heads' sigma counts (`_heads`) convolved with the segments' (from
+`paths.walk`).  An action rewrites the segment alone, so the audit walks
+each segment orbit once per cut point (`_orbit`), whatever the head, and
+checks every member it predicts when the segment stream reaches it.  A
+head multiplies an orbit sum by a power of q, a unit mod Phi_n, so the
+Phi_n test reads segment sigmas only.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .cyclotomic import congruent
@@ -64,7 +65,7 @@ from .polyring import IntPoly, ZERO
 from .qcore import delannoy, q_binomial
 from .qdelannoy import q_delannoy_rec
 from .residue import phi_test
-from .paths import D, E, N, Path, path_text, x_of, y_of
+from .paths import D, E, N, Path, path_text, walk, x_of, y_of
 
 
 class FrameError(ValueError):
@@ -200,27 +201,6 @@ def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], list[int]]:
             if x < h + n:
                 stack.append((x + 1, y + 1, s + x + 1))
     return counts
-
-
-def _segments(dx: int, dy: int, run: str | None) -> Iterator[tuple[Path, int]]:
-    """Every path by (dx, dy) that does not open with `run`, with its own
-    sigma, in `enumerate_paths` order.
-
-    Depth first over the E -> N -> D prefix trie on an explicit stack of
-    (path, x, y, sigma), each node one step from its parent.
-    """
-    firsts = (((D,), 1, 1, 1), ((N,), 0, 1, 0), ((E,), 1, 0, 0))
-    stack = [node for node in firsts if node[0][0] != run and node[1] <= dx and node[2] <= dy]
-    while stack:
-        path, x, y, s = stack.pop()
-        if y < dy:
-            if x < dx:
-                stack.append((path + (D,), x + 1, y + 1, s + x + 1))
-            stack.append((path + (N,), x, y + 1, s + x))
-        if x < dx:
-            stack.append((path + (E,), x + 1, y, s))
-        elif y == dy:
-            yield path, s
 
 
 def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int]:
@@ -373,7 +353,9 @@ def audit(frame: CornerFrame) -> AuditReport:
         fixed = {cls: [0] * (dx * dy + 1) for cls in PathClass}
         # predicted sigmas of the members of walked orbits not reached yet
         ahead: dict[Path, int] = {}
-        for segment, s in _segments(dx, dy, run):
+        for segment, s in walk(dx, dy):
+            if segment[0] == run:  # the bar goes on to a later cut point
+                continue
             cls = arm or (Q4 if D in segment else Q3)
             counts[cls] += heads
             every[s] += 1

@@ -39,40 +39,51 @@ def sigma(path: Path) -> int:
 
 
 def enumerate_paths(h: int, k: int) -> Iterator[Path]:
-    """Yield every path from (0,0) to (h,k) exactly once.
+    """Yield every path from (0,0) to (h,k) exactly once, in `walk` order.
 
-    Deterministic order: at each position try E, then N, then D.  The
-    stream is never materialized here; delannoy(h,k) paths in total.
+    The stream is never materialized here; delannoy(h,k) paths in total.
     """
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (h, k)):
         raise TypeError(f"target coordinates must be int, got ({h!r}, {k!r})")
     if h < 0 or k < 0:
         raise ValueError(f"target must be in the first quadrant, got ({h}, {k})")
-    return _walk(h, k)
+    return (path for path, _ in walk(h, k))
 
 
-def _walk(h: int, k: int) -> Iterator[Path]:
-    """Depth-first over an explicit stack of steps, so path length has no ceiling."""
+def walk(h: int, k: int) -> Iterator[tuple[Path, int]]:
+    """Every path from (0,0) to (h,k) with its sigma; at each position try E, then N, then D.
+
+    Depth first over an explicit list of steps, so path length has no
+    ceiling, and each path is built once, when it is yielded.  It does not
+    check its arguments; `enumerate_paths` does.
+    """
     steps: list[str] = []
-    dh, dk = h, k
+    x = y = s = 0
     while True:
-        while dh or dk:
-            s = E if dh else N
-            steps.append(s)
-            dh -= s != N
-            dk -= s != E
-        yield tuple(steps)
+        while x < h:
+            steps.append(E)
+            x += 1
+        while y < k:
+            steps.append(N)
+            y, s = y + 1, s + x
+        yield tuple(steps), s
         # Back up to the last step that has an untried successor: E -> N -> D.
         while steps:
-            s = steps.pop()
-            dh += s != N
-            dk += s != E
-            if (s == E and dk) or (s == N and dh):
-                s = N if s == E else D
-                steps.append(s)
-                dh -= s != N
-                dk -= s != E
-                break
+            step = steps.pop()
+            if step == E:
+                x -= 1
+                if y < k:
+                    steps.append(N)
+                    y, s = y + 1, s + x
+                    break
+            elif step == N:
+                y, s = y - 1, s - x
+                if x < h:
+                    steps.append(D)
+                    x, y, s = x + 1, y + 1, s + x + 1
+                    break
+            else:
+                x, y, s = x - 1, y - 1, s - x
         else:
             return
 
@@ -80,10 +91,11 @@ def _walk(h: int, k: int) -> Iterator[Path]:
 def sigma_poly(h: int, k: int) -> IntPoly:
     """Sum of q^sigma over all paths to (h,k); equals the q-Delannoy polynomial.
 
-    It builds each path and then walks it again in `sigma`, which is about
-    twice the work of the prefix-trie walk `congruence._sigma_counts`.  That
-    is on purpose: this is the independent oracle that re-checks a case the
-    interp engine failed, so it must share no code with that walk.
+    It builds each path and then walks it again in `sigma`, ignoring the
+    sigma `walk` carries, which is about twice the work of the prefix-trie
+    walk `congruence._sigma_counts`.  That is on purpose: this is the
+    independent oracle that re-checks a case the interp engine failed, so
+    it must share no code with that walk.
     """
     counts = [0] * (h * k + 1)
     for path in enumerate_paths(h, k):

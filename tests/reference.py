@@ -278,11 +278,11 @@ def poly_from_json(items):
 def grid_cases(config, key):
     """Every case of one sweep shard in grid order, enumerated apart from the engines.
 
-    The key is the modulus n (or the prime p) of a split or thm2 shard, and
-    the row h of an interp shard.
+    The key is the modulus n (or the prime p) of a split or thm2 shard; an
+    interp grid is one shard, every (h, k) of the box, whatever its key.
     """
     if config.statement == "interp":
-        return [(key, k) for k in range(config.max_k + 1)]
+        return list(product(range(config.max_h + 1), range(config.max_k + 1)))
     if config.statement == "thm2":
         return [(key, *hk) for hk in product(range(config.max_h + 1), range(config.max_k + 1))]
     return [(key, *abcd) for abcd in product(range(config.max_a + 1), range(key), range(config.max_c + 1), range(key))]

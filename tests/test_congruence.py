@@ -9,6 +9,7 @@ import pytest
 from qdelannoy import congruence, residue as residue_module
 from qdelannoy.cli import main
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
+from qdelannoy.paths import sigma
 from qdelannoy.polyring import IntPoly
 from qdelannoy.qcore import delannoy, q_binomial, slot_bytes
 from qdelannoy.qdelannoy import q_delannoy_rec
@@ -26,6 +27,7 @@ from qdelannoy.congruence import (
     verify_theorem1,
     verify_theorem2,
 )
+import reference
 from reference import evaluate, grid_cases
 
 
@@ -592,9 +594,9 @@ def test_mod_p_shard_memory_is_one_table(statement):
 def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
     sigma_counts = congruence._sigma_counts
 
-    def corrupt(h, max_k):
-        counts = sigma_counts(h, max_k)
-        counts[max_k][0] += 1
+    def corrupt(max_h, max_k):
+        counts = sigma_counts(max_h, max_k)
+        counts[0][max_k][0] += 1
         return counts
 
     monkeypatch.setattr(congruence, "_sigma_counts", corrupt)
@@ -625,6 +627,29 @@ def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
 def test_interp_engine_failures_match_oracle_in_every_case(monkeypatch):
     monkeypatch.setattr(congruence, "q_delannoy_rec", lambda h, k: q_delannoy_rec(h, k) + 1)
     assert len(_engine_failures_match_oracle(SweepConfig("interp", max_h=3, max_k=3))) == 4 * 4
+
+
+def test_sigma_counts_match_reference_paths():
+    # Every cell of one box walk against the recursive enumeration, weighed by `sigma`.
+    for max_h in range(5):
+        for max_k in range(5):
+            counts = congruence._sigma_counts(max_h, max_k)
+            assert len(counts) == max_h + 1 and all(len(row) == max_k + 1 for row in counts)
+            for h in range(max_h + 1):
+                for k in range(max_k + 1):
+                    expected = [0] * (h * k + 1)
+                    for path in reference.enumerate_paths(h, k):
+                        expected[sigma(path)] += 1
+                    assert counts[h][k] == expected, (max_h, max_k, h, k)
+
+
+def test_interp_sweep_walks_the_box_once(monkeypatch):
+    sigma_counts, walks = congruence._sigma_counts, []
+    monkeypatch.setattr(congruence, "_sigma_counts", lambda *args: walks.append(args) or sigma_counts(*args))
+    for jobs in (1, 2):
+        summary = sweep(SweepConfig("interp", max_h=5, max_k=3, jobs=jobs))
+        assert (summary.total, summary.failed) == (6 * 4, 0)
+    assert walks == [(5, 3), (5, 3)]
 
 
 def test_passing_interp_sweep_runs_no_oracle_case(monkeypatch):
@@ -679,6 +704,7 @@ def test_shard_counts_sum_to_grid_size():
     ]
     for config, size in grids:
         keys = STATEMENTS[config.statement].keys(config)
+        assert len(keys) == 1 if config.statement == "interp" else len(keys) > 1
         shards = [_oracle_shard(config, key) for key in keys]
         assert [_shard_failures((config, key)) for key in keys] == shards
         assert sum(count for count, _ in shards) == size == sweep(config).total

@@ -63,7 +63,7 @@ def _streams(frame):
     streams = {}
     for x, y in orbits_module._heads(h, k, n):
         run = "E" if x > h else "N" if y > k else None
-        streams[x, y] = [seg for seg, _ in orbits_module._segments(h + n - x, k + n - y, run)]
+        streams[x, y] = [seg for seg, _ in orbits_module.walk(h + n - x, k + n - y) if seg[0] != run]
     return streams
 
 
@@ -171,8 +171,7 @@ def test_heads_and_segments_match_reference():
                     assert set(streams[point]) == segments[point], (frame, point)
             for (x, y), stream in streams.items():
                 dx, dy, run = h + n - x, k + n - y, "E" if x > h else "N" if y > k else None
-                assert stream == [p for p in enumerate_paths(dx, dy) if p[0] != run], (frame, x, y)
-                assert [s for _, s in orbits_module._segments(dx, dy, run)] == [sigma(p) for p in stream]
+                assert stream == [p for p in reference.enumerate_paths(dx, dy) if p[0] != run], (frame, x, y)
 
 
 def test_reassembly_covers_whole_path():
@@ -441,7 +440,7 @@ def test_audit_reports_orbit_sum_that_does_not_vanish(monkeypatch):
     # audit walks, with a later one whose sigma differs by 2: 1 + q^2 is 2
     # mod Phi_2.
     frame = CornerFrame(1, 1, 2)
-    tails = [(seg, s) for seg, s in orbits_module._segments(2, 2, None) if "D" in seg]
+    tails = [(seg, s) for seg, s in orbits_module.walk(2, 2) if "D" in seg]
     (x, sx), (y, sy) = tails[0], next(t for t in tails[1:] if abs(t[1] - tails[0][1]) == 2)
     d = sy - sx
     act = orbits_module._act
@@ -636,8 +635,8 @@ def test_audit_streams_each_segment_once(monkeypatch):
     for name in ("sigma", "enumerate_paths"):
         for module in (paths_module, orbits_module):
             monkeypatch.setattr(module, name, counted(name, getattr(paths_module, name)), raising=False)
-    segments = orbits_module._segments
-    monkeypatch.setattr(orbits_module, "_segments", lambda *args: streams.append(args) or segments(*args))
+    walk = orbits_module.walk
+    monkeypatch.setattr(orbits_module, "walk", lambda *args: streams.append(args) or walk(*args))
     report = orbits_module.audit(CornerFrame(2, 2, 3))
     assert report.ok
     assert calls == {"decompose": 0, "sigma": 0, "enumerate_paths": 0, "_heads": 1}
@@ -653,7 +652,7 @@ def test_audit_reports_a_wrong_predicted_class(monkeypatch):
     # with E, to the D-free tail NNEE, with an honest shift: the image is a Q3
     # segment later in the stream, caught when the stream reaches it.
     frame = CornerFrame(1, 1, 2)
-    x = next(seg for seg, _ in orbits_module._segments(2, 2, None) if "D" in seg)
+    x = next(seg for seg, _ in orbits_module.walk(2, 2) if "D" in seg)
     y = tuple("NNEE")
     assert x[0] == "E"
     shift = sigma(y) - sigma(x)
@@ -686,7 +685,7 @@ def test_audit_checks_each_prediction_on_arrival(monkeypatch):
 def test_audit_reports_images_never_reached(monkeypatch):
     act = orbits_module._act
     frame = CornerFrame(1, 1, 2)
-    x = next(seg for seg, _ in orbits_module._segments(2, 2, None) if "D" in seg)
+    x = next(seg for seg, _ in orbits_module.walk(2, 2) if "D" in seg)
 
     # An image outside the frame: its orbit closes, but the stream never
     # reaches the image.

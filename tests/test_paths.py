@@ -11,6 +11,7 @@ from qdelannoy.paths import (
     path_text,
     sigma,
     sigma_poly,
+    walk,
     x_of,
     y_of,
 )
@@ -88,6 +89,16 @@ def test_enumeration_matches_recursive_reference():
     for h in range(6):
         for k in range(6):
             assert list(enumerate_paths(h, k)) == list(reference.enumerate_paths(h, k))
+
+
+def test_walk_matches_recursive_reference_and_sigma():
+    # The one path stream, against the recursive enumeration for its order
+    # and against `sigma` for the statistic it carries.
+    assert list(walk(0, 0)) == [((), 0)]
+    for h in range(5):
+        for k in range(5):
+            expected = [(p, sigma(p)) for p in reference.enumerate_paths(h, k)]
+            assert list(walk(h, k)) == expected, (h, k)
 
 
 def test_enumeration_has_no_recursion_limit():
