@@ -5,7 +5,8 @@ products, coefficient-wise sums and memoized recursion, with no packed
 integers; (-q;q)_j comes from `qcore.neg_q_pochhammer`, which multiplies
 IntPoly factors too.  These are the package's original routes, kept as the
 oracle the fast ones are checked against, plus the original recursive path
-enumeration, the original corner decomposition and cyclic actions, which
+enumeration, the interp sweep's original walk of the whole box's prefix
+trie, the original corner decomposition and cyclic actions, which
 build the point list of a path and cut it into lists of blocks, and the
 orbit audit built from them one path at a time.  The small helpers at the
 end (q-integers, the q-binomial theorem, the series table of
@@ -73,6 +74,33 @@ def enumerate_paths(h, k, prefix=()):
         yield from enumerate_paths(h, k - 1, prefix + ("N",))
     if h and k:
         yield from enumerate_paths(h - 1, k - 1, prefix + ("D",))
+
+
+def trie(max_h, max_k):
+    """Every node of the prefix trie of the box [0,max_h] x [0,max_k], depth first, as (x, y, sigma).
+
+    A generator, since CPython 3.11 specializes a loop only in code it has
+    entered a few times: this one is entered once per node, where a plain
+    loop in a function called once ran over twice as slow.
+    """
+    stack = [(0, 0, 0)]
+    while stack:
+        node = x, y, s = stack.pop()
+        yield node
+        if x < max_h:
+            stack.append((x + 1, y, s))
+            if y < max_k:
+                stack.append((x + 1, y + 1, s + x + 1))
+        if y < max_k:
+            stack.append((x, y + 1, s + x))
+
+
+def sigma_counts(max_h, max_k):
+    """counts[h][k][s]: how many paths from (0,0) to (h,k) have sigma s, one per node of the box's trie."""
+    counts = [[[0] * (h * k + 1) for k in range(max_k + 1)] for h in range(max_h + 1)]
+    for x, y, s in trie(max_h, max_k):
+        counts[x][y][s] += 1
+    return counts
 
 
 def on_anchor(frame, point):

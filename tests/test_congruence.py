@@ -596,12 +596,39 @@ def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
 
     def corrupt(max_h, max_k):
         counts = sigma_counts(max_h, max_k)
-        counts[0][max_k][0] += 1
+        counts[0][max_k] += 1  # one more path of sigma 0
         return counts
 
     monkeypatch.setattr(congruence, "_sigma_counts", corrupt)
     with pytest.raises(RuntimeError, match=r"interp case \(0, 2\) fails .* passes the oracle check"):
         sweep(SweepConfig("interp", max_h=2, max_k=2))
+
+
+@pytest.mark.parametrize(
+    "node, failing",
+    [
+        # Left of the cut: one more D step from the origin.  The cells right of
+        # the cut that end on a translate of (1, 1) read its count too.
+        ((1, 1, 1), [(1, 1), (4, 1), (4, 2)]),
+        # On the cut: one more path of sigma 0 arriving at (3, 0), which every
+        # cell right of the cut reads.
+        ((3, 0, 0), [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]),
+    ],
+)
+def test_interp_engine_rejects_corrupt_count_on_either_side_of_the_cut(monkeypatch, node, failing):
+    # At max_h = 4 the trie walk stops at column 3.
+    trie = congruence._trie
+
+    def corrupt(cut, max_k):
+        yield node
+        yield from trie(cut, max_k)
+
+    monkeypatch.setattr(congruence, "_trie", corrupt)
+    config = SweepConfig("interp", max_h=4, max_k=2)
+    assert _shard_failures((config, 0)) == (5 * 3, failing)
+    h, k = failing[0]
+    with pytest.raises(RuntimeError, match=rf"interp case \({h}, {k}\) fails .* passes the oracle check"):
+        sweep(config)
 
 
 def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
@@ -640,7 +667,23 @@ def test_sigma_counts_match_reference_paths():
                     expected = [0] * (h * k + 1)
                     for path in reference.enumerate_paths(h, k):
                         expected[sigma(path)] += 1
-                    assert counts[h][k] == expected, (max_h, max_k, h, k)
+                    assert list(counts[h][k].coeffs) == expected, (max_h, max_k, h, k)
+
+
+# Every box up to 6 x 6, two that are not square, and thin and empty-width
+# boxes, where max_h = 0 leaves no cell right of the cut.
+BOX_WALK_SIZES = [(h, k) for h in range(7) for k in range(7)] + [(8, 6), (6, 8), (9, 1), (1, 9), (9, 0), (0, 9)]
+
+
+def test_sigma_counts_match_box_walk():
+    # The cut engine against the walk of the whole box's prefix trie, cell by cell.
+    for max_h, max_k in BOX_WALK_SIZES:
+        counts = congruence._sigma_counts(max_h, max_k)
+        expected = reference.sigma_counts(max_h, max_k)
+        assert len(counts) == max_h + 1 and all(len(row) == max_k + 1 for row in counts)
+        for h in range(max_h + 1):
+            for k in range(max_k + 1):
+                assert list(counts[h][k].coeffs) == expected[h][k], (max_h, max_k, h, k)
 
 
 def test_interp_sweep_walks_the_box_once(monkeypatch):
