@@ -17,11 +17,9 @@ Each engine walks its own shard's ranges in grid order and decides every
 case from one table: thm2, thm1 and qlucas in Z[q]/(q^n - 1), each entry
 packed into one integer and each case decided with no division by
 `residue.phi_test`; lucas and dlucas at q = 1 with every entry reduced mod
-p; and interp from path counts compared exactly with P(h,k): one walk of
-the prefix trie left of a cut column counts the cells there and the
-prefixes that reach the cut, and the cells right of it are convolutions of
-the two, packed as in `qcore`.  An engine builds a case tuple only for a
-case that fails.
+p; and interp from the path counts of `paths.sigma_counts`, compared
+exactly with P(h,k).  An engine builds a case tuple only for a case that
+fails.
 
 A case that fails is re-run through the direct check, which builds its
 report; a case the direct check passes raises RuntimeError, so an engine
@@ -32,15 +30,15 @@ from __future__ import annotations
 
 import marshal
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from math import comb
 from typing import NamedTuple
 
 from .cyclotomic import reduce_mod
 from .polyring import IntPoly
-from .qcore import delannoy, is_prime, q_binomial, slot_bytes
+from .qcore import delannoy, is_prime, q_binomial
 from .qdelannoy import q_delannoy_rec
-from .paths import sigma_poly
+from .paths import sigma_counts, sigma_poly
 from .residue import binomial_table, delannoy_table, phi_test
 
 
@@ -357,55 +355,9 @@ def _dlucas_failures(config: SweepConfig, p: int) -> tuple[int, list[tuple[int, 
     return _split_failures(config, p, delannoy_table, delannoy, p)
 
 
-def _trie(cut: int, max_k: int) -> Iterator[tuple[int, int, int]]:
-    """Every node of the prefix trie of [0,cut] x [0,max_k] up to column cut, depth first, as (x, y, sigma).
-
-    A node on column cut is a leaf: its path reaches that column there for
-    the first time.  A generator, since CPython 3.11 specializes a loop only
-    in code it has entered a few times: this one is entered once per node,
-    where a plain loop in a function called once ran over twice as slow.
-    """
-    stack = [(0, 0, 0)]
-    while stack:
-        node = x, y, s = stack.pop()
-        yield node
-        if x < cut:
-            stack.append((x + 1, y, s))
-            if y < max_k:
-                stack.append((x + 1, y + 1, s + x + 1))
-                stack.append((x, y + 1, s + x))
-
-
-def _sigma_counts(max_h: int, max_k: int) -> list[list[IntPoly]]:
-    """counts[h][k]: the sum of q^sigma over the paths from (0,0) to (h,k), for every cell of the box.
-
-    A path to (h,k) with h >= cut first reaches column cut at some (cut,y).
-    The trie walk counts those prefixes, arrive[y], and every cell left of
-    the cut.  Since max_h - cut < cut, the rest is a path to a cell left of
-    the cut moved right by cut, which gains cut in sigma at each of its k-y
-    steps up: counts[h][k] = sum_y arrive[y] counts[h-cut][k-y] q^(cut(k-y)).
-    Counts are packed as in `qcore`; no slot carries, since every term is
-    nonnegative and no coefficient exceeds D(max_h, max_k).  When max_h = 0
-    no cell lies right of the cut, and the arrivals on column 1 go unread.
-    """
-    cut = max_h // 2 + 1
-    width = slot_bytes(delannoy(max_h, max_k))
-    bits = 8 * width
-    cells = [[[0] * (x * y + 1) for y in range(max_k + 1)] for x in range(cut + 1)]
-    for x, y, s in _trie(cut, max_k):
-        cells[x][y][s] += 1
-    packed = [[sum(n << (s * bits) for s, n in enumerate(cell)) for cell in row] for row in cells]
-    left, arrive = packed[:cut], packed[cut]
-    right = [
-        [sum(arrive[y] * row[k - y] << (cut * (k - y) * bits) for y in range(k + 1)) for k in range(max_k + 1)]
-        for row in left[: max_h - cut + 1]
-    ]
-    return [[IntPoly.from_packed(v, width) for v in row] for row in left + right]
-
-
 def _interp_failures(config: SweepConfig, _: int) -> tuple[int, list[tuple[int, ...]]]:
     """Cases (h, k) over h, then k: the path counts by sigma must be the coefficients of P(h,k) exactly."""
-    counts = _sigma_counts(config.max_h, config.max_k)
+    counts = sigma_counts(config.max_h, config.max_k)
     cells = ((h, k, c) for h, row in enumerate(counts) for k, c in enumerate(row))
     failing = [(h, k) for h, k, c in cells if c != q_delannoy_rec(h, k)]
     return (config.max_h + 1) * (config.max_k + 1), failing

@@ -47,11 +47,13 @@ and every head joins every segment from its cut point.  Since
 sigma(head + segment) = sigma(head) + sigma(segment) + x(head)*y(segment),
 and y(segment) is fixed at a cut point, every count and sum of the report
 is the heads' sigma counts (`_heads`) convolved with the segments' (from
-`paths.walk`).  An action rewrites the segment alone, so the audit walks
-each segment orbit once per cut point (`_orbit`), whatever the head, and
-checks every member it predicts when the segment stream reaches it.  A
-head multiplies an orbit sum by a power of q, a unit mod Phi_n, so the
-Phi_n test reads segment sigmas only.
+`paths.walk`).  The heads come from `paths.sigma_counts`: an open-arm
+point's heads are its paths less those through the corner.  An action
+rewrites the segment alone, so the audit walks each segment orbit once per
+cut point (`_orbit`), whatever the head, and checks every member it
+predicts when the segment stream reaches it.  A head multiplies an orbit
+sum by a power of q, a unit mod Phi_n, so the Phi_n test reads segment
+sigmas only.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .polyring import IntPoly, ZERO
 from .qcore import delannoy, q_binomial
 from .qdelannoy import q_delannoy_rec
 from .residue import phi_test
-from .paths import D, E, N, Path, path_text, walk, x_of, y_of
+from .paths import D, E, N, Path, path_text, sigma_counts, walk, x_of, y_of
 
 
 class FrameError(ValueError):
@@ -173,34 +175,23 @@ def decompose(path: Path, frame: CornerFrame) -> Decomposition:
     return Decomposition(path[:first], path[first:last], path[last:], cls)
 
 
-def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], list[int]]:
-    """Every cut point's heads counted by sigma: counts[cut][s].
+def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], IntPoly]:
+    """Every cut point's heads as the sum of q^sigma over them, from two `sigma_counts` boxes.
 
-    One depth-first walk of the prefix trie on an explicit stack of
-    (x, y, sigma), each node one path from the origin.  A node with x >= h
-    and y >= k is a cut point: the corner ends its path, and an open-arm
-    point goes on along its arm only.  One step from any other node of the
-    box stays inside the two arms' strips, so that node takes every step.
+    Every path to the corner is a head.  A path to an open-arm point that
+    meets the corner goes on from it along the arm, by E steps that add 0
+    to sigma or by N steps at x = h that add h each.  So an open arm's
+    heads are the paths to its point less those through the corner.  The
+    counts come from path enumeration, never from `q_delannoy_rec`, which
+    the audit checks its sums against.
     """
-    cuts = [(h, k), *((h + i, k) for i in range(1, n + 1)), *((h, k + i) for i in range(1, n + 1))]
-    counts = {(x, y): [0] * (x * y + 1) for x, y in cuts}
-    stack = [(0, 0, 0)]
-    while stack:
-        x, y, s = stack.pop()
-        if x >= h and y >= k:
-            counts[x, y][s] += 1
-            if y == k and h < x < h + n:
-                stack.append((x + 1, y, s))
-            elif x == h and k < y < k + n:
-                stack.append((x, y + 1, s + x))
-            continue
-        if x < h + n:
-            stack.append((x + 1, y, s))
-        if y < k + n:
-            stack.append((x, y + 1, s + x))
-            if x < h + n:
-                stack.append((x + 1, y + 1, s + x + 1))
-    return counts
+    east, north = sigma_counts(h + n, k), sigma_counts(h, k + n)
+    corner = east[h][k]
+    return {
+        (h, k): corner,
+        **{(h + i, k): east[h + i][k] - corner for i in range(1, n + 1)},
+        **{(h, k + i): north[h][k + i] - corner.shift(h * i) for i in range(1, n + 1)},
+    }
 
 
 def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int]:
@@ -343,8 +334,8 @@ def audit(frame: CornerFrame) -> AuditReport:
     total_paths = 0
     phi = phi_test(n, n)
 
-    for (x, y), head_counts in _heads(h, k, n).items():
-        heads = sum(head_counts)
+    for (x, y), head in _heads(h, k, n).items():
+        heads = sum(head.coeffs)
         if not heads:
             continue
         dx, dy = h + n - x, k + n - y
@@ -398,7 +389,6 @@ def audit(frame: CornerFrame) -> AuditReport:
         for image in ahead:
             violate(f"action image {at(image)} ({(arm or Q4).value}) never reached")
         # Every head to (x, y) raises sigma by x * dy on each segment from it.
-        head = IntPoly(head_counts)
         grand_total += (head * IntPoly(every)).shift(x * dy)
         for cls in PathClass:
             fixed_sums[cls] += (head * IntPoly(fixed[cls])).shift(x * dy)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from qdelannoy import congruence, residue as residue_module
+from qdelannoy import congruence, paths, residue as residue_module
 from qdelannoy.cli import main
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.paths import sigma
@@ -592,14 +592,12 @@ def test_mod_p_shard_memory_is_one_table(statement):
 
 
 def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
-    sigma_counts = congruence._sigma_counts
-
     def corrupt(max_h, max_k):
-        counts = sigma_counts(max_h, max_k)
+        counts = paths.sigma_counts(max_h, max_k)
         counts[0][max_k] += 1  # one more path of sigma 0
         return counts
 
-    monkeypatch.setattr(congruence, "_sigma_counts", corrupt)
+    monkeypatch.setattr(congruence, "sigma_counts", corrupt)
     with pytest.raises(RuntimeError, match=r"interp case \(0, 2\) fails .* passes the oracle check"):
         sweep(SweepConfig("interp", max_h=2, max_k=2))
 
@@ -617,13 +615,13 @@ def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
 )
 def test_interp_engine_rejects_corrupt_count_on_either_side_of_the_cut(monkeypatch, node, failing):
     # At max_h = 4 the trie walk stops at column 3.
-    trie = congruence._trie
+    trie = paths._trie
 
     def corrupt(cut, max_k):
         yield node
         yield from trie(cut, max_k)
 
-    monkeypatch.setattr(congruence, "_trie", corrupt)
+    monkeypatch.setattr(paths, "_trie", corrupt)
     config = SweepConfig("interp", max_h=4, max_k=2)
     assert _shard_failures((config, 0)) == (5 * 3, failing)
     h, k = failing[0]
@@ -660,7 +658,7 @@ def test_sigma_counts_match_reference_paths():
     # Every cell of one box walk against the recursive enumeration, weighed by `sigma`.
     for max_h in range(5):
         for max_k in range(5):
-            counts = congruence._sigma_counts(max_h, max_k)
+            counts = paths.sigma_counts(max_h, max_k)
             assert len(counts) == max_h + 1 and all(len(row) == max_k + 1 for row in counts)
             for h in range(max_h + 1):
                 for k in range(max_k + 1):
@@ -678,7 +676,7 @@ BOX_WALK_SIZES = [(h, k) for h in range(7) for k in range(7)] + [(8, 6), (6, 8),
 def test_sigma_counts_match_box_walk():
     # The cut engine against the walk of the whole box's prefix trie, cell by cell.
     for max_h, max_k in BOX_WALK_SIZES:
-        counts = congruence._sigma_counts(max_h, max_k)
+        counts = paths.sigma_counts(max_h, max_k)
         expected = reference.sigma_counts(max_h, max_k)
         assert len(counts) == max_h + 1 and all(len(row) == max_k + 1 for row in counts)
         for h in range(max_h + 1):
@@ -687,8 +685,8 @@ def test_sigma_counts_match_box_walk():
 
 
 def test_interp_sweep_walks_the_box_once(monkeypatch):
-    sigma_counts, walks = congruence._sigma_counts, []
-    monkeypatch.setattr(congruence, "_sigma_counts", lambda *args: walks.append(args) or sigma_counts(*args))
+    walks = []
+    monkeypatch.setattr(congruence, "sigma_counts", lambda *args: walks.append(args) or paths.sigma_counts(*args))
     for jobs in (1, 2):
         summary = sweep(SweepConfig("interp", max_h=5, max_k=3, jobs=jobs))
         assert (summary.total, summary.failed) == (6 * 4, 0)

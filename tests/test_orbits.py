@@ -162,13 +162,13 @@ def test_heads_and_segments_match_reference():
             counted = orbits_module._heads(h, k, n)
             assert set(heads) <= set(counted) and len(counted) == 2 * n + 1
             streams = _streams(frame)
-            for point, counts in counted.items():
-                expected = [0] * len(counts)
-                for head in heads.get(point, ()):
+            for (x, y), counts in counted.items():
+                expected = [0] * (x * y + 1)
+                for head in heads.get((x, y), ()):
                     expected[sigma(head)] += 1
-                assert counts == expected, (frame, point)
-                if point in segments:
-                    assert set(streams[point]) == segments[point], (frame, point)
+                assert counts.coeffs == IntPoly(expected).coeffs, (frame, x, y)
+                if (x, y) in segments:
+                    assert set(streams[x, y]) == segments[x, y], (frame, x, y)
             for (x, y), stream in streams.items():
                 dx, dy, run = h + n - x, k + n - y, "E" if x > h else "N" if y > k else None
                 assert stream == [p for p in reference.enumerate_paths(dx, dy) if p[0] != run], (frame, x, y)
@@ -577,6 +577,22 @@ def _shifted(extra):
     return lambda act: lambda s, cls, n: (act(s, cls, n)[0], act(s, cls, n)[1] + extra)
 
 
+def _adds_path_at(point):
+    """Breaks `sigma_counts`: one more path of sigma 0 to `point`, in each box that holds it."""
+
+    def breaks(sigma_counts):
+        def counts(max_h, max_k):
+            box = sigma_counts(max_h, max_k)
+            x, y = point
+            if x <= max_h and y <= max_k:
+                box[x][y] += 1
+            return box
+
+        return counts
+
+    return breaks
+
+
 # A name in `orbits`, a wrapper that breaks it, a frame, and the start of a
 # violation the audit must report.  Frame (1,1,3) has orbits of size 3.  The
 # corner (1,1) is the first cut point, and END the first Q4 tail from it.
@@ -589,6 +605,15 @@ BROKEN_PARTS = {
     "S3-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "S3 does not reduce to twice the corner"),
     "total-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "grand total congruence failed"),
     "count": ("delannoy", lambda d: lambda h, k: d(h, k) + 1, (1, 1, 2), "enumerated 63 paths, expected"),
+    # The heads are path counts, never `q_delannoy_rec`, so its checks see a
+    # miscounted cell.  One more head at the open-arm point (2,1) adds its 4
+    # segments to the 63 paths.  One more path to the corner adds its 13
+    # tails and takes 10 segments from the arms, whose heads are their paths
+    # less those through the corner.
+    "arm-count": ("sigma_counts", _adds_path_at((2, 1)), (1, 1, 2), "enumerated 67 paths, expected"),
+    "arm-total": ("sigma_counts", _adds_path_at((2, 1)), (1, 1, 2), "grand total differs from the q-Delannoy"),
+    "corner-count": ("sigma_counts", _adds_path_at((1, 1)), (1, 1, 2), "enumerated 66 paths, expected"),
+    "corner-total": ("sigma_counts", _adds_path_at((1, 1)), (1, 1, 2), "grand total differs from the q-Delannoy"),
     "blocks": ("_act", lambda act: lambda s, cls, n: act(s, cls, n + 1), (1, 1, 2),
                "expected 3 blocks, found 2 at END from (1,1) (Q4)"),
     "Q1-hat": ("_act", _acting_as(PathClass.Q2, PathClass.Q1), (1, 1, 2),
@@ -616,12 +641,13 @@ def test_audit_reports_each_broken_part(part, monkeypatch):
 
 def test_audit_streams_each_segment_once(monkeypatch):
     # The audit builds no whole path: it calls none of `decompose`, `sigma`
-    # and `enumerate_paths`.  It counts the heads in one walk and streams the
-    # segments of each cut point once; (2,2,3) has heads at all 2n+1 of them.
+    # and `enumerate_paths`.  It counts the heads in two boxes, one per arm,
+    # and streams the segments of each cut point once; (2,2,3) has heads at
+    # all 2n+1 of them.
     import qdelannoy.paths as paths_module
 
-    calls = {"decompose": 0, "sigma": 0, "enumerate_paths": 0, "_heads": 0}
-    streams = []
+    calls = {"decompose": 0, "sigma": 0, "enumerate_paths": 0}
+    streams, boxes = [], []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -630,16 +656,18 @@ def test_audit_streams_each_segment_once(monkeypatch):
 
         return wrapper
 
-    for name in ("decompose", "_heads"):
-        monkeypatch.setattr(orbits_module, name, counted(name, getattr(orbits_module, name)))
+    monkeypatch.setattr(orbits_module, "decompose", counted("decompose", orbits_module.decompose))
     for name in ("sigma", "enumerate_paths"):
         for module in (paths_module, orbits_module):
             monkeypatch.setattr(module, name, counted(name, getattr(paths_module, name)), raising=False)
     walk = orbits_module.walk
     monkeypatch.setattr(orbits_module, "walk", lambda *args: streams.append(args) or walk(*args))
+    sigma_counts = orbits_module.sigma_counts
+    monkeypatch.setattr(orbits_module, "sigma_counts", lambda *args: boxes.append(args) or sigma_counts(*args))
     report = orbits_module.audit(CornerFrame(2, 2, 3))
     assert report.ok
-    assert calls == {"decompose": 0, "sigma": 0, "enumerate_paths": 0, "_heads": 1}
+    assert calls == {"decompose": 0, "sigma": 0, "enumerate_paths": 0}
+    assert boxes == [(5, 2), (2, 5)]
     assert len(streams) == len(set(streams)) == 7
 
 
@@ -797,7 +825,7 @@ def test_audit_walks_each_segment_orbit_once(frame, monkeypatch):
     frame = CornerFrame(*frame)
     heads = orbits_module._heads(*frame)
     moved = {
-        (cut, seg) for cut, stream in _streams(frame).items() if sum(heads[cut])
+        (cut, seg) for cut, stream in _streams(frame).items() if sum(heads[cut].coeffs)
         for seg in stream if cut != frame[:2] or "D" in seg
     }
     walk = orbits_module._orbit
