@@ -17,9 +17,9 @@ Each engine walks its own shard's ranges in grid order and decides every
 case from one table: thm2, thm1 and qlucas in Z[q]/(q^n - 1), each entry
 packed into one integer and each case decided with no division by
 `residue.phi_test`; lucas and dlucas at q = 1 with every entry reduced mod
-p; and interp from the path counts of `paths.sigma_counts`, compared
-exactly with P(h,k).  An engine builds a case tuple only for a case that
-fails.
+p; and interp from the path counts of `paths.sigma_counts`, one band's
+prefix trie swept across the box, compared exactly with P(h,k).  An
+engine builds a case tuple only for a case that fails.
 
 A case that fails is re-run through the direct check, which builds its
 report; a case the direct check passes raises RuntimeError, so an engine

@@ -47,13 +47,13 @@ and every head joins every segment from its cut point.  Since
 sigma(head + segment) = sigma(head) + sigma(segment) + x(head)*y(segment),
 and y(segment) is fixed at a cut point, every count and sum of the report
 is the heads' sigma counts (`_heads`) convolved with the segments' (from
-`paths.walk`).  The heads come from `paths.sigma_counts`: an open-arm
-point's heads are its paths less those through the corner.  An action
-rewrites the segment alone, so the audit walks each segment orbit once per
-cut point (`_orbit`), whatever the head, and checks every member it
-predicts when the segment stream reaches it.  A head multiplies an orbit
-sum by a power of q, a unit mod Phi_n, so the Phi_n test reads segment
-sigmas only.
+`paths.walk`).  The heads come from one `paths.sigma_counts` box, to the
+target: an open-arm point's heads are its paths less those through the
+corner.  An action rewrites the segment alone, so the audit walks each
+segment orbit once per cut point (`_orbit`), whatever the head, and checks
+every member it predicts when the segment stream reaches it.  A head
+multiplies an orbit sum by a power of q, a unit mod Phi_n, so the Phi_n
+test reads segment sigmas only.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def decompose(path: Path, frame: CornerFrame) -> Decomposition:
 
 
 def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], IntPoly]:
-    """Every cut point's heads as the sum of q^sigma over them, from two `sigma_counts` boxes.
+    """Every cut point's heads as the sum of q^sigma over them, from one `sigma_counts` box.
 
     Every path to the corner is a head.  A path to an open-arm point that
     meets the corner goes on from it along the arm, by E steps that add 0
@@ -185,12 +185,12 @@ def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], IntPoly]:
     counts come from path enumeration, never from `q_delannoy_rec`, which
     the audit checks its sums against.
     """
-    east, north = sigma_counts(h + n, k), sigma_counts(h, k + n)
-    corner = east[h][k]
+    box = sigma_counts(h + n, k + n)
+    corner = box[h][k]
     return {
         (h, k): corner,
-        **{(h + i, k): east[h + i][k] - corner for i in range(1, n + 1)},
-        **{(h, k + i): north[h][k + i] - corner.shift(h * i) for i in range(1, n + 1)},
+        **{(h + i, k): box[h + i][k] - corner for i in range(1, n + 1)},
+        **{(h, k + i): box[h][k + i] - corner.shift(h * i) for i in range(1, n + 1)},
     }
 
 

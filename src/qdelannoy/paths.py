@@ -7,8 +7,8 @@ that step's endpoint when the path starts at the origin.  Paths concatenate
 with `+`, and sigma(a + b) = sigma(a) + sigma(b) + x(a)*y(b).
 
 `walk` streams the paths to one point; `sigma_counts` counts the paths to
-every cell of a box by sigma without building them, for interp and for the
-orbit audit's heads.
+every cell of a box by sigma, for interp and the orbit audit's heads, by
+sweeping one band's prefix trie across the box with that law.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ Path = tuple[str, ...]
 E = "E"
 N = "N"
 D = "D"
+
+# Columns per band of `sigma_counts`.  At one a band is a column, and the sweep
+# would be rec's recurrence transposed; at two each band is still a trie walk.
+BAND = 2
 
 
 def x_of(path: Path) -> int:
@@ -99,8 +103,8 @@ def sigma_poly(h: int, k: int) -> IntPoly:
     It builds each path and then walks it again in `sigma`, ignoring the
     sigma `walk` carries: D(h,k) paths, where `sigma_counts`, which counts
     interp's cells and the orbit audit's heads, walks only the prefix trie
-    left of its cut column (7,244 nodes for the whole 8 x 6 box, against
-    D(8,6) = 40,081 paths to its corner alone).  That is on purpose: this is
+    of one band (141 nodes for the whole 8 x 6 box, against D(8,6) =
+    40,081 paths to its corner alone).  That is on purpose: this is
     the independent oracle that re-checks a case the interp engine failed,
     so it shares no code with `sigma_counts` or its trie walk.
     """
@@ -110,19 +114,17 @@ def sigma_poly(h: int, k: int) -> IntPoly:
     return IntPoly(counts)
 
 
-def _trie(cut: int, max_k: int) -> Iterator[tuple[int, int, int]]:
-    """Every node of the prefix trie of [0,cut] x [0,max_k] up to column cut, depth first, as (x, y, sigma).
+def _trie(width: int, max_k: int) -> Iterator[tuple[int, int, int]]:
+    """Every node of the prefix trie of [0,width] x [0,max_k] up to column width, depth first, as (x, y, sigma).
 
-    A node on column cut is a leaf: its path reaches that column there for
-    the first time.  A generator, since CPython 3.11 specializes a loop only
-    in code it has entered a few times: this one is entered once per node,
-    where a plain loop in a function called once ran over twice as slow.
+    A node on column width is a leaf, where its path first reaches that column.
+    `sigma_counts` counts a band from this walk alone; tests corrupt counts here.
     """
     stack = [(0, 0, 0)]
     while stack:
         node = x, y, s = stack.pop()
         yield node
-        if x < cut:
+        if x < width:
             stack.append((x + 1, y, s))
             if y < max_k:
                 stack.append((x + 1, y + 1, s + x + 1))
@@ -132,28 +134,26 @@ def _trie(cut: int, max_k: int) -> Iterator[tuple[int, int, int]]:
 def sigma_counts(max_h: int, max_k: int) -> list[list[IntPoly]]:
     """counts[h][k]: the sum of q^sigma over the paths from (0,0) to (h,k), for every cell of the box.
 
-    A path to (h,k) with h >= cut first reaches column cut at some (cut,y).
-    The trie walk counts those prefixes, arrive[y], and every cell left of
-    the cut.  Since max_h - cut < cut, the rest is a path to a cell left of
-    the cut moved right by cut, which gains cut in sigma at each of its k-y
-    steps up: counts[h][k] = sum_y arrive[y] counts[h-cut][k-y] q^(cut(k-y)).
-    Counts are packed as in `qcore`; no slot carries, since every term is
-    nonnegative and no coefficient exceeds D(max_h, max_k).  When max_h = 0
-    no cell lies right of the cut, and the arrivals on column 1 go unread.
+    The trie walk counts band[j][k]: the paths to (j,k), and at j = BAND those
+    that first reach column BAND at (BAND,k).  A path to (c+j,k) first reaches
+    column c at some (c,y), then goes on as a band path moved right by c, which
+    gains c(k-y) in sigma.  So from arrive = [1, 0, ...] at c = 0, column c+j,
+    and at j = BAND the next arrivals, are sum_y arrive[y] band[j][k-y] q^(c(k-y)),
+    packed as in `qcore`: no slot carries, as each value read counts box paths.
     """
-    cut = max_h // 2 + 1
     width = slot_bytes(delannoy(max_h, max_k))
     bits = 8 * width
-    cells = [[[0] * (x * y + 1) for y in range(max_k + 1)] for x in range(cut + 1)]
-    for x, y, s in _trie(cut, max_k):
-        cells[x][y][s] += 1
-    packed = [[sum(n << (s * bits) for s, n in enumerate(cell)) for cell in row] for row in cells]
-    left, arrive = packed[:cut], packed[cut]
-    right = [
-        [sum(arrive[y] * row[k - y] << (cut * (k - y) * bits) for y in range(k + 1)) for k in range(max_k + 1)]
-        for row in left[: max_h - cut + 1]
-    ]
-    return [[IntPoly.from_packed(v, width) for v in row] for row in left + right]
+    band = [[0] * (max_k + 1) for _ in range(BAND + 1)]
+    for x, y, s in _trie(BAND, max_k):
+        band[x][y] += 1 << (s * bits)
+    counts, arrive = [], [1] + [0] * max_k
+    for c in range(0, max_h + 1, BAND):
+        sums = [
+            [sum(arrive[y] * row[k - y] << (c * (k - y) * bits) for y in range(k + 1)) for k in range(max_k + 1)]
+            for row in band[: max_h + 1 - c]
+        ]
+        counts, arrive = counts + sums[:BAND], sums[-1]
+    return [[IntPoly.from_packed(v, width) for v in row] for row in counts]
 
 
 def path_text(path: Path) -> str:

@@ -516,6 +516,29 @@ AUDIT_GOLDEN = [
 ]
 
 
+# sha256 of `orbits audit --json` for the frames the CI workflow audits,
+# copied from it unchanged; its comments say which earlier audit design wrote
+# each.  They run in-process here, (0,0,8) taking most of their time.
+CI_AUDIT_GOLDEN = [
+    ((3, 3, 5), "0099fe01aedf02ad1be5531befd540fa2843f13179f0b7e296661e9d6a04495a"),
+    ((0, 0, 7), "94404aac57fd3aac1abc03cfb60356673e3970a8f89b98988eebe1869148a910"),
+    ((5, 0, 3), "fc58af700d8adc9eb2962a0d9eb73418d3c22ef3b9c2ba08c248a781e6705083"),
+    ((4, 2, 4), "5966276f37db60c9ce0397019e894c0e50f2b68f96c4f583170cb48c9ead2052"),
+    ((2, 4, 4), "1d0b15a9f13cee02a6d75bf50f7846d1136c3d2bc5055f9f8af05e67e1659003"),
+    ((4, 4, 6), "44c47a16806ddd67da7866726a799ac9d77c73c386fa017d7495ea80d2b68ba8"),
+    ((0, 0, 8), "17ee2ebc0f9048fcd195b7068e7aff8614c867db53571e18f69b4d3228c1da70"),
+    ((6, 6, 6), "a53b08885b37a5440f3063b418c5b526d18f5947ffacf23841b913662659fc53"),
+]
+
+
+@pytest.mark.parametrize("frame, digest", CI_AUDIT_GOLDEN, ids=["-".join(map(str, f)) for f, _ in CI_AUDIT_GOLDEN])
+def test_ci_audit_golden_json(frame, digest, tmp_path):
+    h, k, n = (str(v) for v in frame)
+    target = tmp_path / "out.json"
+    assert main(["orbits", "audit", "--h", h, "--k", k, "--n", n, "--json", "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize(
     "frame, text_digest, json_digest", AUDIT_GOLDEN, ids=["-".join(map(str, f)) for f, _, _ in AUDIT_GOLDEN]

@@ -605,21 +605,24 @@ def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
 @pytest.mark.parametrize(
     "node, failing",
     [
-        # Left of the cut: one more D step from the origin.  The cells right of
-        # the cut that end on a translate of (1, 1) read its count too.
-        ((1, 1, 1), [(1, 1), (4, 1), (4, 2)]),
-        # On the cut: one more path of sigma 0 arriving at (3, 0), which every
-        # cell right of the cut reads.
-        ((3, 0, 0), [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]),
+        # Left of column BAND: one more D step from the origin, which column 3,
+        # the band's column 1 moved right by 2, reads too.
+        ((1, 1, 1), [(1, 1), (3, 1), (3, 2)]),
+        # On column BAND: one more path of sigma 1 arriving at (2, 1).  Every
+        # later cell at least one row up reads it, and so do the arrivals on
+        # column 4 that the next band starts from.
+        ((2, 1, 1), [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]),
     ],
+    ids=["inside-band", "band-arrival"],
 )
-def test_interp_engine_rejects_corrupt_count_on_either_side_of_the_cut(monkeypatch, node, failing):
-    # At max_h = 4 the trie walk stops at column 3.
+def test_interp_engine_rejects_corrupt_count_at_a_band_boundary(monkeypatch, node, failing):
+    # At max_h = 4 the sweep reads the one band's walk at columns 0, 2 and 4.
+    assert paths.BAND == 2
     trie = paths._trie
 
-    def corrupt(cut, max_k):
+    def corrupt(width, max_k):
         yield node
-        yield from trie(cut, max_k)
+        yield from trie(width, max_k)
 
     monkeypatch.setattr(paths, "_trie", corrupt)
     config = SweepConfig("interp", max_h=4, max_k=2)
@@ -669,12 +672,12 @@ def test_sigma_counts_match_reference_paths():
 
 
 # Every box up to 6 x 6, two that are not square, and thin and empty-width
-# boxes, where max_h = 0 leaves no cell right of the cut.
+# boxes, where max_h = 0 or 1 ends the box inside the first band.
 BOX_WALK_SIZES = [(h, k) for h in range(7) for k in range(7)] + [(8, 6), (6, 8), (9, 1), (1, 9), (9, 0), (0, 9)]
 
 
 def test_sigma_counts_match_box_walk():
-    # The cut engine against the walk of the whole box's prefix trie, cell by cell.
+    # The band engine against the walk of the whole box's prefix trie, cell by cell.
     for max_h, max_k in BOX_WALK_SIZES:
         counts = paths.sigma_counts(max_h, max_k)
         expected = reference.sigma_counts(max_h, max_k)

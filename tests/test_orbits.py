@@ -641,7 +641,7 @@ def test_audit_reports_each_broken_part(part, monkeypatch):
 
 def test_audit_streams_each_segment_once(monkeypatch):
     # The audit builds no whole path: it calls none of `decompose`, `sigma`
-    # and `enumerate_paths`.  It counts the heads in two boxes, one per arm,
+    # and `enumerate_paths`.  It counts the heads in one box, to the target,
     # and streams the segments of each cut point once; (2,2,3) has heads at
     # all 2n+1 of them.
     import qdelannoy.paths as paths_module
@@ -667,7 +667,7 @@ def test_audit_streams_each_segment_once(monkeypatch):
     report = orbits_module.audit(CornerFrame(2, 2, 3))
     assert report.ok
     assert calls == {"decompose": 0, "sigma": 0, "enumerate_paths": 0}
-    assert boxes == [(5, 2), (2, 5)]
+    assert boxes == [(5, 5)]
     assert len(streams) == len(set(streams)) == 7
 
 
