@@ -21,6 +21,9 @@ p; and interp from the path counts of `paths.sigma_counts`, one band's
 prefix trie swept across the box, compared exactly with P(h,k).  An
 engine builds a case tuple only for a case that fails.
 
+`sweep` has one runner, `_forked`: the calling process is seat 0 of up to
+`jobs` seats and forks the rest, so `jobs=1` forks nothing.
+
 A case that fails is re-run through the direct check, which builds its
 report; a case the direct check passes raises RuntimeError, so an engine
 that fails a passing case is caught rather than reported.
@@ -386,23 +389,25 @@ def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
     return report
 
 
-def _forked(tasks: list[tuple[SweepConfig, int]], workers: int) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """`_shard_failures` of every task, in task order, from `workers` forked processes.
+def _forked(tasks: list[tuple[SweepConfig, int]], seats: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """`_shard_failures` of every task, in task order, from `seats` processes, this one seat 0.
 
-    Worker w takes tasks[w::workers] and writes its results to a pipe with
-    `marshal`, which is enough for ints, tuples and lists.  It always leaves
-    through `os._exit`, so it never flushes the stdio buffers it inherited
-    or runs exit handlers.  A worker whose shard raises writes that task's
-    index and the error text instead and exits 1.  Shards are pure, so the
-    parent re-runs that shard itself and its exception propagates with its
-    own type and traceback, as at jobs=1; only if the re-run passes does the
-    parent raise RuntimeError with the worker's text.  Every child is reaped
-    before this returns or raises.
+    Seat w takes tasks[w::seats].  This process forks seats 1 to seats - 1,
+    runs its own share, then reads the others' pipes and reaps them.  A
+    forked seat writes its results to a pipe with `marshal`, which is
+    enough for ints, tuples and lists.  It always leaves through
+    `os._exit`, so it never flushes the stdio buffers it inherited or runs
+    exit handlers.  A forked seat whose shard raises writes that task's
+    index and the error text instead and exits 1.  Shards are pure, so this
+    process re-runs that shard itself and its exception propagates with its
+    own type and traceback, as from a shard of seat 0; only if the re-run
+    passes does it raise RuntimeError with the seat's text.  Every child is
+    reaped before this returns or raises.
     """
     pids: list[int] = []  # forked and not yet reaped
-    pipes = []  # each worker's pipe as a (read, write) pair of files
+    pipes = []  # each forked seat's pipe as a (read, write) pair of files
     try:
-        for w in range(workers):
+        for w in range(1, seats):
             read_end, write_end = os.pipe()
             reader, writer = open(read_end, "rb"), open(write_end, "wb")
             pipes.append((reader, writer))
@@ -410,11 +415,14 @@ def _forked(tasks: list[tuple[SweepConfig, int]], workers: int) -> list[tuple[in
             if pid == 0:
                 code = 2
                 try:
-                    code = _work(tasks, range(w, len(tasks), workers), writer)
+                    code = _work(tasks, range(w, len(tasks), seats), writer)
                 finally:
                     os._exit(code)
             pids.append(pid)
-            writer.close()  # a later worker must not inherit it, or this pipe never reaches EOF
+            writer.close()  # a later seat must not inherit it, or this pipe never reaches EOF
+        shards: list = [None] * len(tasks)
+        for index in range(0, len(tasks), seats):
+            shards[index] = _shard_failures(tasks[index])
         outputs = [reader.read() for reader, _ in pipes]
         codes = []
         while pids:
@@ -426,12 +434,11 @@ def _forked(tasks: list[tuple[SweepConfig, int]], workers: int) -> list[tuple[in
             reader.close()
             writer.close()
         for pid in pids:
-            from signal import SIGKILL  # only a sweep that failed in the parent gets here
+            from signal import SIGKILL  # only a sweep that failed in this process gets here
 
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    shards: list = [None] * len(tasks)
-    for w, (data, code) in enumerate(zip(outputs, codes)):
+    for w, (data, code) in enumerate(zip(outputs, codes), 1):
         if code == 1:
             index, error = marshal.loads(data)
             _shard_failures(tasks[index])
@@ -460,21 +467,18 @@ def _work(tasks: list[tuple[SweepConfig, int]], indices: range, pipe) -> int:
 def sweep(config: SweepConfig) -> SweepSummary:
     """Run every case of the grid; the summary is scheduling-independent.
 
-    With `jobs` above 1 the shards go to up to `jobs` forked worker
-    processes (see `_forked`), never more than there are shards; where
-    `os.fork` does not exist they run in this process.  Forking is safe
-    because the package starts no thread; a caller that runs threads of
-    its own should sweep at `jobs=1`.  Shards are dealt out largest first,
-    so the longest shard does not start last, and workers return only the
-    failing cases; the shards are put back in grid order and each failing
-    case is re-run through `run_case` to build its report.
+    The shards go to `jobs` processes, this one and `jobs` - 1 forked ones
+    (see `_forked`), never more than there are shards; where `os.fork` does
+    not exist they all run in this process.  Forking is safe because the
+    package starts no thread; a caller that runs threads of its own should
+    sweep at `jobs=1`, which forks nothing.  Shards are dealt out largest
+    first, so the longest shard does not start last, and seats return only
+    the failing cases; the shards are put back in grid order and each
+    failing case is re-run through `run_case` to build its report.
     """
     tasks = [(config, key) for key in reversed(STATEMENTS[config.statement].keys(config))]
-    workers = min(config.jobs, len(tasks))
-    if workers > 1 and hasattr(os, "fork"):
-        shards = _forked(tasks, workers)
-    else:
-        shards = [_shard_failures(task) for task in tasks]
+    seats = max(1, min(config.jobs, len(tasks))) if hasattr(os, "fork") else 1
+    shards = _forked(tasks, seats)
     shards.reverse()
     failures = tuple(_failure_report(config.statement, case) for _, failing in shards for case in failing)
     total = sum(count for count, _ in shards)

@@ -58,7 +58,6 @@ test reads segment sigmas only.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -78,20 +77,8 @@ class LawError(ValueError):
     """A cyclic action broke one of the laws the orbit argument relies on."""
 
 
-class PathClass(enum.Enum):
-    Q1 = "Q1"
-    Q2 = "Q2"
-    Q3 = "Q3"
-    Q4 = "Q4"
-
-    # Members compare by identity, so they may hash by it too; Enum's own
-    # __hash__ is a Python call on every dict access the audit makes per segment.
-    __hash__ = object.__hash__
-
-
-# The members as module globals, so hot class tests skip the enum's class
-# attribute lookup.
-Q1, Q2, Q3, Q4 = PathClass
+# The four path classes, named as the report prints them.
+Q1, Q2, Q3, Q4 = "Q1", "Q2", "Q3", "Q4"
 
 
 class _FrameFields(NamedTuple):
@@ -139,7 +126,7 @@ class Decomposition(NamedTuple):
     check: Path
     bar: Path
     hat: Path
-    path_class: PathClass
+    path_class: str
 
     @property
     def tail(self) -> Path:
@@ -194,20 +181,20 @@ def _heads(h: int, k: int, n: int) -> dict[tuple[int, int], IntPoly]:
     }
 
 
-def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int]:
+def _act(segment: Path, cls: str, n: int) -> tuple[Path, int]:
     """Apply the class action (never to Q3) to a segment once.
 
     Returns the image and the sigma shift.  A block is a lead step (any
     step but the run step) plus the run after it.  Raises LawError unless
     the segment has exactly n blocks and a Q1/Q2 hat opens with a lead.
     """
-    run = E if cls is Q1 else N
-    if cls is not Q4 and segment and segment[0] == run:
-        raise LawError(f"a {cls.value} hat must open with {'a y' if cls is Q1 else 'an x'}-raising step")
+    run = E if cls == Q1 else N
+    if cls != Q4 and segment and segment[0] == run:
+        raise LawError(f"a {cls} hat must open with {'a y' if cls == Q1 else 'an x'}-raising step")
     found = len(segment) - segment.count(run)
     if found != n:
         raise LawError(f"expected {n} blocks, found {found}")
-    if cls is Q4:
+    if cls == Q4:
         # Rotate the lead labels one place along the lead positions; only leads are D.
         leads = [i for i, t in enumerate(segment) if t != run]
         tail = list(segment)
@@ -221,14 +208,14 @@ def _act(segment: Path, cls: PathClass, n: int) -> tuple[Path, int]:
     while segment[cut] == run:
         cut -= 1
     block = segment[cut:]
-    if cls is Q1:  # n * x(block) - x(hat), and y(hat) - n * y(block) for Q2
+    if cls == Q1:  # n * x(block) - x(hat), and y(hat) - n * y(block) for Q2
         shift = n * (len(block) - block.count(N)) - (len(segment) - segment.count(N))
     else:
         shift = len(segment) - segment.count(E) - n * (len(block) - block.count(E))
     return block + segment[:cut], shift
 
 
-def _orbit(segment: Path, cls: PathClass, n: int) -> tuple[list[Path], list[int]]:
+def _orbit(segment: Path, cls: str, n: int) -> tuple[list[Path], list[int]]:
     """A segment's orbit: its members in action order, and their sigma offsets from it.
 
     Raises LawError when the action returns to the segment with shifts that
@@ -326,12 +313,11 @@ def audit(frame: CornerFrame) -> AuditReport:
         """The segment and the cut point (x, y) whose stream is being audited."""
         return f"{path_text(segment)} from ({x},{y})"
 
-    counts = dict.fromkeys(PathClass, 0)
-    orbit_histograms: dict[str, dict[int, int]] = {cls.value: {} for cls in PathClass}
+    counts = dict.fromkeys((Q1, Q2, Q3, Q4), 0)
+    orbit_histograms: dict[str, dict[int, int]] = {cls: {} for cls in counts}
     # The sums of q^sigma over every Q3 path and every fixed point of Q1, Q2 and Q4.
-    fixed_sums = dict.fromkeys(PathClass, ZERO)
+    fixed_sums = dict.fromkeys(counts, ZERO)
     grand_total = ZERO
-    total_paths = 0
     phi = phi_test(n, n)
 
     for (x, y), head in _heads(h, k, n).items():
@@ -341,7 +327,7 @@ def audit(frame: CornerFrame) -> AuditReport:
         dx, dy = h + n - x, k + n - y
         arm, run = (Q1, E) if x > h else (Q2, N) if y > k else (None, None)
         every = [0] * (dx * dy + 1)
-        fixed = {cls: [0] * (dx * dy + 1) for cls in PathClass}
+        fixed = {cls: [0] * (dx * dy + 1) for cls in counts}
         # predicted sigmas of the members of walked orbits not reached yet
         ahead: dict[Path, int] = {}
         for segment, s in walk(dx, dy):
@@ -352,34 +338,34 @@ def audit(frame: CornerFrame) -> AuditReport:
             every[s] += 1
             predicted = ahead.pop(segment, None)
             if predicted is not None:
-                if cls is Q3:
+                if cls == Q3:
                     violate(f"action left Q4 at {at(segment)}")
                 elif predicted != s:
-                    violate(f"sigma shift law failed at {at(segment)} ({cls.value})")
+                    violate(f"sigma shift law failed at {at(segment)} ({cls})")
                 continue
-            if cls is Q3:
+            if cls == Q3:
                 fixed[cls][s] += 1
                 continue
             try:
                 members, offsets = _orbit(segment, cls, n)
             except LawError as exc:
-                violate(f"{exc} at {at(segment)} ({cls.value})")
+                violate(f"{exc} at {at(segment)} ({cls})")
                 continue
             images = {member: s + d for member, d in zip(members[1:], offsets[1:])}
             if not ahead.keys().isdisjoint(images):
                 claimed = next(member for member in images if member in ahead)
-                violate(f"orbits overlap at {at(claimed)} ({cls.value})")
+                violate(f"orbits overlap at {at(claimed)} ({cls})")
                 continue
             ahead.update(images)
             size = len(members)
-            hist = orbit_histograms[cls.value]
+            hist = orbit_histograms[cls]
             hist[size] = hist.get(size, 0) + heads
             if n % size != 0:
                 violate(f"orbit size {size} does not divide n at {at(segment)}")
             # A fixed point: a Q1 hat with no x step, a Q2 hat with no y step, a Q4 tail of n D steps.
-            free = x_of(segment) if cls is Q1 else y_of(segment) if cls is Q2 else n - segment.count(D)
+            free = x_of(segment) if cls == Q1 else y_of(segment) if cls == Q2 else n - segment.count(D)
             if (size == 1) != (free == 0):
-                violate(f"fixed-point characterization failed at {at(segment)} ({cls.value})")
+                violate(f"fixed-point characterization failed at {at(segment)} ({cls})")
             if size == 1:
                 fixed[cls][s] += 1
             elif not _orbit_sum_vanishes([s + d for d in offsets], n, phi):
@@ -387,17 +373,16 @@ def audit(frame: CornerFrame) -> AuditReport:
 
         # An image left here fell outside the frame, or came before its orbit's start.
         for image in ahead:
-            violate(f"action image {at(image)} ({(arm or Q4).value}) never reached")
+            violate(f"action image {at(image)} ({arm or Q4}) never reached")
         # Every head to (x, y) raises sigma by x * dy on each segment from it.
         grand_total += (head * IntPoly(every)).shift(x * dy)
-        for cls in PathClass:
+        for cls in counts:
             fixed_sums[cls] += (head * IntPoly(fixed[cls])).shift(x * dy)
-        total_paths += heads * sum(every)
 
+    total_paths = sum(counts.values())
     if total_paths != delannoy(h + n, k + n):
         violate(f"enumerated {total_paths} paths, expected delannoy({h + n},{k + n})")
-    class_counts = {cls.value: c for cls, c in counts.items()}
-    fixed_counts = {cls.value: sum(fixed_sums[cls].coeffs) for cls in PathClass}
+    fixed_counts = {cls: sum(p.coeffs) for cls, p in fixed_sums.items()}
 
     dq_hk = q_delannoy_rec(h, k)
     dq_h_kn = q_delannoy_rec(h, k + n)
@@ -423,5 +408,5 @@ def audit(frame: CornerFrame) -> AuditReport:
 
     sums = {"S1": s1, "S2": s2, "S3": s3, "S4": s4}
     return AuditReport(
-        h, k, n, total_paths, class_counts, orbit_histograms, fixed_counts, sums, grand_total, violations
+        h, k, n, total_paths, counts, orbit_histograms, fixed_counts, sums, grand_total, violations
     )

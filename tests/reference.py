@@ -17,7 +17,7 @@ points, the cases of a sweep shard) exist only for the tests.
 from functools import cache
 from itertools import product
 
-from qdelannoy.orbits import Decomposition, PathClass
+from qdelannoy.orbits import Q1, Q2, Q3, Q4, Decomposition
 from qdelannoy.paths import sigma
 from qdelannoy.polyring import ONE, IntPoly, ZERO
 from qdelannoy.qcore import neg_q_pochhammer, q_binomial as packed_q_binomial
@@ -126,9 +126,9 @@ def decompose(path, frame):
     while last + 1 < len(pts) and on_anchor(frame, pts[last + 1]):
         last += 1
     if pts[first] == (frame.h, frame.k):
-        cls = PathClass.Q4 if "D" in path[first:] else PathClass.Q3
+        cls = Q4 if "D" in path[first:] else Q3
     else:
-        cls = PathClass.Q1 if pts[last][1] == frame.k else PathClass.Q2
+        cls = Q1 if pts[last][1] == frame.k else Q2
     return Decomposition(check=path[:first], bar=path[first:last], hat=path[last:], path_class=cls)
 
 
@@ -156,16 +156,16 @@ def split_on_leads(segment, leads):
 def blocks(dec, frame):
     """The leading run and the blocks the class action permutes."""
     cls = dec.path_class
-    if cls is PathClass.Q1:
+    if cls == Q1:
         leading, parts = split_on_leads(dec.hat, ("N", "D"))
-    elif cls is PathClass.Q2:
+    elif cls == Q2:
         leading, parts = split_on_leads(dec.hat, ("E", "D"))
-    elif cls is PathClass.Q4:
+    elif cls == Q4:
         leading, parts = split_on_leads(dec.tail, ("E", "D"))
     else:
         raise ValueError("Q3 paths carry no block structure")
-    if cls is not PathClass.Q4 and leading:
-        raise AssertionError(f"a {cls.value} hat opens with its run step")
+    if cls != Q4 and leading:
+        raise AssertionError(f"a {cls} hat opens with its run step")
     if len(parts) != frame.n:
         raise AssertionError(f"expected {frame.n} blocks, found {len(parts)}")
     return leading, parts
@@ -175,7 +175,7 @@ def act_with_shift(dec, frame):
     """Rotate the blocks (Q1, Q2) or the lead labels (Q4) and rebuild the path."""
     cls, n = dec.path_class, frame.n
     leading, parts = blocks(dec, frame)
-    if cls is PathClass.Q4:
+    if cls == Q4:
         labels = [p[0] for p in parts]
         shift = labels.count("D") - n * (labels[-1] == "D")
         rotated = [labels[-1]] + labels[:-1]
@@ -183,7 +183,7 @@ def act_with_shift(dec, frame):
         head = dec.check
     else:
         last = parts[-1]
-        if cls is PathClass.Q1:
+        if cls == Q1:
             shift = n * x_of(last) - x_of(dec.hat)
         else:
             shift = y_of(dec.hat) - n * y_of(last)
@@ -204,33 +204,33 @@ def audit(frame):
     """
     h, k, n = frame
     size = (h + n) * (k + n) + 1
-    counts = {cls.value: 0 for cls in PathClass}
-    histograms = {cls.value: {} for cls in PathClass}
-    fixed = {cls: [0] * size for cls in PathClass}
+    counts = {cls: 0 for cls in (Q1, Q2, Q3, Q4)}
+    histograms = {cls: {} for cls in (Q1, Q2, Q3, Q4)}
+    fixed = {cls: [0] * size for cls in (Q1, Q2, Q3, Q4)}
     every = [0] * size
     seen = set()
     for path in enumerate_paths(h + n, k + n):
         cls, s = decompose(path, frame).path_class, sigma(path)
-        counts[cls.value] += 1
+        counts[cls] += 1
         every[s] += 1
-        if cls is PathClass.Q3:
+        if cls == Q3:
             fixed[cls][s] += 1
-        if cls is PathClass.Q3 or path in seen:
+        if cls == Q3 or path in seen:
             continue
         orbit = [path]
         while (image := act_with_shift(decompose(orbit[-1], frame), frame)[0]) != path:
             orbit.append(image)
         seen.update(orbit)
-        hist = histograms[cls.value]
+        hist = histograms[cls]
         hist[len(orbit)] = hist.get(len(orbit), 0) + 1
         if len(orbit) == 1:
             fixed[cls][s] += 1
-    sums = {f"S{i}": IntPoly(fixed[cls]) for i, cls in enumerate(PathClass, 1)}
+    sums = {f"S{i}": IntPoly(fixed[cls]) for i, cls in enumerate((Q1, Q2, Q3, Q4), 1)}
     return {
         "total_paths": sum(every),
         "class_counts": counts,
         "orbit_histograms": histograms,
-        "fixed_counts": {cls.value: sum(fixed[cls]) for cls in PathClass},
+        "fixed_counts": {cls: sum(fixed[cls]) for cls in (Q1, Q2, Q3, Q4)},
         "sums": sums,
         "grand_total": IntPoly(every),
     }

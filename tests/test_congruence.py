@@ -152,10 +152,19 @@ def test_sweep_thm2():
     assert summary.failures == ()
 
 
-def test_sweep_empty_ranges():
+def test_sweep_empty_ranges(capsys):
     summary = sweep(SweepConfig("thm2", max_n=0, max_h=5, max_k=5))
     assert summary.total == 0
     assert summary.failed == 0
+    # No shard at all still gets seat 0, so no range() step is ever 0.
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        for fmt in ((), ("--json",)):
+            assert main(["verify", "thm2", "--max-n", "0", "--jobs", jobs, *fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[0] == "thm2: 0 cases, 0 passed, 0 failed\n"
+    assert outputs[::2] == [outputs[0]] * 3 and outputs[1::2] == [outputs[1]] * 3
+    assert json.loads(outputs[1])["total"] == 0
 
 
 def test_sweep_qlucas():
@@ -757,8 +766,8 @@ def test_shard_counts_sum_to_grid_size():
 def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
     sizes, orders = [], []
 
-    def recording(tasks, workers):
-        sizes.append(workers)
+    def recording(tasks, seats):
+        sizes.append(seats)
         orders.append([key for _, key in tasks])
         return [_shard_failures(task) for task in tasks]
 
@@ -768,9 +777,40 @@ def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
     assert orders == [[3, 2, 1]]  # largest shard first
     assert (summary.total, summary.failed) == (12, 0)
     sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1, jobs=10**9))
-    assert sizes == [3]
+    assert sizes == [3, 1]
     sweep(SweepConfig("lucas", max_n=7, max_a=1, max_c=1, jobs=2))
-    assert sizes == [3, 2] and orders[-1] == [7, 5, 3, 2]
+    assert sizes == [3, 1, 2] and orders[-1] == [7, 5, 3, 2]
+    sweep(SweepConfig("thm2", max_h=1, max_k=1, jobs=3))  # no shard still gets one seat
+    assert sizes == [3, 1, 2, 1] and orders[-1] == []
+
+
+def _counting_forks(monkeypatch) -> list[int]:
+    """Patch `os.fork` to record this process's forks; a child's own count stays in the child."""
+    fork, parent, forks = os.fork, os.getpid(), []
+
+    def counting():
+        if os.getpid() == parent:
+            forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_forks_one_process_fewer_than_its_seats(monkeypatch):
+    # The calling process is seat 0, so --jobs 1 forks nothing, and a
+    # two-shard grid forks one child however many jobs it is given.
+    forks = _counting_forks(monkeypatch)
+    config = SweepConfig("thm2", max_n=2, max_h=2, max_k=2)
+    expected = sweep(config)
+    assert forks == []
+    for jobs in (2, 3):
+        forks.clear()
+        assert sweep(config._replace(jobs=jobs)) == expected
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -784,7 +824,7 @@ def test_forked_worker_failure_keeps_its_exception_type_and_leaves_no_child(monk
         return shard_failures(task)
 
     def failing_in_worker(task):
-        if task[1] == 2 and os.getpid() != parent:
+        if task[1] == 3 and os.getpid() != parent:
             raise ValueError("worker only")
         return shard_failures(task)
 
@@ -794,9 +834,34 @@ def test_forked_worker_failure_keeps_its_exception_type_and_leaves_no_child(monk
             sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=jobs))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+    # At jobs=2 seat 0 takes shards 4 and 2, and the forked seat 1 takes 3 and 1.
     monkeypatch.setattr(congruence, "_shard_failures", failing_in_worker)
-    with pytest.raises(RuntimeError, match=r"thm1 shard 2 raised in its worker: ValueError: worker only"):
+    with pytest.raises(RuntimeError, match=r"thm1 shard 3 raised in its worker: ValueError: worker only"):
         sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_seat_zero_failure_keeps_its_exception_type_and_leaves_no_child(monkeypatch):
+    # At jobs=3 seats 1 and 2 are forked before seat 0 runs shard 4, its
+    # first, which raises only in this process.
+    shard_failures = congruence._shard_failures
+    parent = os.getpid()
+
+    class TableOverflow(Exception):
+        pass
+
+    def failing_in_parent(task):
+        if task[1] == 4 and os.getpid() == parent:
+            raise TableOverflow("seat 0 only")
+        return shard_failures(task)
+
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(congruence, "_shard_failures", failing_in_parent)
+    with pytest.raises(TableOverflow, match="seat 0 only"):
+        sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=3))
+    assert forks == [1, 1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -817,6 +882,14 @@ def test_sweep_that_fails_in_the_parent_kills_and_reaps_its_workers(monkeypatch)
 def test_sweep_without_fork_runs_its_shards_in_process(monkeypatch):
     config = SweepConfig("thm1", max_n=5, max_a=1, max_c=1, jobs=3)
     forked = sweep(config)
-    monkeypatch.delattr(os, "fork", raising=False)
-    monkeypatch.setattr(congruence, "_forked", None)  # calling it would fail
+    seats = []
+    forked_runner = congruence._forked
+
+    def recording(tasks, count):
+        seats.append(count)
+        return forked_runner(tasks, count)
+
+    monkeypatch.delattr(os, "fork", raising=False)  # calling it would fail
+    monkeypatch.setattr(congruence, "_forked", recording)
     assert sweep(config) == forked == sweep(config._replace(jobs=1))
+    assert seats == [1, 1]

@@ -16,7 +16,10 @@ from qdelannoy.orbits import (
     CornerFrame,
     FrameError,
     LawError,
-    PathClass,
+    Q1,
+    Q2,
+    Q3,
+    Q4,
     audit,
     decompose,
 )
@@ -26,7 +29,7 @@ from qdelannoy.residue import phi_test
 
 def _cut(dec):
     """Where a path's segment starts: the check end for Q3/Q4, else the bar end."""
-    return len(dec.check) if dec.path_class in (PathClass.Q3, PathClass.Q4) else len(dec.check + dec.bar)
+    return len(dec.check) if dec.path_class in (Q3, Q4) else len(dec.check + dec.bar)
 
 
 def _cut_point(segment, frame):
@@ -51,7 +54,7 @@ def _orbit(path, frame):
     for member, s in zip(members, sigmas):
         image = decompose(member, frame)
         if image.path_class is not cls or _cut(image) != cut:
-            raise LawError(f"action left {cls.value} at {path_text(member)}")
+            raise LawError(f"action left {cls} at {path_text(member)}")
         if sigma(member) != s:
             raise LawError(f"sigma shift law failed at {path_text(member)}")
     return members, sigmas
@@ -90,12 +93,12 @@ def test_decompose_single_point_bar():
     assert path_text(dec.hat) == "NNE"
     assert (x_of(dec.check), y_of(dec.check)) == (2, 1)
     assert (x_of(dec.check + dec.bar), y_of(dec.check + dec.bar)) == (2, 1)
-    assert dec.path_class is PathClass.Q1
+    assert dec.path_class == Q1
 
 
 def test_decompose_corner_split():
     dec = decompose(tuple("EDD"), CornerFrame(1, 0, 2))
-    assert dec.path_class is PathClass.Q4
+    assert dec.path_class == Q4
     assert path_text(dec.check) == "E"
     assert path_text(dec.tail) == "DD"
 
@@ -103,7 +106,7 @@ def test_decompose_corner_split():
 def test_decompose_bar_with_steps():
     # runs along the east anchor from (1,1) before climbing
     dec = decompose(tuple("DEENN"), CornerFrame(1, 1, 2))
-    assert dec.path_class is PathClass.Q3
+    assert dec.path_class == Q3
     assert path_text(dec.check) == "D"
     assert path_text(dec.bar) == "EE"
     assert path_text(dec.hat) == "NN"
@@ -127,7 +130,7 @@ def test_decompose_and_act_match_reference(n):
         for path in enumerate_paths(h + n, k + n):
             dec = decompose(path, frame)
             assert dec == reference.decompose(path, frame), path_text(path)
-            if dec.path_class is PathClass.Q3:
+            if dec.path_class == Q3:
                 continue
             cut = _cut(dec)
             segment, shift = orbits_module._act(path[cut:], dec.path_class, n)
@@ -186,29 +189,29 @@ def test_reassembly_covers_whole_path():
 # ---------------------------------------------------------------------------
 
 def test_classify_examples():
-    assert decompose(tuple("EDNNE"), CornerFrame(1, 1, 2)).path_class is PathClass.Q1
-    assert decompose(tuple("EDD"), CornerFrame(1, 0, 2)).path_class is PathClass.Q4
-    assert decompose(tuple("EN"), CornerFrame(0, 0, 1)).path_class is PathClass.Q3
+    assert decompose(tuple("EDNNE"), CornerFrame(1, 1, 2)).path_class == Q1
+    assert decompose(tuple("EDD"), CornerFrame(1, 0, 2)).path_class == Q4
+    assert decompose(tuple("EN"), CornerFrame(0, 0, 1)).path_class == Q3
 
 
 def test_classify_q2():
     # trace: (0,0),(0,1),(1,2),(1,3),(2,3),(3,3); bar is the north run (1,2)-(1,3)
-    assert decompose(tuple("NDNEE"), CornerFrame(1, 1, 2)).path_class is PathClass.Q2
+    assert decompose(tuple("NDNEE"), CornerFrame(1, 1, 2)).path_class == Q2
 
 
 def test_classify_origin_corner_sends_everything_to_q3_q4():
     frame = CornerFrame(0, 0, 2)
     for path in enumerate_paths(2, 2):
-        assert decompose(path, frame).path_class in (PathClass.Q3, PathClass.Q4)
+        assert decompose(path, frame).path_class in (Q3, Q4)
 
 
 def test_degenerate_frames_empty_classes():
     frame = CornerFrame(1, 0, 2)  # k=0: no corner-avoiding path reaches the east arm
     classes = {decompose(p, frame).path_class for p in enumerate_paths(3, 2)}
-    assert PathClass.Q1 not in classes
+    assert Q1 not in classes
     frame = CornerFrame(0, 1, 2)  # h=0: mirror case
     classes = {decompose(p, frame).path_class for p in enumerate_paths(2, 3)}
-    assert PathClass.Q2 not in classes
+    assert Q2 not in classes
 
 
 def test_classes_are_total_and_disjoint():
@@ -224,12 +227,12 @@ def test_classes_are_total_and_disjoint():
                     cls = decompose(path, frame).path_class
                     if (h, k) in points:
                         after_corner = path[points.index((h, k)):]
-                        assert cls is (PathClass.Q4 if "D" in after_corner else PathClass.Q3)
+                        assert cls == (Q4 if "D" in after_corner else Q3)
                         continue
                     east = any(y == k and h < x <= h + n for x, y in points)
                     north = any(x == h and k < y <= k + n for x, y in points)
                     assert east != north, path_text(path)
-                    assert cls is (PathClass.Q1 if east else PathClass.Q2), path_text(path)
+                    assert cls == (Q1 if east else Q2), path_text(path)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,7 @@ def test_blocks_q4_with_leading_north_run():
     # corner (1,0); the tail N D E is a leading north run, then the blocks D
     # and E: the action swaps their labels and leaves the north run in place
     frame = CornerFrame(1, 0, 2)
-    assert decompose(tuple("ENDE"), frame).path_class is PathClass.Q4
+    assert decompose(tuple("ENDE"), frame).path_class == Q4
     members, _ = _orbit(tuple("ENDE"), frame)
     assert [path_text(m) for m in members] == ["ENDE", "ENED"]
 
@@ -270,7 +273,7 @@ def test_act_preserves_class_and_has_period_n():
     frame = CornerFrame(1, 1, 3)
     for path in enumerate_paths(4, 4):
         cls = decompose(path, frame).path_class
-        if cls is PathClass.Q3:
+        if cls == Q3:
             continue
         members, _ = _orbit(path, frame)
         assert members[0] == path and frame.n % len(members) == 0
@@ -302,7 +305,7 @@ def test_orbit_q4_mixed_labels():
     # tail D then E from the corner (1,0): labels rotate with period 2
     frame = CornerFrame(1, 0, 2)
     dec = decompose(tuple("EDNE"), frame)
-    assert dec.path_class is PathClass.Q4
+    assert dec.path_class == Q4
     assert dec.tail.count("D") == 1
     members, sigmas = _orbit(tuple("EDNE"), frame)
     assert len(members) == 2
@@ -315,8 +318,8 @@ def test_orbit_rejects_q3(monkeypatch):
     frame = CornerFrame(1, 1, 2)
     walked = _count_walks(monkeypatch)
     assert audit(frame).ok
-    assert walked and all(cls is not PathClass.Q3 for _, cls in walked)
-    assert all("D" in segment for segment, cls in walked if cls is PathClass.Q4)
+    assert walked and all(cls != Q3 for _, cls in walked)
+    assert all("D" in segment for segment, cls in walked if cls == Q4)
     with pytest.raises(ValueError, match="Q3 paths carry no block structure"):
         reference.blocks(decompose(tuple("EN"), CornerFrame(0, 0, 1)), CornerFrame(0, 0, 1))
 
@@ -325,7 +328,7 @@ def test_orbit_sizes_divide_n_and_sums_vanish():
     frame = CornerFrame(0, 1, 4)
     seen = set()
     for path in enumerate_paths(4, 5):
-        if path in seen or decompose(path, frame).path_class is PathClass.Q3:
+        if path in seen or decompose(path, frame).path_class == Q3:
             continue
         members, sigmas = _orbit(path, frame)
         seen.update(members)
@@ -395,7 +398,7 @@ def test_orbit_action_invariants_on_random_frames():
     def invariants(case):
         frame, path = case
         cls = decompose(path, frame).path_class
-        hypothesis.assume(cls is not PathClass.Q3)
+        hypothesis.assume(cls != Q3)
         members, sigmas = _orbit(path, frame)
         assert frame.n % len(members) == 0
         assert all(decompose(m, frame).path_class is cls for m in members)
@@ -616,9 +619,9 @@ BROKEN_PARTS = {
     "corner-total": ("sigma_counts", _adds_path_at((1, 1)), (1, 1, 2), "grand total differs from the q-Delannoy"),
     "blocks": ("_act", lambda act: lambda s, cls, n: act(s, cls, n + 1), (1, 1, 2),
                "expected 3 blocks, found 2 at END from (1,1) (Q4)"),
-    "Q1-hat": ("_act", _acting_as(PathClass.Q2, PathClass.Q1), (1, 1, 2),
+    "Q1-hat": ("_act", _acting_as(Q2, Q1), (1, 1, 2),
                "a Q1 hat must open with a y-raising step at EEN from (1,2) (Q2)"),
-    "Q2-hat": ("_act", _acting_as(PathClass.Q1, PathClass.Q2), (1, 1, 2),
+    "Q2-hat": ("_act", _acting_as(Q1, Q2), (1, 1, 2),
                "a Q2 hat must open with an x-raising step at NEN from (2,1) (Q1)"),
     "shift": ("_act", _shifted(1), (1, 1, 2), "sigma shift law failed at END from (1,1) (Q4)"),
     # every segment goes to NEN, which goes to itself: no walk returns
@@ -687,7 +690,7 @@ def test_audit_reports_a_wrong_predicted_class(monkeypatch):
     act = orbits_module._act
 
     def leaves(segment, cls, n):
-        if cls is PathClass.Q4 and segment in (x, y):
+        if cls == Q4 and segment in (x, y):
             return (y, shift) if segment == x else (x, -shift)
         return act(segment, cls, n)
 
@@ -773,7 +776,7 @@ def test_audit_reports_two_orbits_claiming_one_image(monkeypatch):
     monkeypatch.setattr(orbits_module, "_orbit", claims_again)
     report = orbits_module.audit(frame)
     ((x, y), image, cls), = claimed
-    assert f"orbits overlap at {path_text(image)} from ({x},{y}) ({cls.value})" in report.violations
+    assert f"orbits overlap at {path_text(image)} from ({x},{y}) ({cls})" in report.violations
 
 
 def _audit_peak(frame):
@@ -840,7 +843,7 @@ def _first_q4_orbit(frame):
     """The members of the first orbit of size n among the tails from the corner."""
     n = frame.n
     stream = _streams(frame)[frame.h, frame.k]
-    return next(m for seg in stream if "D" in seg and len(m := orbits_module._orbit(seg, PathClass.Q4, n)[0]) == n)
+    return next(m for seg in stream if "D" in seg and len(m := orbits_module._orbit(seg, Q4, n)[0]) == n)
 
 
 def test_audit_checks_replayed_predictions_on_arrival(monkeypatch):

@@ -18,7 +18,7 @@ from qdelannoy.orbits import (
     AuditReport,
     CornerFrame,
     Decomposition,
-    PathClass,
+    Q4,
     audit,
     decompose,
 )
@@ -129,4 +129,4 @@ def test_validated_records_survive_a_pickle_round_trip():
 def test_records_compare_equal_to_plain_tuples():
     assert CornerFrame(1, 0, 2) == (1, 0, 2)
     assert CornerFrame(1, 0, 2).target == (3, 2)
-    assert decompose((D,), CornerFrame(0, 0, 1)) == ((), (), (D,), PathClass.Q4)
+    assert decompose((D,), CornerFrame(0, 0, 1)) == ((), (), (D,), Q4)
