@@ -868,13 +868,14 @@ def test_seat_zero_failure_keeps_its_exception_type_and_leaves_no_child(monkeypa
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_sweep_that_fails_in_the_parent_kills_and_reaps_its_workers(monkeypatch):
-    # The first reaped worker's status cannot be read, so the other two are still running.
+    # At jobs=4 three workers are forked; the first reaped worker's status
+    # cannot be read, so the other two are still running.
     def unreadable(status):
         raise OSError("status lost")
 
     monkeypatch.setattr(os, "waitstatus_to_exitcode", unreadable)
     with pytest.raises(OSError, match="status lost"):
-        sweep(SweepConfig("thm1", max_n=6, max_a=1, max_c=1, jobs=3))
+        sweep(SweepConfig("thm1", max_n=6, max_a=1, max_c=1, jobs=4))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
