@@ -22,7 +22,11 @@ prefix trie swept across the box, compared exactly with P(h,k).  An
 engine builds a case tuple only for a case that fails.
 
 `sweep` has one runner, `_forked`: the calling process is seat 0 of up to
-`jobs` seats and forks the rest, so `jobs=1` forks nothing.
+`jobs` seats and forks the rest, so `jobs=1` forks nothing.  Each seat
+runs the engine on its share of the shard keys; this process re-runs the
+share of a forked seat that raised, so a shard's error reads the same at
+every `jobs`.  The failing cases come back in any order, and sorting them
+restores grid order.
 
 A case that fails is re-run through the direct check, which builds its
 report; a case the direct check passes raises RuntimeError, so an engine
@@ -248,8 +252,8 @@ class SweepSummary(NamedTuple):
         }
 
 
-def _run_case_json(args: tuple[str, tuple[int, ...]]) -> dict:
-    return run_case(*args).to_json()
+def _run_case_json(statement: str, case: tuple[int, ...]) -> dict:
+    return run_case(statement, case).to_json()
 
 
 class Statement(NamedTuple):
@@ -260,6 +264,10 @@ class Statement(NamedTuple):
     `keys` lists a grid's shard keys in grid order, smallest shard first.
     `failures(config, key)` decides every case of one shard from one table
     and returns the shard's case count and its failing cases, in grid order.
+    Case tuples sort in grid order: each starts with its shard key, and a
+    shard's cases run in lexicographic order (interp's one shard is every
+    (h, k) by h, then k).  So `sweep` sorts the failing cases of all shards
+    to put them back in grid order, whichever seat ran which shard.
     """
 
     check: Callable[..., CongruenceReport]
@@ -376,34 +384,31 @@ STATEMENTS: dict[str, Statement] = {
 }
 
 
-def _shard_failures(task: tuple[SweepConfig, int]) -> tuple[int, list[tuple[int, ...]]]:
-    """The case count and failing cases of one shard; pure, so shards may run in any order or process."""
-    return STATEMENTS[task[0].statement].failures(*task)
-
-
 def _failure_report(statement: str, case: tuple[int, ...]) -> dict:
     """The oracle's report of a case its engine failed; it must fail too."""
-    report = _run_case_json((statement, case))
+    report = _run_case_json(statement, case)
     if report["pass"]:
         raise RuntimeError(f"{statement} case {case} fails in its engine but passes the oracle check")
     return report
 
 
-def _forked(tasks: list[tuple[SweepConfig, int]], seats: int) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """`_shard_failures` of every task, in task order, from `seats` processes, this one seat 0.
+def _forked(config: SweepConfig, keys: list[int], seats: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """The engine's (count, failing) result for every key, from `seats` processes, this one seat 0.
 
-    Seat w takes tasks[w::seats].  This process forks seats 1 to seats - 1,
-    runs its own share, then reads the others' pipes and reaps them.  A
-    forked seat writes its results to a pipe with `marshal`, which is
-    enough for ints, tuples and lists.  It always leaves through
-    `os._exit`, so it never flushes the stdio buffers it inherited or runs
-    exit handlers.  A forked seat whose shard raises writes that task's
-    index and the error text instead and exits 1.  Shards are pure, so this
-    process re-runs that shard itself and its exception propagates with its
-    own type and traceback, as from a shard of seat 0; only if the re-run
-    passes does it raise RuntimeError with the seat's text.  Every child is
-    reaped before this returns or raises.
+    Seat w runs keys[w::seats], and the results come back seat by seat.
+    This process forks seats 1 to seats - 1, runs its own share, then reads
+    the others' pipes and reaps them.  A forked seat writes its results to
+    its pipe as one `marshal` list, which is enough for ints, tuples and
+    lists.  It always leaves through `os._exit`, so it never flushes the
+    stdio buffers it inherited or runs exit handlers: with status 0 once
+    its results are written, and with status 1, writing nothing, if a shard
+    raised.  Shards are pure, so this process re-runs the share of a seat
+    that exited 1, and a shard's error propagates with its own type and
+    traceback, as from seat 0; only if the re-run passes does it raise
+    RuntimeError naming the seat.  Any other status raises RuntimeError
+    with no re-run.  Every child is reaped before this returns or raises.
     """
+    failures = STATEMENTS[config.statement].failures
     pids: list[int] = []  # forked and not yet reaped
     pipes = []  # each forked seat's pipe as a (read, write) pair of files
     try:
@@ -413,16 +418,16 @@ def _forked(tasks: list[tuple[SweepConfig, int]], seats: int) -> list[tuple[int,
             pipes.append((reader, writer))
             pid = os.fork()
             if pid == 0:
-                code = 2
+                code = 1
                 try:
-                    code = _work(tasks, range(w, len(tasks), seats), writer)
+                    with writer:
+                        writer.write(marshal.dumps([failures(config, key) for key in keys[w::seats]]))
+                    code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
             writer.close()  # a later seat must not inherit it, or this pipe never reaches EOF
-        shards: list = [None] * len(tasks)
-        for index in range(0, len(tasks), seats):
-            shards[index] = _shard_failures(tasks[index])
+        shards = [failures(config, key) for key in keys[::seats]]
         outputs = [reader.read() for reader, _ in pipes]
         codes = []
         while pids:
@@ -440,28 +445,13 @@ def _forked(tasks: list[tuple[SweepConfig, int]], seats: int) -> list[tuple[int,
             os.waitpid(pid, 0)
     for w, (data, code) in enumerate(zip(outputs, codes), 1):
         if code == 1:
-            index, error = marshal.loads(data)
-            _shard_failures(tasks[index])
-            raise RuntimeError(f"{tasks[0][0].statement} shard {tasks[index][1]} raised in its worker: {error}")
+            for key in keys[w::seats]:
+                failures(config, key)
+            raise RuntimeError(f"{config.statement} sweep worker {w} raised, but its shards pass in this process")
         if code:
-            raise RuntimeError(f"{tasks[0][0].statement} sweep worker {w} exited with status {code}")
-        for index, shard in marshal.loads(data):
-            shards[index] = shard
+            raise RuntimeError(f"{config.statement} sweep worker {w} exited with status {code}")
+        shards += marshal.loads(data)
     return shards
-
-
-def _work(tasks: list[tuple[SweepConfig, int]], indices: range, pipe) -> int:
-    """A forked worker's shards, or its first error, written to `pipe`; returns its exit code."""
-    code, payload = 0, []
-    for index in indices:
-        try:
-            payload.append((index, _shard_failures(tasks[index])))
-        except Exception as exc:  # the parent re-runs this shard to raise it again
-            code, payload = 1, (index, f"{type(exc).__name__}: {exc}")
-            break
-    with pipe:
-        pipe.write(marshal.dumps(payload))
-    return code
 
 
 def sweep(config: SweepConfig) -> SweepSummary:
@@ -473,13 +463,13 @@ def sweep(config: SweepConfig) -> SweepSummary:
     package starts no thread; a caller that runs threads of its own should
     sweep at `jobs=1`, which forks nothing.  Shards are dealt out largest
     first, so the longest shard does not start last, and seats return only
-    the failing cases; the shards are put back in grid order and each
-    failing case is re-run through `run_case` to build its report.
+    the failing cases.  Sorting those puts them back in grid order (see
+    `Statement`), and each is re-run through `run_case` to build its report.
     """
-    tasks = [(config, key) for key in reversed(STATEMENTS[config.statement].keys(config))]
-    seats = max(1, min(config.jobs, len(tasks))) if hasattr(os, "fork") else 1
-    shards = _forked(tasks, seats)
-    shards.reverse()
-    failures = tuple(_failure_report(config.statement, case) for _, failing in shards for case in failing)
+    keys = STATEMENTS[config.statement].keys(config)[::-1]
+    seats = max(1, min(config.jobs, len(keys))) if hasattr(os, "fork") else 1
+    shards = _forked(config, keys, seats)
+    failing = sorted(case for _, cases in shards for case in cases)
+    failures = tuple(_failure_report(config.statement, case) for case in failing)
     total = sum(count for count, _ in shards)
     return SweepSummary(config.statement, total, total - len(failures), len(failures), failures)

@@ -468,6 +468,78 @@ def test_compute_golden_output(args, digest, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+# sha256 of compute output at sizes past the benchmark's centre requests.
+# rec and q_binomial fill only one side of the diagonal; each digest is of
+# the output the full-table fills wrote.
+HALF_TABLE_GOLDEN = [
+    (("qdelannoy", "--route", "rec", "--h", "71", "--k", "69", "--json"),
+     "bf1c6241d33b96680060e850fcfd55c830759679706759b4fdf0183143e5454e"),
+    (("qbinom", "--h", "140", "--k", "73", "--json"),
+     "b0977bb8b5cd617b80107ab682471b0a7bbf1f680cccaa77def09fad4dcb37dc"),
+]
+
+
+@pytest.mark.parametrize("args, digest", HALF_TABLE_GOLDEN, ids=["rec-71-69", "qbinom-140-73"])
+def test_half_table_fill_golden_output(args, digest, tmp_path):
+    target = tmp_path / "out.txt"
+    assert main(["compute", *args, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_transposed_half_table_fill_prints_the_def_route(tmp_path):
+    # rec at the transposed size must print what the independent def route
+    # prints (about 1.3 s of def on a 2-vCPU VM).
+    texts = []
+    for route, h, k in (("rec", "69", "71"), ("def", "71", "69")):
+        target = tmp_path / f"{route}.txt"
+        assert main(["compute", "qdelannoy", "--route", route, "--h", h, "--k", k, "--out", str(target)]) == 0
+        texts.append(target.read_bytes())
+    assert texts[0] == texts[1]
+
+
+# Sweeps larger than the rest of the suite runs, each with its exact case
+# count; every case must pass.
+LARGE_SWEEPS = [
+    # Every P(h,k), h <= 33, k <= 32, against path counts from one prefix-trie
+    # walk of a two-column band, swept across the box in 17 bands; the last
+    # one holds two columns and needs no arrivals past the box.  Half of its
+    # time is the band sweep and half the q_delannoy_rec fill for each cell.
+    # That is one shard, so --jobs 2 runs it in this process and forks no
+    # worker.
+    (("interp", "--max-h", "33", "--max-k", "32", "--jobs", "2"), 34 * 33),
+    # n = 30 = 2 * 3 * 5 is the first modulus whose Phi_n test sums 8
+    # rotations a side; the other thm2 and qlucas sweeps stop below it.
+    (("thm2", "--max-n", "30", "--max-h", "30", "--max-k", "30", "--jobs", "2"), 30 * 31 * 31),
+    (("qlucas", "--max-n", "30", "--max-a", "1", "--max-c", "1"), sum(4 * n * n for n in range(1, 31))),
+    # The mod-p branch of the split engine on every prime below 60 with
+    # a, c <= 4, 418 900 cases each; the other lucas and dlucas sweeps stop
+    # at p = 13.
+    (("lucas", "--max-n", "60", "--max-a", "4", "--max-c", "4", "--jobs", "2"), 418_900),
+    (("dlucas", "--max-n", "60", "--max-a", "4", "--max-c", "4", "--jobs", "2"), 418_900),
+]
+
+
+@pytest.mark.parametrize("args, total", LARGE_SWEEPS, ids=[args[0] for args, _ in LARGE_SWEEPS])
+def test_large_sweep_passes(args, total, tmp_path):
+    target = tmp_path / "out.json"
+    assert main(["verify", *args, "--json", "--out", str(target)]) == 0
+    payload = json.loads(target.read_text())
+    assert (payload["total"], payload["failed"]) == (total, 0)
+
+
+def test_forked_sweep_under_dev_mode_prints_what_one_process_prints():
+    # A worker pipe left open shows as a ResourceWarning, and a fork from a
+    # threaded process as a DeprecationWarning; -W error fails on either.
+    # The CLI process is seat 0, so --jobs 2 forks one child and --jobs 3
+    # two; both must print what one process prints.
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "qdelannoy", "verify", "thm1"]
+    argv += ["--max-n", "11", "--max-a", "2", "--max-c", "2", "--jobs"]
+    runs = [subprocess.run([*argv, jobs], capture_output=True, env=_src_env(), timeout=60) for jobs in "123"]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 3
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert runs[0].stdout.startswith(b"thm1: ")
+
+
 @pytest.mark.parametrize(
     "what, h, k, expected",
     [
@@ -516,17 +588,36 @@ AUDIT_GOLDEN = [
 ]
 
 
-# sha256 of `orbits audit --json` for the frames the CI workflow audits,
-# copied from it unchanged; its comments say which earlier audit design wrote
-# each.  They run in-process here, (0,0,8) taking most of their time.
+# sha256 of `orbits audit --json` for frames past AUDIT_GOLDEN's, first pinned
+# by the CI workflow; each comment says which earlier audit design wrote the
+# digest.  They run in-process here, (0,0,8) taking most of their time.
 CI_AUDIT_GOLDEN = [
+    # 265729 paths as 3723 heads and 3045 (cut point, segment) pairs.  The
+    # digest is of the report the audit wrote before it scanned each path
+    # once.
     ((3, 3, 5), "0099fe01aedf02ad1be5531befd540fa2843f13179f0b7e296661e9d6a04495a"),
+    # The origin is the corner (48639 paths), so every path is a tail of the
+    # one empty head.  The digest is of the report the audit wrote while it
+    # still scanned each path separately, as is the next.
     ((0, 0, 7), "94404aac57fd3aac1abc03cfb60356673e3970a8f89b98988eebe1869148a910"),
+    # A corner on the x axis, so no head reaches the east arm.
     ((5, 0, 3), "fc58af700d8adc9eb2962a0d9eb73418d3c22ef3b9c2ba08c248a781e6705083"),
+    # Frames that are not square, so many heads lead to one cut point and
+    # each segment orbit walked there stands for all of them.  Both digests
+    # are of the report the audit wrote while it still walked every orbit.
     ((4, 2, 4), "5966276f37db60c9ce0397019e894c0e50f2b68f96c4f583170cb48c9ead2052"),
     ((2, 4, 4), "1d0b15a9f13cee02a6d75bf50f7846d1136c3d2bc5055f9f8af05e67e1659003"),
+    # 8097453 paths, which the per-path audit took 28 s to check; the digest
+    # is of the report it wrote.
     ((4, 4, 6), "44c47a16806ddd67da7866726a799ac9d77c73c386fa017d7495ea80d2b68ba8"),
+    # The origin is the corner, so its 265729 paths are the tails of one
+    # empty head and nothing factors; the digest is of the report the
+    # per-path audit wrote.
     ((0, 0, 8), "17ee2ebc0f9048fcd195b7068e7aff8614c867db53571e18f69b4d3228c1da70"),
+    # 251595969 paths with 1633677 heads, which `paths.sigma_counts` counts
+    # by sigma in one 12 x 12 box.  Walking the heads one by one took 0.86 s
+    # of a 0.94 s audit on a 2-vCPU VM; the digest is of the report written
+    # then.
     ((6, 6, 6), "a53b08885b37a5440f3063b418c5b526d18f5947ffacf23841b913662659fc53"),
 ]
 

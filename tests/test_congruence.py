@@ -17,7 +17,6 @@ from qdelannoy.residue import binomial_table, delannoy_table, phi_test
 from qdelannoy.congruence import (
     STATEMENTS,
     SweepConfig,
-    _shard_failures,
     induction_consistency,
     run_case,
     sweep,
@@ -372,22 +371,32 @@ def test_phi_test_one_byte_short_decides_wrongly(monkeypatch):
     assert bits == 16 and not short(_pack(pos, bits), _pack(neg, bits))
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        SweepConfig("thm2", max_n=7, max_h=4, max_k=3),
-        SweepConfig("thm1", max_n=7, max_a=1, max_c=2),
-        SweepConfig("qlucas", max_n=7, max_a=2, max_c=1),
-        SweepConfig("lucas", max_n=11, max_a=3, max_c=2),
-        SweepConfig("dlucas", max_n=11, max_a=2, max_c=3),
-        SweepConfig("interp", max_h=6, max_k=5),
-    ],
-    ids=lambda config: config.statement,
-)
+SMALL_GRIDS = [
+    SweepConfig("thm2", max_n=7, max_h=4, max_k=3),
+    SweepConfig("thm1", max_n=7, max_a=1, max_c=2),
+    SweepConfig("qlucas", max_n=7, max_a=2, max_c=1),
+    SweepConfig("lucas", max_n=11, max_a=3, max_c=2),
+    SweepConfig("dlucas", max_n=11, max_a=2, max_c=3),
+    SweepConfig("interp", max_h=6, max_k=5),
+]
+
+
+@pytest.mark.parametrize("config", SMALL_GRIDS, ids=lambda config: config.statement)
 def test_residue_engine_matches_oracle(config):
     entry = STATEMENTS[config.statement]
     for key in entry.keys(config):
         assert entry.failures(config, key) == _oracle_shard(config, key)
+
+
+@pytest.mark.parametrize("config", SMALL_GRIDS, ids=lambda config: config.statement)
+def test_case_tuples_sort_in_grid_order(config):
+    # `sweep` sorts the failing cases its seats send back, which restores
+    # grid order only if the grid, shard keys ascending, is already sorted.
+    assert len(SMALL_GRIDS) == len(STATEMENTS)
+    keys = STATEMENTS[config.statement].keys(config)
+    assert keys == sorted(set(keys))
+    cases = [case for key in keys for case in grid_cases(config, key)]
+    assert len(cases) > 1 and cases == sorted(cases)
 
 
 def _oracle_shard(config, key):
@@ -592,7 +601,7 @@ def test_mod_p_shard_memory_is_one_table(statement):
     # list as well would take about 7 MB more.
     tracemalloc.start()
     try:
-        count, failing = _shard_failures((SweepConfig(statement, max_n=60, max_a=4, max_c=4), 59))
+        count, failing = STATEMENTS[statement].failures(SweepConfig(statement, max_n=60, max_a=4, max_c=4), 59)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,7 +644,7 @@ def test_interp_engine_rejects_corrupt_count_at_a_band_boundary(monkeypatch, nod
 
     monkeypatch.setattr(paths, "_trie", corrupt)
     config = SweepConfig("interp", max_h=4, max_k=2)
-    assert _shard_failures((config, 0)) == (5 * 3, failing)
+    assert STATEMENTS["interp"].failures(config, 0) == (5 * 3, failing)
     h, k = failing[0]
     with pytest.raises(RuntimeError, match=rf"interp case \({h}, {k}\) fails .* passes the oracle check"):
         sweep(config)
@@ -759,17 +768,17 @@ def test_shard_counts_sum_to_grid_size():
         keys = STATEMENTS[config.statement].keys(config)
         assert len(keys) == 1 if config.statement == "interp" else len(keys) > 1
         shards = [_oracle_shard(config, key) for key in keys]
-        assert [_shard_failures((config, key)) for key in keys] == shards
+        assert [STATEMENTS[config.statement].failures(config, key) for key in keys] == shards
         assert sum(count for count, _ in shards) == size == sweep(config).total
 
 
 def test_sweep_pool_is_capped_at_shard_count(monkeypatch):
     sizes, orders = [], []
 
-    def recording(tasks, seats):
+    def recording(config, keys, seats):
         sizes.append(seats)
-        orders.append([key for _, key in tasks])
-        return [_shard_failures(task) for task in tasks]
+        orders.append(keys)
+        return [STATEMENTS[config.statement].failures(config, key) for key in keys]
 
     monkeypatch.setattr(congruence, "_forked", recording)
     summary = sweep(SweepConfig("thm2", max_n=3, max_h=1, max_k=1, jobs=10**9))
@@ -815,29 +824,49 @@ def test_sweep_forks_one_process_fewer_than_its_seats(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_worker_failure_keeps_its_exception_type_and_leaves_no_child(monkeypatch):
-    shard_failures = congruence._shard_failures
-    parent = os.getpid()
+    thm1, parent = STATEMENTS["thm1"], os.getpid()
 
-    def failing(task):
-        if task[1] == 2:
+    def failing(config, n):
+        if n == 2:
             raise ValueError("table overflow")
-        return shard_failures(task)
+        return thm1.failures(config, n)
 
-    def failing_in_worker(task):
-        if task[1] == 3 and os.getpid() != parent:
+    def failing_in_worker(config, n):
+        if n == 3 and os.getpid() != parent:
             raise ValueError("worker only")
-        return shard_failures(task)
+        return thm1.failures(config, n)
 
-    monkeypatch.setattr(congruence, "_shard_failures", failing)
-    for jobs in (1, 2, 3):  # the parent re-runs the shard, so every jobs setting raises the same error
+    monkeypatch.setitem(STATEMENTS, "thm1", thm1._replace(failures=failing))
+    for jobs in (1, 2, 3):  # the parent re-runs the seat, so every jobs setting raises the same error
         with pytest.raises(ValueError, match="table overflow"):
             sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=jobs))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     # At jobs=2 seat 0 takes shards 4 and 2, and the forked seat 1 takes 3 and 1.
-    monkeypatch.setattr(congruence, "_shard_failures", failing_in_worker)
-    with pytest.raises(RuntimeError, match=r"thm1 shard 3 raised in its worker: ValueError: worker only"):
+    monkeypatch.setitem(STATEMENTS, "thm1", thm1._replace(failures=failing_in_worker))
+    with pytest.raises(RuntimeError, match=r"^thm1 sweep worker 1 raised, but its shards pass in this process$"):
         sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_worker_other_status_is_not_rerun_and_leaves_no_child(monkeypatch):
+    # At jobs=3 seat 0 takes shards 4 and 1, seat 1 takes 3 and seat 2
+    # takes 2, whose process leaves with status 3 before it writes.
+    thm1, parent, rerun = STATEMENTS["thm1"], os.getpid(), []
+
+    def dying_in_worker(config, n):
+        if os.getpid() != parent and n == 2:
+            os._exit(3)
+        if os.getpid() == parent and n in (3, 2):
+            rerun.append(n)
+        return thm1.failures(config, n)
+
+    monkeypatch.setitem(STATEMENTS, "thm1", thm1._replace(failures=dying_in_worker))
+    with pytest.raises(RuntimeError, match=r"^thm1 sweep worker 2 exited with status 3$"):
+        sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=3))
+    assert rerun == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -846,19 +875,18 @@ def test_forked_worker_failure_keeps_its_exception_type_and_leaves_no_child(monk
 def test_seat_zero_failure_keeps_its_exception_type_and_leaves_no_child(monkeypatch):
     # At jobs=3 seats 1 and 2 are forked before seat 0 runs shard 4, its
     # first, which raises only in this process.
-    shard_failures = congruence._shard_failures
-    parent = os.getpid()
+    thm1, parent = STATEMENTS["thm1"], os.getpid()
 
     class TableOverflow(Exception):
         pass
 
-    def failing_in_parent(task):
-        if task[1] == 4 and os.getpid() == parent:
+    def failing_in_parent(config, n):
+        if n == 4 and os.getpid() == parent:
             raise TableOverflow("seat 0 only")
-        return shard_failures(task)
+        return thm1.failures(config, n)
 
     forks = _counting_forks(monkeypatch)
-    monkeypatch.setattr(congruence, "_shard_failures", failing_in_parent)
+    monkeypatch.setitem(STATEMENTS, "thm1", thm1._replace(failures=failing_in_parent))
     with pytest.raises(TableOverflow, match="seat 0 only"):
         sweep(SweepConfig("thm1", max_n=4, max_a=1, max_c=1, jobs=3))
     assert forks == [1, 1]
@@ -886,9 +914,9 @@ def test_sweep_without_fork_runs_its_shards_in_process(monkeypatch):
     seats = []
     forked_runner = congruence._forked
 
-    def recording(tasks, count):
+    def recording(config, keys, count):
         seats.append(count)
-        return forked_runner(tasks, count)
+        return forked_runner(config, keys, count)
 
     monkeypatch.delattr(os, "fork", raising=False)  # calling it would fail
     monkeypatch.setattr(congruence, "_forked", recording)

@@ -35,7 +35,6 @@ _DECOMPOSE = "`decompose`, a traced span name the reference tests compare agains
 # (module, qualified name) -> why no request calls it.
 ALLOWED = {
     ("cli", "run"): "the process entry: it calls `sys.exit(main())`, so the corpus calls `main`",
-    ("congruence", "_work"): "runs in a forked worker, which this profile does not see",
     ("congruence", "induction_consistency"): "the paper's inductive step from Theorem 2 to Theorem 1",
     ("congruence", "CongruenceReport.passed"): _ORACLE,
     ("congruence", "CongruenceReport.to_json"): _ORACLE,

@@ -1,0 +1,126 @@
+"""Check that the tests kill a table of hand-written mutants of the package.
+
+Each row names a source file under `src/qdelannoy`, an exact snippet that
+must occur in it once, the snippet's replacement, and the test nodes that
+must fail once the replacement is made.  For each row the script copies
+`src/` to a temporary directory, applies the mutant there, and runs each
+node under `pytest -x` with the copy first on `PYTHONPATH`; the tests
+import whatever `qdelannoy` that finds.  A node kills the mutant when
+pytest reports failed tests (exit status 1); a collection or usage error
+does not count.  The checkout itself is never edited.
+
+Run it from anywhere as `python tools/mutants.py`; it needs only the
+stdlib and the pytest the tests use.  It exits 1 when a snippet is
+missing or occurs more than once, or when a mutant survives one of its
+nodes, and 0 when every row is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/qdelannoy
+    snippet: str
+    replacement: str
+    nodes: tuple[str, ...]  # each must fail on its own
+
+
+MUTANTS = [
+    # The Q4 action's predicted sigma shift with its class test inverted.
+    Mutant(
+        "q4-shift",
+        "orbits.py",
+        "shift = segment.count(D) - n * (label == D)",
+        "shift = segment.count(D) - n * (label != D)",
+        ("tests/test_orbits.py",),
+    ),
+    # The audit decides each segment orbit's Phi_n test once; a copy that
+    # marks every orbit sum as vanishing must fail.
+    Mutant(
+        "orbit-sum-vanishes",
+        "orbits.py",
+        "elif not _orbit_sum_vanishes(",
+        "elif False and _orbit_sum_vanishes(",
+        ("tests/test_orbits.py",),
+    ),
+    # `paths.walk` is the one E -> N -> D path stream: the audit's segments
+    # and every enumerated path come from it.  Its D step adds x, not x + 1.
+    Mutant(
+        "walk-d-step-sigma",
+        "paths.py",
+        "x, y, s = x + 1, y + 1, s + x + 1",
+        "x, y, s = x + 1, y + 1, s + x",
+        ("tests/test_paths.py", "tests/test_orbits.py"),
+    ),
+    # A band path moved right to column c adds c to sigma at each step that
+    # raises y; here each band sweep term shifts one more slot.
+    # `paths.sigma_counts` counts both interp's cells and the orbit audit's
+    # heads, so the copy must fail the tests of each.
+    Mutant(
+        "band-concatenation-shift",
+        "paths.py",
+        "<< (c * (k - y) * bits)",
+        "<< ((c * (k - y) + 1) * bits)",
+        ("tests/test_congruence.py", "tests/test_orbits.py"),
+    ),
+    # A forked sweep seat's results are read and dropped, so a --jobs sweep
+    # loses the case counts and failing cases of every seat but the first.
+    Mutant(
+        "forked-seat-results-dropped",
+        "congruence.py",
+        "shards += marshal.loads(data)",
+        "marshal.loads(data)",
+        ("tests/test_congruence.py",),
+    ),
+]
+
+
+def run(mutant: Mutant, scratch: Path) -> list[str]:
+    """The problems with one row: a missing snippet, or each node the mutant survives."""
+    src = scratch / mutant.name / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    target = src / "qdelannoy" / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.snippet) != 1:
+        return [f"snippet occurs {text.count(mutant.snippet)} times in {mutant.path}, not once: {mutant.snippet!r}"]
+    target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    problems = []
+    for node in mutant.nodes:
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node]
+        result = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        if result.returncode != 1:
+            tail = result.stdout.decode(errors="replace").strip().splitlines()[-1:]
+            problems.append(f"survives {node} (pytest exit {result.returncode}: {' '.join(tail)})")
+    return problems
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="qdelannoy-mutants-") as scratch:
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            problems = run(mutant, Path(scratch))
+            verdict = "killed" if not problems else "FAILED"
+            print(f"{verdict:6}  {mutant.name}  ({time.perf_counter() - start:.1f} s)")
+            for problem in problems:
+                print(f"        {problem}")
+            failed += bool(problems)
+    print(f"{len(MUTANTS) - failed} killed, {failed} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
