@@ -144,17 +144,9 @@ def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
     signs collapse to a single P(b,d).
     """
     _check_split(n, a, b, c, d)
-    sign = _thm2_sign(n)
-    lhs = q_delannoy_rec((a + 1) * n + b, (c + 1) * n + d)
-    via_corner = (
-        q_delannoy_rec((a + 1) * n + b, c * n + d)
-        + q_delannoy_rec(a * n + b, (c + 1) * n + d)
-        + q_delannoy_rec(a * n + b, c * n + d) * sign
-    )
+    corner = verify_theorem2(n, a * n + b, c * n + d)
     target = q_delannoy_rec(b, d) * _thm1_factor(n)(a + 1, c + 1)
-    step_ok = reduce_mod(lhs - via_corner, n).is_zero()
-    telescoped_ok = reduce_mod(via_corner - target, n).is_zero()
-    return step_ok and telescoped_ok
+    return corner.passed and reduce_mod(corner.rhs - target, n).is_zero()
 
 
 def verify_q_lucas(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:

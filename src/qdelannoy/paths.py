@@ -62,39 +62,20 @@ def enumerate_paths(h: int, k: int) -> Iterator[Path]:
 def walk(h: int, k: int) -> Iterator[tuple[Path, int]]:
     """Every path from (0,0) to (h,k) with its sigma; at each position try E, then N, then D.
 
-    Depth first over an explicit list of steps, so path length has no
-    ceiling, and each path is built once, when it is yielded.  It does not
-    check its arguments; `enumerate_paths` does.
+    Depth first over an explicit stack of (prefix, x, y, sigma), so path
+    length has no ceiling.  A prefix on the last column or row has one way
+    on, a straight run of E then N steps, so it is yielded at once.  It
+    does not check its arguments; `enumerate_paths` does.
     """
-    steps: list[str] = []
-    x = y = s = 0
-    while True:
-        while x < h:
-            steps.append(E)
-            x += 1
-        while y < k:
-            steps.append(N)
-            y, s = y + 1, s + x
-        yield tuple(steps), s
-        # Back up to the last step that has an untried successor: E -> N -> D.
-        while steps:
-            step = steps.pop()
-            if step == E:
-                x -= 1
-                if y < k:
-                    steps.append(N)
-                    y, s = y + 1, s + x
-                    break
-            elif step == N:
-                y, s = y - 1, s - x
-                if x < h:
-                    steps.append(D)
-                    x, y, s = x + 1, y + 1, s + x + 1
-                    break
-            else:
-                x, y, s = x - 1, y - 1, s - x
+    stack = [((), 0, 0, 0)]
+    while stack:
+        path, x, y, s = stack.pop()
+        if x >= h or y >= k:
+            yield path + (E,) * (h - x) + (N,) * (k - y), s + x * (k - y)
         else:
-            return
+            stack.append((path + (D,), x + 1, y + 1, s + x + 1))
+            stack.append((path + (N,), x, y + 1, s + x))
+            stack.append((path + (E,), x + 1, y, s))
 
 
 def sigma_poly(h: int, k: int) -> IntPoly:

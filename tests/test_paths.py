@@ -93,17 +93,20 @@ def test_enumeration_matches_recursive_reference():
 
 def test_walk_matches_recursive_reference_and_sigma():
     # The one path stream, against the recursive enumeration for its order
-    # and against `sigma` for the statistic it carries.
+    # and against `sigma` for the statistic it carries.  The thin shapes end
+    # most paths in a long straight run on the last column or row; the
+    # reference recurses at most 41 deep on them.
     assert list(walk(0, 0)) == [((), 0)]
-    for h in range(5):
-        for k in range(5):
-            expected = [(p, sigma(p)) for p in reference.enumerate_paths(h, k)]
-            assert list(walk(h, k)) == expected, (h, k)
+    thin = [(1, 40), (40, 1), (2, 25), (25, 2), (0, 30), (30, 0)]
+    for h, k in [(h, k) for h in range(5) for k in range(5)] + thin:
+        expected = [(p, sigma(p)) for p in reference.enumerate_paths(h, k)]
+        assert list(walk(h, k)) == expected, (h, k)
 
 
 def test_enumeration_has_no_recursion_limit():
     assert list(enumerate_paths(5000, 0)) == [("E",) * 5000]
     assert sum(1 for _ in enumerate_paths(1, 1500)) == delannoy(1, 1500)
+    assert all(s == sigma(p) for p, s in walk(1, 300))
 
 
 def test_enumeration_rejects_negative_targets():

@@ -60,9 +60,36 @@ MUTANTS = [
     Mutant(
         "walk-d-step-sigma",
         "paths.py",
-        "x, y, s = x + 1, y + 1, s + x + 1",
-        "x, y, s = x + 1, y + 1, s + x",
+        "(path + (D,), x + 1, y + 1, s + x + 1)",
+        "(path + (D,), x + 1, y + 1, s + x)",
         ("tests/test_paths.py", "tests/test_orbits.py"),
+    ),
+    # The straight run on the last column or row adds x per N step; here it
+    # adds x + 1.  Writing h for x there is an equivalent mutant for targets
+    # in the first quadrant (a run with N steps starts on column h), so it
+    # has no row.
+    Mutant(
+        "walk-straight-run-sigma",
+        "paths.py",
+        "s + x * (k - y)",
+        "s + x * (k - y) + (k - y)",
+        ("tests/test_paths.py",),
+    ),
+    # The corner step's sign on P(h,k), + for every n: thm2 fails at even n.
+    Mutant(
+        "thm2-sign",
+        "congruence.py",
+        "return 1 if n % 2 else -1",
+        "return 1",
+        ("tests/test_congruence.py",),
+    ),
+    # The rec route's update without its diagonal term P(i-1,j-1).
+    Mutant(
+        "rec-diagonal-term",
+        "qdelannoy.py",
+        "(row[j] + diag) << (j * bits)",
+        "row[j] << (j * bits)",
+        ("tests/test_qdelannoy.py",),
     ),
     # A band path moved right to column c adds c to sigma at each step that
     # raises y; here each band sweep term shifts one more slot.
