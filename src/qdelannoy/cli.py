@@ -1,5 +1,11 @@
 """Command-line entry point: compute / verify / orbits subcommands.
 
+`main` parses argv, looks up its leaf's row in `COMMANDS`, checks --h and
+--k once for every leaf that takes them, then calls the leaf and renders
+the result with its command's renderer.  A call reads the function it runs
+from this module's globals when it runs, so a name rebound here (by a
+test's monkeypatch or the benchmark's tracer) reaches every request.
+
 All output is deterministic: byte-identical across runs and across --jobs
 settings.  Exit codes: 0 all checks passed, 1 a verification failed, 2
 usage error or out of memory.
@@ -11,12 +17,47 @@ import argparse
 import gc
 import sys
 
-from .congruence import STATEMENTS, SweepConfig, sweep
+from .congruence import STATEMENTS, SweepConfig, SweepSummary, sweep
 from .cyclotomic import cyclotomic
-from .orbits import CornerFrame, audit
+from .orbits import AuditReport, CornerFrame, audit
 from .qcore import delannoy, q_binomial
 from .qdelannoy import ROUTES, q_delannoy
 from .paths import sigma_poly
+from .polyring import IntPoly
+
+
+def _render_value(value: int | IntPoly, params: dict, as_json: bool) -> tuple[object, int]:
+    if isinstance(value, int):
+        return ({**params, "value": str(value)} if as_json else str(value)), 0
+    return ({**params, "coeffs": value.to_json_coeffs()} if as_json else value.to_text()), 0
+
+
+def _render_summary(summary: SweepSummary, params: dict, as_json: bool) -> tuple[object, int]:
+    status = 0 if summary.failed == 0 else 1
+    if as_json:
+        return summary.to_json(), status
+    lines = [f"{summary.statement}: {summary.total} cases, {summary.passed} passed, {summary.failed} failed"]
+    for failure in summary.failures:
+        case = " ".join(f"{key}={val}" for key, val in sorted(failure["params"].items()))
+        lines.append(f"FAIL {failure['tag']} {case} residue={failure['residue']}")
+    return "\n".join(lines), status
+
+
+def _render_report(report: AuditReport, params: dict, as_json: bool) -> tuple[object, int]:
+    status = 0 if report.ok else 1
+    if as_json:
+        return report.to_json(), status
+    lines = [
+        f"frame h={report.h} k={report.k} n={report.n}: {report.total_paths} paths",
+        "classes: " + " ".join(f"{c}={report.class_counts[c]}" for c in sorted(report.class_counts)),
+        "fixed:   " + " ".join(f"{c}={report.fixed_counts[c]}" for c in sorted(report.fixed_counts)),
+    ]
+    for cls, hist in sorted(report.orbit_histograms.items()):
+        if hist:
+            lines.append(f"orbit sizes {cls}: " + " ".join(f"{d}:{count}" for d, count in sorted(hist.items())))
+    lines.extend(f"{name} = {poly.to_text()}" for name, poly in sorted(report.sums.items()))
+    lines.extend([f"VIOLATION {v}" for v in report.violations] or ["violations: none"])
+    return "\n".join(lines), status
 
 
 _REQUIRED_INT = {"type": int, "required": True}
@@ -28,30 +69,34 @@ _OUTPUT = (
 )
 
 # command -> (help, dest of its leaf, leaf -> (help or None, flags before
-# _OUTPUT)), in the order help lists them.  A flag is (name, add_argument
-# keywords).
+# _OUTPUT, call), renderer), in the order help lists them.  A flag is (name,
+# add_argument keywords).  A call takes its leaf's flag values by argparse
+# dest, and is a lambda so that no row holds a library function itself.  A
+# renderer takes (result, those flag values, --json) and returns the output,
+# text or a JSON payload, and the exit status.
 COMMANDS = {
     "compute": ("print one exact value", "what", {
-        "delannoy": ("classical Delannoy number", _HK),
-        "qdelannoy": ("q-Delannoy polynomial", (("--route", {"choices": sorted(ROUTES), "default": "rec"}), *_HK)),
-        "qbinom": ("Gaussian binomial coefficient", _HK),
-        "cyclotomic": ("cyclotomic polynomial", (("--n", _REQUIRED_INT),)),
-        "sigma-poly": ("path-statistic polynomial by enumeration", _HK),
-    }),
+        "delannoy": ("classical Delannoy number", _HK, lambda h, k: delannoy(h, k)),
+        "qdelannoy": ("q-Delannoy polynomial", (("--route", {"choices": sorted(ROUTES), "default": "rec"}), *_HK),
+                      lambda route, h, k: q_delannoy(h, k, route=route)),
+        "qbinom": ("Gaussian binomial coefficient", _HK, lambda h, k: q_binomial(h, k)),
+        "cyclotomic": ("cyclotomic polynomial", (("--n", _REQUIRED_INT),), lambda n: cyclotomic(n)),
+        "sigma-poly": ("path-statistic polynomial by enumeration", _HK, lambda h, k: sigma_poly(h, k)),
+    }, _render_value),
     "verify": ("sweep a statement over a parameter grid", "statement", {
         name: (None, (
-            *((f"--max-{axis}", {
-                "type": int,
-                "default": 0,
-                "help": "modulus bound (primes for lucas/dlucas)" if axis == "n" else None,
-            }) for axis in entry.axes),
+            *((f"--max-{axis}", {"type": int, "default": 0,
+                                 "help": "modulus bound (primes for lucas/dlucas)" if axis == "n" else None})
+              for axis in entry.axes),
             ("--jobs", {"type": int, "default": 1}),
-        ))
+            # The default binds this row's name; a closure would see the last one.
+        ), lambda statement=name, **bounds: sweep(SweepConfig(statement, **bounds)))
         for name, entry in STATEMENTS.items()
-    }),
+    }, _render_summary),
     "orbits": ("group-action machinery", "action", {
-        "audit": ("exhaustively audit one frame", (*_HK, ("--n", _REQUIRED_INT))),
-    }),
+        "audit": ("exhaustively audit one frame", (*_HK, ("--n", _REQUIRED_INT)),
+                  lambda h, k, n: audit(CornerFrame(h, k, n))),
+    }, _render_report),
 }
 
 
@@ -70,13 +115,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     words = [arg for arg in argv if not arg.startswith("-")][:2]
     parser = argparse.ArgumentParser(prog="qdelannoy", allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, dest, leaves) in COMMANDS.items():
+    for command, (command_help, dest, leaves, _) in COMMANDS.items():
         if words[:1] != [command]:
             commands.add_parser(command, help=command_help, add_help=False)
             continue
         command_parser = commands.add_parser(command, help=command_help, allow_abbrev=False)
         sub = command_parser.add_subparsers(dest=dest, required=True)
-        for leaf, (leaf_help, flags) in leaves.items():
+        for leaf, (leaf_help, flags, _) in leaves.items():
             named = words[1:] == [leaf]
             p = sub.add_parser(leaf, add_help=named, **({} if leaf_help is None else {"help": leaf_help}))
             for flag, options in (*flags, *_OUTPUT) if named else ():
@@ -103,81 +148,18 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _run_compute(args: argparse.Namespace) -> int:
-    if args.what != "cyclotomic" and (args.h < 0 or args.k < 0):
-        raise ValueError(f"--h and --k must be nonnegative, got h={args.h} k={args.k}")
-    if args.what == "delannoy":
-        value = delannoy(args.h, args.k)
-        if args.json:
-            _emit(_json_text({"h": args.h, "k": args.k, "value": str(value)}), args.out)
-        else:
-            _emit(str(value), args.out)
-        return 0
-    if args.what == "qdelannoy":
-        poly = q_delannoy(args.h, args.k, route=args.route)
-        payload = {"h": args.h, "k": args.k, "route": args.route, "coeffs": poly.to_json_coeffs()}
-    elif args.what == "qbinom":
-        poly = q_binomial(args.h, args.k)
-        payload = {"h": args.h, "k": args.k, "coeffs": poly.to_json_coeffs()}
-    elif args.what == "cyclotomic":
-        poly = cyclotomic(args.n)
-        payload = {"n": args.n, "coeffs": poly.to_json_coeffs()}
-    else:
-        poly = sigma_poly(args.h, args.k)
-        payload = {"h": args.h, "k": args.k, "coeffs": poly.to_json_coeffs()}
-    _emit(_json_text(payload) if args.json else poly.to_text(), args.out)
-    return 0
-
-
-def _run_verify(args: argparse.Namespace) -> int:
-    bounds = {f"max_{axis}": getattr(args, f"max_{axis}") for axis in STATEMENTS[args.statement].axes}
-    summary = sweep(SweepConfig(args.statement, jobs=args.jobs, **bounds))
-    if args.json:
-        _emit(_json_text(summary.to_json()), args.out)
-    else:
-        lines = [f"{summary.statement}: {summary.total} cases, {summary.passed} passed, {summary.failed} failed"]
-        for failure in summary.failures:
-            params = " ".join(f"{key}={val}" for key, val in sorted(failure["params"].items()))
-            lines.append(f"FAIL {failure['tag']} {params} residue={failure['residue']}")
-        _emit("\n".join(lines), args.out)
-    return 0 if summary.failed == 0 else 1
-
-
-def _run_orbits(args: argparse.Namespace) -> int:
-    report = audit(CornerFrame(args.h, args.k, args.n))
-    if args.json:
-        _emit(_json_text(report.to_json()), args.out)
-    else:
-        lines = [
-            f"frame h={report.h} k={report.k} n={report.n}: {report.total_paths} paths",
-            "classes: " + " ".join(f"{c}={report.class_counts[c]}" for c in sorted(report.class_counts)),
-            "fixed:   " + " ".join(f"{c}={report.fixed_counts[c]}" for c in sorted(report.fixed_counts)),
-        ]
-        for cls in sorted(report.orbit_histograms):
-            hist = report.orbit_histograms[cls]
-            if hist:
-                body = " ".join(f"{d}:{count}" for d, count in sorted(hist.items()))
-                lines.append(f"orbit sizes {cls}: {body}")
-        for name in sorted(report.sums):
-            lines.append(f"{name} = {report.sums[name].to_text()}")
-        if report.violations:
-            lines.extend(f"VIOLATION {v}" for v in report.violations)
-        else:
-            lines.append("violations: none")
-        _emit("\n".join(lines), args.out)
-    return 0 if report.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    _, dest, leaves, render = COMMANDS[args.command]
+    _, flags, call = leaves[getattr(args, dest)]
+    params = {name: getattr(args, name) for name in (flag[2:].replace("-", "_") for flag, _ in flags)}
     try:
-        if args.command == "compute":
-            return _run_compute(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_orbits(args)
+        if "h" in params and min(params["h"], params["k"]) < 0:
+            raise ValueError(f"--h and --k must be nonnegative, got h={params['h']} k={params['k']}")
+        out, status = render(call(**params), params, args.json)
+        _emit(_json_text(out) if args.json else out, args.out)
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

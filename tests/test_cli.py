@@ -248,7 +248,7 @@ def test_process_entry_freezes_start_up_objects_and_main_does_not():
 LEVELS = [
     (),
     *((command,) for command in COMMANDS),
-    *((command, leaf) for command, (_, _, leaves) in COMMANDS.items() for leaf in leaves),
+    *((command, leaf) for command, (_, _, leaves, _) in COMMANDS.items() for leaf in leaves),
 ]
 
 
@@ -332,14 +332,20 @@ def test_audit_violations_exit_1(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("cyclotomic", ["compute", "cyclotomic", "--n", "100000000"]),
-        ("sweep", ["verify", "thm2", "--max-n", "1000000000"]),
-        ("audit", ["orbits", "audit", "--h", "0", "--k", "0", "--n", "100000000"]),
+        ("cyclotomic", ["compute", "cyclotomic", "--n", "1"]),
+        ("sweep", ["verify", "thm2", "--max-n", "2"]),
+        ("audit", ["orbits", "audit", "--h", "0", "--k", "0", "--n", "1"]),
+        ("delannoy", ["compute", "delannoy", "--h", "2", "--k", "2"]),
+        ("q_delannoy", ["compute", "qdelannoy", "--h", "2", "--k", "2"]),
+        ("q_binomial", ["compute", "qbinom", "--h", "2", "--k", "2"]),
+        ("sigma_poly", ["compute", "sigma-poly", "--h", "2", "--k", "2"]),
     ],
 )
 def test_out_of_memory_exits_2(name, argv, monkeypatch, capsys):
     # Exit 1 means a check failed, so running out of memory is reported like
-    # a usage error: one line on stderr, nothing on stdout.
+    # a usage error: one line on stderr, nothing on stdout.  Each leaf must
+    # call through the name patched on `cli`; the arguments are small, so a
+    # leaf that does not fails at once with exit 0.
     import qdelannoy.cli as cli_module
 
     def exhausted(*args, **kwargs):
@@ -353,13 +359,23 @@ def test_out_of_memory_exits_2(name, argv, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("what", ["delannoy", "qdelannoy", "qbinom", "sigma-poly"])
-def test_compute_negative_argument_exits_2(what, capsys):
-    assert main(["compute", what, "--h", "-1", "--k", "2"]) == 2
-    assert main(["compute", what, "--h", "2", "--k", "-1"]) == 2
+@pytest.mark.parametrize(
+    "leaf",
+    [("compute", "delannoy"), ("compute", "qdelannoy"), ("compute", "qbinom"), ("compute", "sigma-poly"),
+     ("orbits", "audit", "--n", "2")],
+    ids=["delannoy", "qdelannoy", "qbinom", "sigma-poly", "audit"],
+)
+def test_negative_h_or_k_exits_2(leaf, capsys):
+    # Every leaf that takes --h and --k rejects a negative one in the same
+    # check, before any library call.
+    assert main([*leaf, "--h", "-1", "--k", "2"]) == 2
+    assert main([*leaf, "--h", "2", "--k", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error:") == 2
+    assert captured.err == (
+        "error: --h and --k must be nonnegative, got h=-1 k=2\n"
+        "error: --h and --k must be nonnegative, got h=2 k=-1\n"
+    )
 
 
 @pytest.mark.parametrize("flags", [("--jobs", "0"), ("--jobs", "-3"), ("--max-n", "-2"), ("--max-h", "-1")])
@@ -447,8 +463,9 @@ def test_readme_cli_commands_run(tmp_path):
             assert target.read_text(encoding="utf-8") == expected + "\n", argv
 
 
-# sha256 of the output of the compute-routes benchmark's centre requests,
-# recorded from the memo-table implementation the packed fills replaced.
+# sha256 of compute output: the compute-routes benchmark's centre requests,
+# recorded from the memo-table implementation the packed fills replaced, then
+# two sizes past them.
 GOLDEN = [
     (("qdelannoy", "--route", "rec", "--h", "70", "--k", "70", "--json"),
      "3347eeb2d67f699035a1242f14353a10a128cedc61f0fe11a9b841b282c294ed"),
@@ -458,20 +475,8 @@ GOLDEN = [
      "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
     (("qdelannoy", "--route", "alt", "--h", "36", "--k", "36"),
      "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
-]
-
-
-@pytest.mark.parametrize("args, digest", GOLDEN, ids=["rec-70-70", "qbinom-140-70", "def-36-36", "alt-36-36"])
-def test_compute_golden_output(args, digest, tmp_path):
-    target = tmp_path / "out.txt"
-    assert main(["compute", *args, "--out", str(target)]) == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
-
-
-# sha256 of compute output at sizes past the benchmark's centre requests.
-# rec and q_binomial fill only one side of the diagonal; each digest is of
-# the output the full-table fills wrote.
-HALF_TABLE_GOLDEN = [
+    # rec and q_binomial fill only one side of the diagonal; each digest is
+    # of the output the full-table fills wrote.
     (("qdelannoy", "--route", "rec", "--h", "71", "--k", "69", "--json"),
      "bf1c6241d33b96680060e850fcfd55c830759679706759b4fdf0183143e5454e"),
     (("qbinom", "--h", "140", "--k", "73", "--json"),
@@ -479,8 +484,10 @@ HALF_TABLE_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("args, digest", HALF_TABLE_GOLDEN, ids=["rec-71-69", "qbinom-140-73"])
-def test_half_table_fill_golden_output(args, digest, tmp_path):
+@pytest.mark.parametrize(
+    "args, digest", GOLDEN, ids=["rec-70-70", "qbinom-140-70", "def-36-36", "alt-36-36", "rec-71-69", "qbinom-140-73"]
+)
+def test_compute_golden_output(args, digest, tmp_path):
     target = tmp_path / "out.txt"
     assert main(["compute", *args, "--out", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

@@ -111,6 +111,59 @@ MUTANTS = [
         "marshal.loads(data)",
         ("tests/test_congruence.py",),
     ),
+    # The trie walk behind `sigma_counts` with its D step adding x, not
+    # x + 1.  interp's sweep compares its counts with the rec route.
+    Mutant(
+        "trie-d-step-sigma",
+        "paths.py",
+        "stack.append((x + 1, y + 1, s + x + 1))",
+        "stack.append((x + 1, y + 1, s + x))",
+        ("tests/test_congruence.py",),
+    ),
+    # `gaussian_rows`' update shifting one slot too far.  `q_binomial` has
+    # the same line four spaces less indented, so the indent picks this one.
+    Mutant(
+        "gaussian-rows-shift",
+        "qcore.py",
+        "                row[a] = row[a - 1] + (row[a] << (a * bits))",
+        "                row[a] = row[a - 1] + (row[a] << ((a + 1) * bits))",
+        ("tests/test_qdelannoy.py",),
+    ),
+    # `SweepConfig` letting a bound of -1 through.
+    Mutant(
+        "sweep-bound-check",
+        "congruence.py",
+        "if value < 0:",
+        "if value < -1:",
+        ("tests/test_records.py",),
+    ),
+    # The split engine dropping the last case of each row, d = m - 1.
+    Mutant(
+        "split-last-case-dropped",
+        "congruence.py",
+        "for d in range(m)",
+        "for d in range(m - 1)",
+        ("tests/test_congruence.py",),
+    ),
+    # Packed slots one byte short whenever the bound's bit length is 8w + 1,
+    # so a coefficient at the bound carries into the next slot.  It survives
+    # tests/test_qcore.py and tests/test_qdelannoy.py; the sweeps' residue
+    # tables in tests/test_congruence.py catch it.
+    Mutant(
+        "slot-bytes-short",
+        "qcore.py",
+        "(bound.bit_length() + 7) // 8",
+        "max(1, (bound.bit_length() + 6) // 8)",
+        ("tests/test_congruence.py",),
+    ),
+    # The CLI's one --h/--k check letting -1 through.
+    Mutant(
+        "cli-negative-hk",
+        "cli.py",
+        'min(params["h"], params["k"]) < 0',
+        'min(params["h"], params["k"]) < -1',
+        ("tests/test_cli.py",),
+    ),
 ]
 
 
