@@ -97,7 +97,7 @@ def _split_report(
     rhs = count(b, d) * factor(a, c)
     if key == "n":
         return CongruenceReport(tag, params, lhs, rhs, reduce_mod(lhs - rhs, m))
-    return CongruenceReport(tag, params, IntPoly.const(lhs), IntPoly.const(rhs), IntPoly.const((lhs - rhs) % m))
+    return CongruenceReport(tag, params, IntPoly((lhs,)), IntPoly((rhs,)), IntPoly(((lhs - rhs) % m,)))
 
 
 def _thm1_factor(n: int) -> Callable[[int, int], int]:
@@ -133,20 +133,6 @@ def verify_theorem1(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
     """
     tag = "thm1-odd" if n % 2 else "thm1-even"
     return _split_report(tag, "n", q_delannoy_rec, _thm1_factor(n), n, a, b, c, d)
-
-
-def induction_consistency(n: int, a: int, b: int, c: int, d: int) -> bool:
-    """Check one inductive layer deriving the split congruence from the corner one.
-
-    Reduces P((a+1)n+b, (c+1)n+d) through the corner-step congruence at
-    (an+b, cn+d), then confirms the telescoped right side: for odd n the
-    three-term Delannoy recurrence assembles D(a+1,c+1), for even n the
-    signs collapse to a single P(b,d).
-    """
-    _check_split(n, a, b, c, d)
-    corner = verify_theorem2(n, a * n + b, c * n + d)
-    target = q_delannoy_rec(b, d) * _thm1_factor(n)(a + 1, c + 1)
-    return corner.passed and reduce_mod(corner.rhs - target, n).is_zero()
 
 
 def verify_q_lucas(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:

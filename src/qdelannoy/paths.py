@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .polyring import IntPoly
-from .qcore import delannoy, slot_bytes
+from .polyring import IntPoly, slot_bits
+from .qcore import delannoy
 
 Path = tuple[str, ...]
 
@@ -89,8 +89,9 @@ def sigma_poly(h: int, k: int) -> IntPoly:
     the independent oracle that re-checks a case the interp engine failed,
     so it shares no code with `sigma_counts` or its trie walk.
     """
+    stream = enumerate_paths(h, k)  # checks h and k before counts is sized from them
     counts = [0] * (h * k + 1)
-    for path in enumerate_paths(h, k):
+    for path in stream:
         counts[sigma(path)] += 1
     return IntPoly(counts)
 
@@ -122,8 +123,7 @@ def sigma_counts(max_h: int, max_k: int) -> list[list[IntPoly]]:
     and at j = BAND the next arrivals, are sum_y arrive[y] band[j][k-y] q^(c(k-y)),
     packed as in `qcore`: no slot carries, as each value read counts box paths.
     """
-    width = slot_bytes(delannoy(max_h, max_k))
-    bits = 8 * width
+    bits = slot_bits(delannoy(max_h, max_k))
     band = [[0] * (max_k + 1) for _ in range(BAND + 1)]
     for x, y, s in _trie(BAND, max_k):
         band[x][y] += 1 << (s * bits)
@@ -134,7 +134,7 @@ def sigma_counts(max_h: int, max_k: int) -> list[list[IntPoly]]:
             for row in band[: max_h + 1 - c]
         ]
         counts, arrive = counts + sums[:BAND], sums[-1]
-    return [[IntPoly.from_packed(v, width) for v in row] for row in counts]
+    return [[IntPoly.from_packed(v, bits) for v in row] for row in counts]
 
 
 def path_text(path: Path) -> str:

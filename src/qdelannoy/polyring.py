@@ -3,7 +3,9 @@
 Every q-object in this package (Gaussian binomials, q-Delannoy numbers,
 cyclotomic moduli) lives in this ring.  Coefficients are stored ascending
 by degree; the zero polynomial stores no coefficients at all, and its
-degree is the sentinel -1.
+degree is the sentinel -1.  A polynomial with nonnegative coefficients can
+also be packed as its value at q = 2**bits, in slots of `slot_bits` bits,
+and read back with `IntPoly.from_packed`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from collections.abc import Iterable
 
 class ModulusError(ValueError):
     """Polynomial division attempted with a zero or non-monic divisor."""
+
+
+def slot_bits(bound: int) -> int:
+    """Bits per packed slot, a whole number of bytes, that hold every coefficient in [0, bound]; bound >= 1."""
+    return 8 * ((bound.bit_length() + 7) // 8)
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -36,10 +43,6 @@ class IntPoly:
         self.coeffs = _trim(coeffs)
 
     @classmethod
-    def const(cls, c: int) -> IntPoly:
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> IntPoly:
         if exponent < 0:
             raise ValueError("monomial exponent must be nonnegative")
@@ -59,8 +62,6 @@ class IntPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == _trim([other])
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -69,10 +70,10 @@ class IntPoly:
     def __neg__(self) -> IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
-    def __add__(self, other: IntPoly | int) -> IntPoly:
-        a, b = self.coeffs, _as_coeffs(other)
-        if b is None:
+    def __add__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -80,23 +81,17 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: IntPoly | int) -> IntPoly:
-        a, b = self.coeffs, _as_coeffs(other)
-        if b is None:
+    def __sub__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
         out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
         return IntPoly(out)
 
-    def __rsub__(self, other: int) -> IntPoly:
-        if not isinstance(other, int):
-            return NotImplemented
-        return -self + other
-
     def __mul__(self, other: IntPoly | int) -> IntPoly:
+        """The product with a polynomial, or with an int scalar on the right."""
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
@@ -110,8 +105,6 @@ class IntPoly:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def shift(self, exponent: int) -> IntPoly:
         """Multiply by q**exponent."""
@@ -173,34 +166,27 @@ class IntPoly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_packed(cls, value: int, width: int) -> IntPoly:
-        """The polynomial p with p(2**(8*width)) == value and every coefficient in [0, 2**(8*width)).
+    def from_packed(cls, value: int, bits: int) -> IntPoly:
+        """The polynomial p with p(2**bits) == value and every coefficient in [0, 2**bits).
 
-        Such a p is unique: coefficient i is slot i of `width` bytes,
-        little-endian.  Evaluating at q = 2**(8*width) is a ring
+        Such a p is unique: coefficient i is slot i of `bits` bits,
+        little-endian, and `bits` is a whole number of bytes, as
+        `slot_bits` gives.  Evaluating at q = 2**bits is a ring
         homomorphism Z[q] -> Z, so a value built by adding, shifting and
         multiplying packed integers reads back exactly whenever the final
         coefficients fit their slots, however intermediate entries carried.
         """
         if value < 0:
             raise ValueError(f"packed value must be nonnegative, got {value}")
-        if width < 1:
-            raise ValueError(f"slot width must be positive, got {width}")
-        size = -(-value.bit_length() // (8 * width)) * width
+        if bits < 1 or bits % 8:
+            raise ValueError(f"slot width must be a positive multiple of 8 bits, got {bits}")
+        width = bits // 8
+        size = -(-value.bit_length() // bits) * width
         data = value.to_bytes(size, "little")
         return cls(int.from_bytes(data[i : i + width], "little") for i in range(0, size, width))
 
     def __repr__(self) -> str:
         return f"IntPoly('{self.to_text()}')"
-
-
-def _as_coeffs(value: object) -> tuple[int, ...] | None:
-    """The coefficients of an IntPoly or int operand (a bool as 0 or 1); None for any other type."""
-    if isinstance(value, IntPoly):
-        return value.coeffs
-    if isinstance(value, int):
-        return _trim([int(value)])
-    return None
 
 
 ZERO = IntPoly()

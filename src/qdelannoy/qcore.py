@@ -17,12 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import comb
 
-from .polyring import ONE, IntPoly, ZERO
-
-
-def slot_bytes(bound: int) -> int:
-    """Bytes per packed slot that hold every coefficient in [0, bound]; bound >= 1."""
-    return (bound.bit_length() + 7) // 8
+from .polyring import ONE, IntPoly, ZERO, slot_bits
 
 
 def gaussian_rows(bits: int, width: int, rows: int) -> Iterator[list[int]]:
@@ -65,15 +60,14 @@ def q_binomial(h: int, k: int) -> IntPoly:
     if k < 0 or k > h:
         return ZERO
     k = min(k, h - k)
-    width = slot_bytes(comb(h, k))
-    bits = 8 * width
+    bits = slot_bits(comb(h, k))
     row = [1] * (k + 1)
     for b in range(1, h - k + 1):
         for a in range(1, min(b, k + 1)):
             row[a] = row[a - 1] + (row[a] << (a * bits))
         if b <= k:
             row[b] = row[b - 1] + (row[b - 1] << (b * bits))
-    return IntPoly.from_packed(row[k], width)
+    return IntPoly.from_packed(row[k], bits)
 
 
 def delannoy(h: int, k: int) -> int:

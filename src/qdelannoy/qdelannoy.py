@@ -14,14 +14,14 @@ cells on one side of the diagonal.
 Each route works on packed integers, as in `qcore`: a polynomial is stored
 as its value at q = 2**bits.  The coefficients of P(h,k) are nonnegative
 (it counts paths by a statistic) and sum to D(h,k), so slots of
-`slot_bytes(D(h,k))` bytes hold every one of them and the packed result
+`slot_bits(D(h,k))` bits hold every one of them and the packed result
 reads back exactly, whatever the intermediate entries carried.
 """
 
 from __future__ import annotations
 
-from .polyring import IntPoly, ZERO
-from .qcore import delannoy, gaussian_rows, slot_bytes
+from .polyring import IntPoly, ZERO, slot_bits
+from .qcore import delannoy, gaussian_rows
 
 
 def q_delannoy_def(h: int, k: int) -> IntPoly:
@@ -29,8 +29,7 @@ def q_delannoy_def(h: int, k: int) -> IntPoly:
     if h < 0 or k < 0:
         return ZERO
     m = min(h, k)
-    width = slot_bytes(delannoy(h, k))
-    bits = 8 * width
+    bits = slot_bits(delannoy(h, k))
     low, high = [], [0] * (m + 1)
     # Row b holds [a+b, a] for a <= k: [k,j] = [(k-j)+j, k-j] sits in row j,
     # and [h+k-j, k] = [k+(h-j), k] ends row h-j.
@@ -40,22 +39,21 @@ def q_delannoy_def(h: int, k: int) -> IntPoly:
         if b >= h - m:
             high[h - b] = row[k]
     total = sum((x * y) << (j * (j + 1) // 2 * bits) for j, (x, y) in enumerate(zip(low, high)))
-    return IntPoly.from_packed(total, width)
+    return IntPoly.from_packed(total, bits)
 
 
 def q_delannoy_alt(h: int, k: int) -> IntPoly:
     """Symmetric route: sum_j q^((h-j)(k-j)) * (-q;q)_j * [k,j]_q * [h,j]_q."""
     if h < 0 or k < 0:
         return ZERO
-    width = slot_bytes(delannoy(h, k))
-    bits = 8 * width
+    bits = slot_bits(delannoy(h, k))
     total, poch = 0, 1
     # Row j holds [a+j, a], so [h,j] = [h,h-j] and [k,j] = [k,k-j] both sit in it.
     for j, row in enumerate(gaussian_rows(bits, max(h, k), min(h, k) + 1)):
         if j:
             poch += poch << (j * bits)
         total += (poch * row[h - j] * row[k - j]) << ((h - j) * (k - j) * bits)
-    return IntPoly.from_packed(total, width)
+    return IntPoly.from_packed(total, bits)
 
 
 def q_delannoy_rec(h: int, k: int) -> IntPoly:
@@ -69,15 +67,14 @@ def q_delannoy_rec(h: int, k: int) -> IntPoly:
     """
     if h < 0 or k < 0:
         return ZERO
-    width = slot_bytes(delannoy(h, k))
-    bits = 8 * width
+    bits = slot_bits(delannoy(h, k))
     m, k = min(h, k), max(h, k)
     row = [1] * (k + 1)
     for i in range(1, m + 1):
         diag, row[i - 1] = row[i - 1], row[i]
         for j in range(i, k + 1):
             diag, row[j] = row[j], row[j - 1] + ((row[j] + diag) << (j * bits))
-    return IntPoly.from_packed(row[k], width)
+    return IntPoly.from_packed(row[k], bits)
 
 
 ROUTES = {

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .qcore import is_prime, slot_bytes
+from .polyring import slot_bits
+from .qcore import is_prime
 
 
 def phi_test(n: int, bound: int) -> tuple[int, Callable[[int, int], bool]]:
@@ -54,13 +55,13 @@ def phi_test(n: int, bound: int) -> tuple[int, Callable[[int, int], bool]]:
     """
     bound = max(bound, 1)
     if n == 1:
-        return 8 * slot_bytes(bound), lambda pos, neg: pos == neg
+        return slot_bits(bound), lambda pos, neg: pos == neg
     plus, minus = [0], []
     for p in range(2, n + 1):
         if n % p == 0 and is_prime(p):
             s = n // p
             plus, minus = plus + [(e + s) % n for e in minus], minus + [(e + s) % n for e in plus]
-    bits = 8 * slot_bytes(bound * len(plus) * 2)
+    bits = slot_bits(bound * len(plus) * 2)
     size = n * bits
     mask = (1 << size) - 1
     offset = bound * (mask // ((1 << bits) - 1))

@@ -8,15 +8,19 @@ oracle the fast ones are checked against, plus the original recursive path
 enumeration, the interp sweep's original walk of the whole box's prefix
 trie, the original corner decomposition and cyclic actions, which
 build the point list of a path and cut it into lists of blocks, and the
-orbit audit built from them one path at a time.  The small helpers at the
-end (q-integers, the q-binomial theorem, the series table of
-1/(1-x-y-xy), evaluation at q=1 and at any integer, JSON read-back, path
-points, the cases of a sweep shard) exist only for the tests.
+orbit audit built from them one path at a time.  `induction_consistency`
+is the paper's inductive step from Theorem 2 to Theorem 1, which no
+request runs.  The small helpers at the end (q-integers, the q-binomial
+theorem, the series table of 1/(1-x-y-xy), evaluation at q=1 and at any
+integer, JSON read-back, path points, the cases of a sweep shard) exist
+only for the tests.
 """
 
 from functools import cache
 from itertools import product
 
+from qdelannoy.congruence import _check_split, _thm1_factor, verify_theorem2
+from qdelannoy.cyclotomic import reduce_mod
 from qdelannoy.orbits import Q1, Q2, Q3, Q4, Decomposition
 from qdelannoy.paths import sigma
 from qdelannoy.polyring import ONE, IntPoly, ZERO
@@ -234,6 +238,20 @@ def audit(frame):
         "sums": sums,
         "grand_total": IntPoly(every),
     }
+
+
+def induction_consistency(n, a, b, c, d):
+    """Check one inductive layer deriving the split congruence from the corner one.
+
+    Reduces P((a+1)n+b, (c+1)n+d) through the corner-step congruence at
+    (an+b, cn+d), then confirms the telescoped right side: for odd n the
+    three-term Delannoy recurrence assembles D(a+1,c+1), for even n the
+    signs collapse to a single P(b,d).
+    """
+    _check_split(n, a, b, c, d)
+    corner = verify_theorem2(n, a * n + b, c * n + d)
+    target = packed_q_delannoy_rec(b, d) * _thm1_factor(n)(a + 1, c + 1)
+    return corner.passed and reduce_mod(corner.rhs - target, n).is_zero()
 
 
 def path_points(path, start=(0, 0)):

@@ -20,14 +20,13 @@ from qdelannoy.paths import sigma_poly
 from qdelannoy.orbits import CornerFrame, audit
 from qdelannoy.congruence import (
     SweepConfig,
-    induction_consistency,
     sweep,
     verify_delannoy_lucas,
     verify_lucas,
     verify_q_lucas,
     verify_theorem2,
 )
-from reference import delannoy_series_table
+from reference import delannoy_series_table, induction_consistency
 
 # Where the imported package lives, so a subprocess runs the same copy.
 SRC = Path(qdelannoy.__file__).resolve().parent.parent

@@ -10,14 +10,13 @@ from qdelannoy import congruence, paths, residue as residue_module
 from qdelannoy.cli import main
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.paths import sigma
-from qdelannoy.polyring import IntPoly
-from qdelannoy.qcore import delannoy, q_binomial, slot_bytes
+from qdelannoy.polyring import ONE, IntPoly, ZERO, slot_bits
+from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
 from qdelannoy.residue import binomial_table, delannoy_table, phi_test
 from qdelannoy.congruence import (
     STATEMENTS,
     SweepConfig,
-    induction_consistency,
     run_case,
     sweep,
     verify_delannoy_lucas,
@@ -27,7 +26,7 @@ from qdelannoy.congruence import (
     verify_theorem2,
 )
 import reference
-from reference import evaluate, grid_cases
+from reference import evaluate, grid_cases, induction_consistency
 
 
 def test_theorem2_n1_is_integer_recurrence():
@@ -219,12 +218,12 @@ def test_lucas_family_reports():
     report = verify_lucas(3, 2, 1, 1, 1)
     assert report == run_case("lucas", (3, 2, 1, 1, 1))
     assert report.params == {"p": 3, "a": 2, "b": 1, "c": 1, "d": 1}
-    assert report.lhs == IntPoly.const(comb(7, 4)) and report.rhs == IntPoly.const(2)
-    assert report.residue == IntPoly.const((35 - 2) % 3)
+    assert report.lhs == IntPoly((comb(7, 4),)) and report.rhs == IntPoly((2,))
+    assert report.residue == IntPoly(((35 - 2) % 3,))
     report = verify_delannoy_lucas(3, 1, 1, 1, 1)
     assert report == run_case("dlucas", (3, 1, 1, 1, 1))
     assert report.tag == "delannoy-lucas" and report.passed
-    assert report.lhs == IntPoly.const(delannoy(4, 4))
+    assert report.lhs == IntPoly((delannoy(4, 4),))
     report = verify_q_lucas(3, 1, 1, 0, 2)
     assert report == run_case("qlucas", (3, 1, 1, 0, 2))
     assert report.tag == "q-lucas" and report.passed
@@ -278,7 +277,7 @@ def _pack(slots, bits):
 
 
 def test_residue_tables_match_full_polynomials():
-    bits = 8 * slot_bytes(delannoy(20, 20))
+    bits = slot_bits(delannoy(20, 20))
     for n in range(1, 8):
         delannoy_t = delannoy_table(n, bits, 21, 21)
         binomial_t = binomial_table(n, bits, 21, 21)
@@ -366,7 +365,7 @@ def test_phi_test_one_byte_short_decides_wrongly(monkeypatch):
     assert reduce_mod(IntPoly(pos) - IntPoly(neg), n).is_zero()
     bits, divides = phi_test(n, bound)
     assert bits == 24 and divides(_pack(pos, bits), _pack(neg, bits))
-    monkeypatch.setattr(residue_module, "slot_bytes", lambda b: slot_bytes(b) - 1)
+    monkeypatch.setattr(residue_module, "slot_bits", lambda b: slot_bits(b) - 8)
     bits, short = phi_test(n, bound)
     assert bits == 16 and not short(_pack(pos, bits), _pack(neg, bits))
 
@@ -612,7 +611,7 @@ def test_mod_p_shard_memory_is_one_table(statement):
 def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
     def corrupt(max_h, max_k):
         counts = paths.sigma_counts(max_h, max_k)
-        counts[0][max_k] += 1  # one more path of sigma 0
+        counts[0][max_k] += ONE  # one more path of sigma 0
         return counts
 
     monkeypatch.setattr(congruence, "sigma_counts", corrupt)
@@ -653,7 +652,7 @@ def test_interp_engine_rejects_corrupt_count_at_a_band_boundary(monkeypatch, nod
 def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
     # P(3,2) read with its constant term one too large, by the engine and the oracle alike.
     def rec(h, k):
-        return q_delannoy_rec(h, k) + ((h, k) == (3, 2))
+        return q_delannoy_rec(h, k) + (ONE if (h, k) == (3, 2) else ZERO)
 
     monkeypatch.setattr(congruence, "q_delannoy_rec", rec)
     summary = sweep(SweepConfig("interp", max_h=4, max_k=3))
@@ -671,7 +670,7 @@ def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
 
 
 def test_interp_engine_failures_match_oracle_in_every_case(monkeypatch):
-    monkeypatch.setattr(congruence, "q_delannoy_rec", lambda h, k: q_delannoy_rec(h, k) + 1)
+    monkeypatch.setattr(congruence, "q_delannoy_rec", lambda h, k: q_delannoy_rec(h, k) + ONE)
     assert len(_engine_failures_match_oracle(SweepConfig("interp", max_h=3, max_k=3))) == 4 * 4
 
 

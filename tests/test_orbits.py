@@ -8,7 +8,7 @@ import pytest
 import reference
 from reference import path_points, poly_from_json
 from qdelannoy.cyclotomic import congruent, reduce_mod
-from qdelannoy.polyring import IntPoly
+from qdelannoy.polyring import ONE, IntPoly
 from qdelannoy.qcore import q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
 import qdelannoy.orbits as orbits_module
@@ -588,7 +588,7 @@ def _adds_path_at(point):
             box = sigma_counts(max_h, max_k)
             x, y = point
             if x <= max_h and y <= max_k:
-                box[x][y] += 1
+                box[x][y] += ONE
             return box
 
         return counts
@@ -603,7 +603,7 @@ BROKEN_PARTS = {
     "S1": ("q_delannoy_rec", _off_at((3, 1)), (1, 1, 2), "fixed sum S1 differs from its closed form"),
     "S2": ("q_delannoy_rec", _off_at((1, 3)), (1, 1, 2), "fixed sum S2 differs from its closed form"),
     "S4": ("q_delannoy_rec", _off_at((1, 1)), (1, 1, 2), "fixed sum S4 differs from its closed form"),
-    "S3": ("q_binomial", lambda qb: lambda a, b: qb(a, b) + 1, (1, 1, 2), "class sum S3 differs from its closed form"),
+    "S3": ("q_binomial", lambda qb: lambda a, b: qb(a, b) + ONE, (1, 1, 2), "class sum S3 differs from its closed form"),
     "total": ("q_delannoy_rec", _off_at((3, 3)), (1, 1, 2), "grand total differs from the q-Delannoy polynomial"),
     "S3-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "S3 does not reduce to twice the corner"),
     "total-mod": ("congruent", lambda _: lambda *args: False, (1, 1, 2), "grand total congruence failed"),

@@ -122,6 +122,17 @@ def test_enumeration_rejects_non_int_targets(h, k):
         enumerate_paths(h, k)
 
 
+@pytest.mark.parametrize(
+    "h, k, error, message",
+    [(-(10**6), -(10**6), ValueError, "first quadrant"), (1.5, 2, TypeError, "target coordinates must be int")],
+    ids=["negative", "float"],
+)
+def test_sigma_poly_checks_its_arguments_before_sizing_counts(h, k, error, message):
+    # h * k sizes the count list: 10**12 slots for the negative pair, a float for the other.
+    with pytest.raises(error, match=message):
+        sigma_poly(h, k)
+
+
 def test_sigma_poly_spot_values():
     assert sigma_poly(1, 1) == IntPoly([1, 2])
     assert sigma_poly(2, 2) == IntPoly([1, 2, 4, 4, 2])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdelannoy.polyring import IntPoly, ModulusError, ONE, ZERO
+from qdelannoy.polyring import IntPoly, ModulusError, ONE, ZERO, slot_bits
 from reference import evaluate, poly_from_json
 
 Q = IntPoly((0, 1))
@@ -99,7 +99,7 @@ def test_mul_difference_of_squares():
 
 def test_mul_annihilator():
     assert (IntPoly([3, 1]) * ZERO).is_zero()
-    assert (0 * IntPoly([3, 1])).is_zero()
+    assert (IntPoly([3, 1]) * 0).is_zero()
 
 
 def test_mul_example():
@@ -143,17 +143,22 @@ def _poly_strategies():
 def test_ring_axioms_property():
     hypothesis = pytest.importorskip("hypothesis")
     st, polys, _ = _poly_strategies()
-    operands = st.one_of(polys, st.integers(-(2**70), 2**70))
+    scalars = st.integers(-(2**70), 2**70)
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(polys, operands, operands)
-    def axioms(a, b, c):
+    @hypothesis.given(polys, polys, polys, scalars, scalars)
+    def axioms(a, b, c, s, t):
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (b + c) * a == b * a + c * a
+        # an int scalar on the right acts as its constant polynomial
+        assert a * s == a * IntPoly((s,))
+        assert (a + b) * s == a * s + b * s
+        assert (a * b) * s == a * (b * s)
+        assert (a * s) * t == a * (s * t)
 
     axioms()
 
@@ -175,25 +180,28 @@ def test_non_integer_coefficients_raise_type_error(bad):
     with pytest.raises(TypeError, match="coefficients must be int"):
         IntPoly([1, bad])
     with pytest.raises(TypeError, match="coefficients must be int"):
-        IntPoly.const(bad)
+        IntPoly((bad,))
     with pytest.raises(TypeError, match="coefficients must be int"):
         IntPoly.monomial(2, bad)
 
 
 def test_integer_coefficients_are_accepted():
     assert IntPoly([1, 1, 0]).coeffs == (1, 1)
-    assert IntPoly.const(0) == ZERO
+    assert IntPoly((0,)) == ZERO
     assert IntPoly.monomial(2, -3).coeffs == (0, 0, -3)
 
 
-def test_integer_operands_still_act_as_constants():
+def test_integer_operands_only_scale():
+    # an int only scales, through `*` on the right; a constant is IntPoly((c,))
     p = IntPoly((1, 2))
-    assert ZERO + True == True - ZERO == IntPoly((1,))  # a bool operand is 0 or 1, never a bool coefficient
-    assert p + 3 == 3 + p == IntPoly((4, 2))
-    assert p - 3 == IntPoly((-2, 2))
-    assert 3 - p == IntPoly((2, -2))
-    assert p * 3 == 3 * p == IntPoly((3, 6))
-    assert p + True == IntPoly((2, 2))
+    assert p * 3 == IntPoly((3, 6))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(3, p)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(p, 3)
+    assert p != 3 and IntPoly((3,)) != 3 and ZERO != 0
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +323,30 @@ def test_json_round_trip():
     assert IntPoly([10**30, -1]).to_json_coeffs() == [str(10**30), "-1"]
 
 
-def pack(coeffs, width):
-    return sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+def pack(coeffs, bits):
+    return sum(c << (bits * i) for i, c in enumerate(coeffs))
+
+
+def test_slot_bits_boundaries():
+    # slots are whole bytes, so a bound one past a byte's range takes one more byte
+    assert slot_bits(1) == slot_bits(255) == 8
+    assert slot_bits(256) == 16
+    assert slot_bits(2**16 - 1) == 16
+    assert slot_bits(2**16) == 24
 
 
 def test_from_packed_examples():
-    assert IntPoly.from_packed(0, 3).is_zero()
-    assert IntPoly.from_packed(pack([1, 2, 2], 1), 1) == IntPoly([1, 2, 2])
-    assert IntPoly.from_packed(pack([255, 0, 0, 7], 1), 1) == IntPoly([255, 0, 0, 7])
-    assert IntPoly.from_packed(pack([0, 0, 2**64 - 1], 8), 8) == IntPoly([0, 0, 2**64 - 1])
+    assert IntPoly.from_packed(0, 24).is_zero()
+    assert IntPoly.from_packed(pack([1, 2, 2], 8), 8) == IntPoly([1, 2, 2])
+    assert IntPoly.from_packed(pack([255, 0, 0, 7], 8), 8) == IntPoly([255, 0, 0, 7])
+    assert IntPoly.from_packed(pack([0, 0, 2**64 - 1], 64), 64) == IntPoly([0, 0, 2**64 - 1])
     # the value at q = 2**8 of a polynomial whose slots carried still reads back exactly
-    assert IntPoly.from_packed(evaluate(IntPoly([300, 1]), 256), 1) == IntPoly([44, 2])
+    assert IntPoly.from_packed(evaluate(IntPoly([300, 1]), 256), 8) == IntPoly([44, 2])
     with pytest.raises(ValueError):
-        IntPoly.from_packed(-1, 1)
-    with pytest.raises(ValueError):
-        IntPoly.from_packed(5, 0)
+        IntPoly.from_packed(-1, 8)
+    for bits in (0, -8, 12):
+        with pytest.raises(ValueError, match="positive multiple of 8 bits"):
+            IntPoly.from_packed(5, bits)
 
 
 def test_from_packed_round_trip_property():
@@ -338,31 +355,31 @@ def test_from_packed_round_trip_property():
 
     @st.composite
     def slots(draw):
-        width = draw(st.integers(1, 9))
-        top = 2 ** (8 * width) - 1
+        bits = 8 * draw(st.integers(1, 9))
+        top = 2**bits - 1
         coeffs = draw(st.lists(st.one_of(st.sampled_from([0, top]), st.integers(0, top)), max_size=40))
-        return width, coeffs
+        return bits, coeffs
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(slots())
     def round_trip(case):
-        width, coeffs = case
-        assert IntPoly.from_packed(pack(coeffs, width), width) == IntPoly(coeffs)
+        bits, coeffs = case
+        assert IntPoly.from_packed(pack(coeffs, bits), bits) == IntPoly(coeffs)
 
     round_trip()
 
 
 def test_from_packed_inverts_packing_property():
     # the other direction of the round trip: every nonnegative integer is the
-    # value at q = 2**(8*width) of the polynomial read from its slots
+    # value at q = 2**bits of the polynomial read from its slots
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.integers(0, 2**600), st.integers(1, 9))
-    def inverts(value, width):
-        base = 2 ** (8 * width)
-        poly = IntPoly.from_packed(value, width)
+    @hypothesis.given(st.integers(0, 2**600), st.integers(1, 9).map(lambda width: 8 * width))
+    def inverts(value, bits):
+        base = 2**bits
+        poly = IntPoly.from_packed(value, bits)
         assert evaluate(poly, base) == value
         assert all(0 <= c < base for c in poly.coeffs)
 

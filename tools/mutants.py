@@ -53,7 +53,7 @@ MUTANTS = [
         "orbits.py",
         "elif not _orbit_sum_vanishes(",
         "elif False and _orbit_sum_vanishes(",
-        ("tests/test_orbits.py",),
+        ("tests/test_orbits.py::test_audit_reports_orbit_sum_that_does_not_vanish",),
     ),
     # `paths.walk` is the one E -> N -> D path stream: the audit's segments
     # and every enumerated path come from it.  Its D step adds x, not x + 1.
@@ -62,7 +62,7 @@ MUTANTS = [
         "paths.py",
         "(path + (D,), x + 1, y + 1, s + x + 1)",
         "(path + (D,), x + 1, y + 1, s + x)",
-        ("tests/test_paths.py", "tests/test_orbits.py"),
+        ("tests/test_paths.py", "tests/test_orbits.py::test_audit_matches_the_per_path_reference"),
     ),
     # The straight run on the last column or row adds x per N step; here it
     # adds x + 1.  Writing h for x there is an equivalent mutant for targets
@@ -146,15 +146,41 @@ MUTANTS = [
         ("tests/test_congruence.py",),
     ),
     # Packed slots one byte short whenever the bound's bit length is 8w + 1,
-    # so a coefficient at the bound carries into the next slot.  It survives
-    # tests/test_qcore.py and tests/test_qdelannoy.py; the sweeps' residue
-    # tables in tests/test_congruence.py catch it.
+    # so a coefficient at the bound carries into the next slot.  The slot
+    # width's byte boundaries catch it, and so do the sweeps' residue tables;
+    # no route result in the tests has a coefficient near its sum bound.
     Mutant(
         "slot-bytes-short",
-        "qcore.py",
+        "polyring.py",
         "(bound.bit_length() + 7) // 8",
         "max(1, (bound.bit_length() + 6) // 8)",
-        ("tests/test_congruence.py",),
+        ("tests/test_polyring.py::test_slot_bits_boundaries", "tests/test_congruence.py"),
+    ),
+    # The audit's heads: an east-arm point's heads keep the paths through
+    # the corner.
+    Mutant(
+        "heads-east-arm-keeps-corner",
+        "orbits.py",
+        "box[h + i][k] - corner for i",
+        "box[h + i][k] for i",
+        ("tests/test_orbits.py::test_heads_and_segments_match_reference",),
+    ),
+    # A north-arm point's paths through the corner go on by i N steps at
+    # x = h, which add h * i to sigma; here they add nothing ...
+    Mutant(
+        "heads-north-arm-unshifted",
+        "orbits.py",
+        "corner.shift(h * i)",
+        "corner",
+        ("tests/test_orbits.py::test_heads_and_segments_match_reference",),
+    ),
+    # ... and here one too many.
+    Mutant(
+        "heads-north-arm-shift-off-by-one",
+        "orbits.py",
+        "corner.shift(h * i)",
+        "corner.shift(h * i + 1)",
+        ("tests/test_orbits.py::test_heads_and_segments_match_reference",),
     ),
     # The CLI's one --h/--k check letting -1 through.
     Mutant(
