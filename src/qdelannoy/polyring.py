@@ -43,10 +43,10 @@ class IntPoly:
         self.coeffs = _trim(coeffs)
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> IntPoly:
+    def monomial(cls, exponent: int) -> IntPoly:
         if exponent < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return cls([0] * exponent + [coeff])
+        return cls([0] * exponent + [1])
 
     @property
     def degree(self) -> int:

@@ -3,38 +3,46 @@
 Gaussian binomials are filled row by row by the Pascal-style recurrence on
 packed integers: a polynomial with coefficients in [0, 2**bits) is stored
 as its value at q = 2**bits, so adding is integer addition and multiplying
-by q^j is a left shift by j*bits.  `q_binomial` needs one entry, so it
-fills only the half of the table on one side of the diagonal, by
-[a+b,a] = [a+b,b]; `gaussian_rows` yields whole rows for callers that read
-entries on both sides.  The coefficients of [h,k] are nonnegative and
-sum to C(h,k), which fixes the slot width; the factorial-quotient form is
-exercised only as a test oracle.  Delannoy numbers come from the closed
-form sum_j 2^j C(h,j) C(k,j).
+by q^j is a left shift by j*bits.  `gaussian_binomials` is the one fill: by
+[a+b,a] = [a+b,b] it fills only the half of the table on one side of the
+diagonal, and `q_binomial` and the def and alt routes read their entries
+from it.  The coefficients of [h,k] are nonnegative and sum to C(h,k),
+which fixes the slot width; the factorial-quotient form is exercised only
+as a test oracle.  Delannoy numbers come from the closed form
+sum_j 2^j C(h,j) C(k,j).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable
 from math import comb
 
 from .polyring import ONE, IntPoly, ZERO, slot_bits
 
 
-def gaussian_rows(bits: int, width: int, rows: int) -> Iterator[list[int]]:
-    """Rows b = 0..rows-1 of [a+b, a]_q for 0 <= a <= width, packed at q = 2**bits.
+def gaussian_binomials(bits: int, wanted: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """[n, k]_q packed at q = 2**bits for each of one or more wanted 0 <= k <= n.
 
-    [a+b, a] = [a+b-1, a-1] + q^a [a+b-1, a], so each row is updated in
-    place from the one before: the same list is yielded every time, and a
-    caller keeps what it needs before asking for the next row.  It serves
-    callers that read whole rows, on both sides of the diagonal; a single
-    entry is cheaper from `q_binomial`'s half fill.
+    With G(a,b) = [a+b,a], [a+b,a] = [a+b-1,a-1] + q^a [a+b-1,a] updates row
+    b in place from row b-1.  [a+b,a] = [a+b,b], so row b holds G(a,b) only
+    for a <= b, and [n,k] is read as G(min(k,n-k), max(k,n-k)).  The
+    diagonal cell is G(b,b) = G(b-1,b) * (1+q^b), because G(b,b-1) = G(b-1,b).
+    The rows run up to the largest larger index among the wanted entries,
+    and the width is the largest smaller index.
     """
-    row = [1] * (width + 1)
-    for b in range(rows):
-        if b:
-            for a in range(1, width + 1):
-                row[a] = row[a - 1] + (row[a] << (a * bits))
-        yield row
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for n, k in wanted:
+        by_row.setdefault(max(k, n - k), []).append((n, k))
+    width = max(min(k, n - k) for cells in by_row.values() for n, k in cells)
+    row, out = [1] * (width + 1), {}
+    for b in range(max(by_row) + 1):
+        for a in range(1, min(b, width + 1)):
+            row[a] = row[a - 1] + (row[a] << (a * bits))
+        if 0 < b <= width:
+            row[b] = row[b - 1] + (row[b - 1] << (b * bits))
+        for n, k in by_row.get(b, ()):
+            out[n, k] = row[min(k, n - k)]
+    return out
 
 
 def neg_q_pochhammer(j: int) -> IntPoly:
@@ -48,26 +56,13 @@ def neg_q_pochhammer(j: int) -> IntPoly:
 
 
 def q_binomial(h: int, k: int) -> IntPoly:
-    """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h.
-
-    [h,k] = [h,h-k], so the row spans the shorter side.  With
-    G(a,b) = [a+b,a], row b holds G(a,b) only for a <= b, as in
-    `gaussian_rows`.  The diagonal cell is G(b,b) = G(b-1,b) * (1+q^b),
-    because G(b,b-1) = G(b-1,b).
-    """
+    """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h."""
     if h < 0:
         raise ValueError(f"upper index must be nonnegative, got {h}")
     if k < 0 or k > h:
         return ZERO
-    k = min(k, h - k)
     bits = slot_bits(comb(h, k))
-    row = [1] * (k + 1)
-    for b in range(1, h - k + 1):
-        for a in range(1, min(b, k + 1)):
-            row[a] = row[a - 1] + (row[a] << (a * bits))
-        if b <= k:
-            row[b] = row[b - 1] + (row[b - 1] << (b * bits))
-    return IntPoly.from_packed(row[k], bits)
+    return IntPoly.from_packed(gaussian_binomials(bits, [(h, k)])[h, k], bits)
 
 
 def delannoy(h: int, k: int) -> int:

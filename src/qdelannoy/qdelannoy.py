@@ -12,33 +12,28 @@ symmetry manifest, and ``q_delannoy_rec`` rests on it to fill only the
 cells on one side of the diagonal.
 
 Each route works on packed integers, as in `qcore`: a polynomial is stored
-as its value at q = 2**bits.  The coefficients of P(h,k) are nonnegative
-(it counts paths by a statistic) and sum to D(h,k), so slots of
-`slot_bits(D(h,k))` bits hold every one of them and the packed result
-reads back exactly, whatever the intermediate entries carried.
+as its value at q = 2**bits.  ``def`` and ``alt`` read their Gaussian
+binomials from `qcore.gaussian_binomials`, the one half fill.  The
+coefficients of P(h,k) are nonnegative (it counts paths by a statistic)
+and sum to D(h,k), so slots of `slot_bits(D(h,k))` bits hold every one of
+them and the packed result reads back exactly, whatever the intermediate
+entries carried.
 """
 
 from __future__ import annotations
 
 from .polyring import IntPoly, ZERO, slot_bits
-from .qcore import delannoy, gaussian_rows
+from .qcore import delannoy, gaussian_binomials
 
 
 def q_delannoy_def(h: int, k: int) -> IntPoly:
     """Defining route: sum_j q^(j(j+1)/2) * [k,j]_q * [h+k-j, k]_q."""
     if h < 0 or k < 0:
         return ZERO
-    m = min(h, k)
     bits = slot_bits(delannoy(h, k))
-    low, high = [], [0] * (m + 1)
-    # Row b holds [a+b, a] for a <= k: [k,j] = [(k-j)+j, k-j] sits in row j,
-    # and [h+k-j, k] = [k+(h-j), k] ends row h-j.
-    for b, row in enumerate(gaussian_rows(bits, k, h + 1)):
-        if b <= m:
-            low.append(row[k - b])
-        if b >= h - m:
-            high[h - b] = row[k]
-    total = sum((x * y) << (j * (j + 1) // 2 * bits) for j, (x, y) in enumerate(zip(low, high)))
+    js = range(min(h, k) + 1)
+    g = gaussian_binomials(bits, [(k, j) for j in js] + [(h + k - j, k) for j in js])
+    total = sum((g[k, j] * g[h + k - j, k]) << (j * (j + 1) // 2 * bits) for j in js)
     return IntPoly.from_packed(total, bits)
 
 
@@ -47,12 +42,13 @@ def q_delannoy_alt(h: int, k: int) -> IntPoly:
     if h < 0 or k < 0:
         return ZERO
     bits = slot_bits(delannoy(h, k))
+    js = range(min(h, k) + 1)
+    g = gaussian_binomials(bits, [(h, j) for j in js] + [(k, j) for j in js])
     total, poch = 0, 1
-    # Row j holds [a+j, a], so [h,j] = [h,h-j] and [k,j] = [k,k-j] both sit in it.
-    for j, row in enumerate(gaussian_rows(bits, max(h, k), min(h, k) + 1)):
+    for j in js:
         if j:
             poch += poch << (j * bits)
-        total += (poch * row[h - j] * row[k - j]) << ((h - j) * (k - j) * bits)
+        total += (poch * g[h, j] * g[k, j]) << ((h - j) * (k - j) * bits)
     return IntPoly.from_packed(total, bits)
 
 

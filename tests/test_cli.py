@@ -475,8 +475,9 @@ GOLDEN = [
      "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
     (("qdelannoy", "--route", "alt", "--h", "36", "--k", "36"),
      "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
-    # rec and q_binomial fill only one side of the diagonal; each digest is
-    # of the output the full-table fills wrote.
+    # rec and the Gaussian fill behind q_binomial, def and alt fill only one
+    # side of the diagonal; each digest is of the output the full-table
+    # fills wrote.
     (("qdelannoy", "--route", "rec", "--h", "71", "--k", "69", "--json"),
      "bf1c6241d33b96680060e850fcfd55c830759679706759b4fdf0183143e5454e"),
     (("qbinom", "--h", "140", "--k", "73", "--json"),

@@ -181,14 +181,12 @@ def test_non_integer_coefficients_raise_type_error(bad):
         IntPoly([1, bad])
     with pytest.raises(TypeError, match="coefficients must be int"):
         IntPoly((bad,))
-    with pytest.raises(TypeError, match="coefficients must be int"):
-        IntPoly.monomial(2, bad)
 
 
 def test_integer_coefficients_are_accepted():
     assert IntPoly([1, 1, 0]).coeffs == (1, 1)
     assert IntPoly((0,)) == ZERO
-    assert IntPoly.monomial(2, -3).coeffs == (0, 0, -3)
+    assert (IntPoly.monomial(2) * -3).coeffs == (0, 0, -3)
 
 
 def test_integer_operands_only_scale():

@@ -3,9 +3,9 @@ from math import comb
 import pytest
 
 import reference
-from qdelannoy.polyring import IntPoly, ONE, ZERO
+from qdelannoy.polyring import IntPoly, ONE, ZERO, slot_bits
 from qdelannoy.congruence import verify_delannoy_lucas, verify_lucas, verify_q_lucas
-from qdelannoy.qcore import delannoy, is_prime, neg_q_pochhammer, q_binomial
+from qdelannoy.qcore import delannoy, gaussian_binomials, is_prime, neg_q_pochhammer, q_binomial
 from reference import delannoy_series_table, evaluate, q_binomial_theorem_check, q_integer
 
 
@@ -135,6 +135,27 @@ def test_q_binomial_matches_pascal_reference():
     for h in (60, 61):
         for k in (h // 2, (h + 1) // 2):
             assert q_binomial(h, k) == reference.q_binomial(h, k), (h, k)
+
+
+def test_gaussian_binomials_reads_every_entry_from_one_fill():
+    # The coefficients of [n,k] sum to C(n,k), so slots sized by the largest
+    # C(n,k) hold every entry.
+    wanted = [(n, k) for n in range(15) for k in range(n + 1)]
+    bits = slot_bits(max(comb(n, k) for n, k in wanted))
+    g = gaussian_binomials(bits, wanted)
+    assert sorted(g) == wanted
+    for n, k in wanted:
+        assert IntPoly.from_packed(g[n, k], bits) == reference.q_binomial(n, k), (n, k)
+
+
+def test_gaussian_binomials_mixes_wide_and_narrow_entries():
+    # [40,1] sets the rows and [6,3] the width; [6,3] sits on the diagonal,
+    # and [40,39] is read through [40,1] on the other side of it.
+    wanted = [(40, 1), (6, 3), (40, 39), (5, 4)]
+    bits = slot_bits(max(comb(n, k) for n, k in wanted))
+    g = gaussian_binomials(bits, wanted)
+    for n, k in wanted:
+        assert IntPoly.from_packed(g[n, k], bits) == reference.q_binomial(n, k), (n, k)
 
 
 def test_deep_arguments_have_no_recursion_limit():

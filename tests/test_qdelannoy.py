@@ -126,6 +126,8 @@ def test_fill_memory_is_bounded():
     try:
         q_delannoy_rec(60, 60)
         q_binomial(120, 60)
+        q_delannoy_def(60, 60)
+        q_delannoy_alt(60, 60)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -120,14 +120,23 @@ MUTANTS = [
         "stack.append((x + 1, y + 1, s + x))",
         ("tests/test_congruence.py",),
     ),
-    # `gaussian_rows`' update shifting one slot too far.  `q_binomial` has
-    # the same line four spaces less indented, so the indent picks this one.
+    # The one Gaussian fill's update shifting one slot too far.
     Mutant(
-        "gaussian-rows-shift",
+        "gaussian-fill-shift",
         "qcore.py",
-        "                row[a] = row[a - 1] + (row[a] << (a * bits))",
-        "                row[a] = row[a - 1] + (row[a] << ((a + 1) * bits))",
-        ("tests/test_qdelannoy.py",),
+        "row[a] = row[a - 1] + (row[a] << (a * bits))",
+        "row[a] = row[a - 1] + (row[a] << ((a + 1) * bits))",
+        ("tests/test_qcore.py", "tests/test_qdelannoy.py"),
+    ),
+    # The fill's width taken from the narrowest wanted entry, not the
+    # widest: a wider entry's cell is then out of the row.  `q_binomial`
+    # asks for one entry, so only callers that mix widths see it.
+    Mutant(
+        "gaussian-fill-width",
+        "qcore.py",
+        "width = max(min(k, n - k)",
+        "width = min(min(k, n - k)",
+        ("tests/test_qcore.py::test_gaussian_binomials_mixes_wide_and_narrow_entries", "tests/test_qdelannoy.py"),
     ),
     # `SweepConfig` letting a bound of -1 through.
     Mutant(
