@@ -166,7 +166,7 @@ class IntPoly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_packed(cls, value: int, bits: int) -> IntPoly:
+    def from_packed(cls, value: int, bits: int, total: int | None = None) -> IntPoly:
         """The polynomial p with p(2**bits) == value and every coefficient in [0, 2**bits).
 
         Such a p is unique: coefficient i is slot i of `bits` bits,
@@ -175,6 +175,8 @@ class IntPoly:
         homomorphism Z[q] -> Z, so a value built by adding, shifting and
         multiplying packed integers reads back exactly whenever the final
         coefficients fit their slots, however intermediate entries carried.
+        A carry out of a slot lowers the read-back coefficient sum by 2**bits - 1,
+        so a read-back of nonnegative coefficients whose sum misses `total` raises ArithmeticError.
         """
         if value < 0:
             raise ValueError(f"packed value must be nonnegative, got {value}")
@@ -183,7 +185,10 @@ class IntPoly:
         width = bits // 8
         size = -(-value.bit_length() // bits) * width
         data = value.to_bytes(size, "little")
-        return cls(int.from_bytes(data[i : i + width], "little") for i in range(0, size, width))
+        poly = cls(int.from_bytes(data[i : i + width], "little") for i in range(0, size, width))
+        if total is not None and sum(poly.coeffs) != total:
+            raise ArithmeticError(f"packed read-back sums to {sum(poly.coeffs)}, not {total}: a slot overflowed")
+        return poly
 
     def __repr__(self) -> str:
         return f"IntPoly('{self.to_text()}')"

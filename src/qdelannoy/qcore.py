@@ -1,48 +1,50 @@
 """Gaussian binomials, (-q;q)_j and Delannoy numbers.
 
-Gaussian binomials are filled row by row by the Pascal-style recurrence on
-packed integers: a polynomial with coefficients in [0, 2**bits) is stored
-as its value at q = 2**bits, so adding is integer addition and multiplying
-by q^j is a left shift by j*bits.  `gaussian_binomials` is the one fill: by
-[a+b,a] = [a+b,b] it fills only the half of the table on one side of the
-diagonal, and `q_binomial` and the def and alt routes read their entries
-from it.  The coefficients of [h,k] are nonnegative and sum to C(h,k),
-which fixes the slot width; the factorial-quotient form is exercised only
-as a test oracle.  Delannoy numbers come from the closed form
-sum_j 2^j C(h,j) C(k,j).
+A polynomial with coefficients in [0, 2**bits) is stored as its value at
+q = 2**bits: adding is integer addition, multiplying by q^j a left shift by
+j*bits, and by q^s - 1 a shift and a subtraction, which
+`over_q_power_minus_one` undoes by a checked exact division.  [n,k]_q is
+the product of the factors (q^(n-k+i) - 1)/(q^i - 1), and its coefficients
+sum to C(n,k), which fixes the slot width.  D(h,k) = sum_j 2^j C(h,j) C(k,j).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from math import comb
+from math import comb, isqrt
 
 from .polyring import ONE, IntPoly, ZERO, slot_bits
 
 
-def gaussian_binomials(bits: int, wanted: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """[n, k]_q packed at q = 2**bits for each of one or more wanted 0 <= k <= n.
+def over_q_power_minus_one(value: int, s: int, nbits: int) -> int:
+    """The c in [0, 2**nbits) with c * (2**s - 1) == value; ArithmeticError if there is none.
 
-    With G(a,b) = [a+b,a], [a+b,a] = [a+b-1,a-1] + q^a [a+b-1,a] updates row
-    b in place from row b-1.  [a+b,a] = [a+b,b], so row b holds G(a,b) only
-    for a <= b, and [n,k] is read as G(min(k,n-k), max(k,n-k)).  The
-    diagonal cell is G(b,b) = G(b-1,b) * (1+q^b), because G(b,b-1) = G(b-1,b).
-    The rows run up to the largest larger index among the wanted entries,
-    and the width is the largest smaller index.
+    Modulo 2**nbits, 1/(2**s - 1) = -(1 + 2**s + 2**2s + ...), summed by
+    log2(nbits/s) doublings.  The candidate is multiplied back, so an
+    undersized nbits or an inexact division raises, never a wrong quotient.
     """
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for n, k in wanted:
-        by_row.setdefault(max(k, n - k), []).append((n, k))
-    width = max(min(k, n - k) for cells in by_row.values() for n, k in cells)
-    row, out = [1] * (width + 1), {}
-    for b in range(max(by_row) + 1):
-        for a in range(1, min(b, width + 1)):
-            row[a] = row[a - 1] + (row[a] << (a * bits))
-        if 0 < b <= width:
-            row[b] = row[b - 1] + (row[b - 1] << (b * bits))
-        for n, k in by_row.get(b, ()):
-            out[n, k] = row[min(k, n - k)]
-    return out
+    if s < 1:
+        raise ValueError(f"divisor exponent must be positive, got {s}")
+    mask = (1 << nbits) - 1
+    series, width = value & mask, s
+    while width < nbits:
+        series = (series + (series << width)) & mask
+        width *= 2
+    quotient = -series & mask
+    if (quotient << s) - quotient != value:
+        raise ArithmeticError(f"{value.bit_length()}-bit value is not 2**{s} - 1 times a {nbits}-bit quotient")
+    return quotient
+
+
+def q_binomial_packed(n: int, k: int, bits: int) -> int:
+    """[n, k]_q packed at q = 2**bits, for 0 <= k <= n and slots that hold C(n, k).
+
+    Step i makes [m+i, i] = [m+i-1, i-1] (q^(m+i) - 1)/(q^i - 1), with m = max(k, n-k):
+    its degree is i*m and its coefficients sum to C(m+i, i) <= C(n, k), so it fits i*m + 1 slots.
+    """
+    m, value = max(k, n - k), 1
+    for i in range(1, n - m + 1):
+        value = over_q_power_minus_one((value << ((m + i) * bits)) - value, i * bits, (i * m + 1) * bits)
+    return value
 
 
 def neg_q_pochhammer(j: int) -> IntPoly:
@@ -61,8 +63,9 @@ def q_binomial(h: int, k: int) -> IntPoly:
         raise ValueError(f"upper index must be nonnegative, got {h}")
     if k < 0 or k > h:
         return ZERO
-    bits = slot_bits(comb(h, k))
-    return IntPoly.from_packed(gaussian_binomials(bits, [(h, k)])[h, k], bits)
+    total = comb(h, k)
+    bits = slot_bits(total)
+    return IntPoly.from_packed(q_binomial_packed(h, k, bits), bits, total)
 
 
 def delannoy(h: int, k: int) -> int:
@@ -74,11 +77,4 @@ def delannoy(h: int, k: int) -> int:
 
 def is_prime(p: int) -> bool:
     """Trial division; inputs here are tiny."""
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))

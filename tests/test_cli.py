@@ -475,9 +475,9 @@ GOLDEN = [
      "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
     (("qdelannoy", "--route", "alt", "--h", "36", "--k", "36"),
      "705c3a8eda8d244c99286b983dd33cbf651065c9853704d75e5e339cfda7ffcc"),
-    # rec and the Gaussian fill behind q_binomial, def and alt fill only one
-    # side of the diagonal; each digest is of the output the full-table
-    # fills wrote.
+    # rec fills only one side of the diagonal, and q_binomial, def and alt
+    # derive each factor or term from the last by exact division; each
+    # digest is of the output the full-table fills wrote.
     (("qdelannoy", "--route", "rec", "--h", "71", "--k", "69", "--json"),
      "bf1c6241d33b96680060e850fcfd55c830759679706759b4fdf0183143e5454e"),
     (("qbinom", "--h", "140", "--k", "73", "--json"),
@@ -496,7 +496,7 @@ def test_compute_golden_output(args, digest, tmp_path):
 
 def test_transposed_half_table_fill_prints_the_def_route(tmp_path):
     # rec at the transposed size must print what the independent def route
-    # prints (about 1.3 s of def on a 2-vCPU VM).
+    # prints.
     texts = []
     for route, h, k in (("rec", "69", "71"), ("def", "71", "69")):
         target = tmp_path / f"{route}.txt"

@@ -347,6 +347,19 @@ def test_from_packed_examples():
             IntPoly.from_packed(5, bits)
 
 
+def test_from_packed_checks_the_coefficient_sum():
+    assert IntPoly.from_packed(pack([1, 2, 2], 8), 8, 5) == IntPoly([1, 2, 2])
+    assert IntPoly.from_packed(0, 8, 0).is_zero()
+    # [300, 1] carries out of its 8-bit slot: it reads back as [44, 2], whose
+    # sum is 301 - 255, so a read-back told the true sum raises.
+    value = evaluate(IntPoly([300, 1]), 256)
+    assert IntPoly.from_packed(pack([300, 1], 16), 16, 301) == IntPoly([300, 1])
+    with pytest.raises(ArithmeticError, match="sums to 46, not 301"):
+        IntPoly.from_packed(value, 8, 301)
+    with pytest.raises(ArithmeticError):
+        IntPoly.from_packed(pack([1, 2, 2], 8), 8, 6)
+
+
 def test_from_packed_round_trip_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

@@ -3,9 +3,18 @@ from math import comb
 import pytest
 
 import reference
+import qdelannoy.qcore as qcore_module
+import qdelannoy.qdelannoy as qdelannoy_module
 from qdelannoy.polyring import IntPoly, ONE, ZERO, slot_bits
 from qdelannoy.congruence import verify_delannoy_lucas, verify_lucas, verify_q_lucas
-from qdelannoy.qcore import delannoy, gaussian_binomials, is_prime, neg_q_pochhammer, q_binomial
+from qdelannoy.qcore import (
+    delannoy,
+    is_prime,
+    neg_q_pochhammer,
+    over_q_power_minus_one,
+    q_binomial,
+    q_binomial_packed,
+)
 from reference import delannoy_series_table, evaluate, q_binomial_theorem_check, q_integer
 
 
@@ -137,25 +146,101 @@ def test_q_binomial_matches_pascal_reference():
             assert q_binomial(h, k) == reference.q_binomial(h, k), (h, k)
 
 
-def test_gaussian_binomials_reads_every_entry_from_one_fill():
+def test_q_binomial_packed_reads_back_at_a_shared_width():
     # The coefficients of [n,k] sum to C(n,k), so slots sized by the largest
-    # C(n,k) hold every entry.
+    # C(n,k) hold every entry, and any wider slot does too.
     wanted = [(n, k) for n in range(15) for k in range(n + 1)]
-    bits = slot_bits(max(comb(n, k) for n, k in wanted))
-    g = gaussian_binomials(bits, wanted)
-    assert sorted(g) == wanted
-    for n, k in wanted:
-        assert IntPoly.from_packed(g[n, k], bits) == reference.q_binomial(n, k), (n, k)
+    for bits in (slot_bits(max(comb(n, k) for n, k in wanted)), 64):
+        for n, k in wanted:
+            value = q_binomial_packed(n, k, bits)
+            assert IntPoly.from_packed(value, bits, comb(n, k)) == reference.q_binomial(n, k), (n, k, bits)
 
 
-def test_gaussian_binomials_mixes_wide_and_narrow_entries():
-    # [40,1] sets the rows and [6,3] the width; [6,3] sits on the diagonal,
-    # and [40,39] is read through [40,1] on the other side of it.
-    wanted = [(40, 1), (6, 3), (40, 39), (5, 4)]
-    bits = slot_bits(max(comb(n, k) for n, k in wanted))
-    g = gaussian_binomials(bits, wanted)
-    for n, k in wanted:
-        assert IntPoly.from_packed(g[n, k], bits) == reference.q_binomial(n, k), (n, k)
+def test_q_binomial_packed_takes_the_short_side():
+    # [40,39] runs one division step through [40,1]; [6,3] runs to the middle.
+    for n, k in [(40, 1), (40, 39), (6, 3), (5, 4), (0, 0), (7, 7)]:
+        bits = slot_bits(comb(n, k))
+        assert q_binomial_packed(n, k, bits) == q_binomial_packed(n, n - k, bits)
+        assert IntPoly.from_packed(q_binomial_packed(n, k, bits), bits) == reference.q_binomial(n, k), (n, k)
+
+
+# ---------------------------------------------------------------------------
+# Exact division by 2**s - 1
+# ---------------------------------------------------------------------------
+
+def test_over_q_power_minus_one_examples():
+    assert over_q_power_minus_one(0, 8, 16) == 0
+    assert over_q_power_minus_one(255, 8, 8) == 1
+    assert over_q_power_minus_one(7 * 255, 8, 8) == 7
+    # (q^2 - 1) / (q - 1) = q + 1 at q = 2**8.
+    assert over_q_power_minus_one((1 << 16) - 1, 8, 16) == 257
+    # A bound far above the quotient costs doublings, not correctness.
+    assert over_q_power_minus_one(3 * ((1 << 5) - 1), 5, 1000) == 3
+
+
+def test_over_q_power_minus_one_with_divisor_wider_than_bound():
+    # s >= nbits: no doubling runs, and the quotient is -value mod 2**nbits.
+    assert over_q_power_minus_one(5 * ((1 << 24) - 1), 24, 8) == 5
+    assert over_q_power_minus_one(200 * ((1 << 8) - 1), 8, 8) == 200
+    with pytest.raises(ArithmeticError):
+        over_q_power_minus_one(300 * ((1 << 24) - 1), 24, 8)
+
+
+def test_over_q_power_minus_one_raises_for_inexact_value():
+    for value, s in [(1, 8), (256, 8), (255 * 3 + 1, 8), ((1 << 16) - 2, 16)]:
+        with pytest.raises(ArithmeticError):
+            over_q_power_minus_one(value, s, 64)
+    with pytest.raises(ArithmeticError):
+        over_q_power_minus_one(-255, 8, 64)
+
+
+def test_over_q_power_minus_one_raises_for_undersized_bound():
+    quotient = (1 << 40) + 12345
+    value = (quotient << 16) - quotient
+    assert over_q_power_minus_one(value, 16, 48) == quotient
+    for nbits in (8, 16, 40):
+        with pytest.raises(ArithmeticError):
+            over_q_power_minus_one(value, 16, nbits)
+
+
+def test_over_q_power_minus_one_rejects_a_zero_exponent():
+    with pytest.raises(ValueError):
+        over_q_power_minus_one(0, 0, 8)
+
+
+def test_over_q_power_minus_one_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(0, 2**600), st.integers(1, 300), st.integers(1, 700), st.integers(1, 2**40))
+    def law(c, s, nbits, nudge):
+        value = (c << s) - c
+        if c < 2**nbits:
+            assert over_q_power_minus_one(value, s, nbits) == c
+        else:
+            with pytest.raises(ArithmeticError):
+                over_q_power_minus_one(value, s, nbits)
+        # value + nudge is a multiple of 2**s - 1 only when nudge is.
+        if nudge % ((1 << s) - 1):
+            with pytest.raises(ArithmeticError):
+                over_q_power_minus_one(value + nudge, s, nbits)
+
+    law()
+
+
+def test_packed_read_back_is_checked_at_every_call_site(monkeypatch):
+    # With slots half as wide as the sum bound, a coefficient overflows its
+    # slot: each route and q_binomial raises instead of returning a wrong
+    # polynomial, through its read-back's sum or an exact division's check.
+    half = lambda bound: max(8, slot_bits(bound) // 16 * 8)
+    monkeypatch.setattr(qcore_module, "slot_bits", half)
+    monkeypatch.setattr(qdelannoy_module, "slot_bits", half)
+    with pytest.raises(ArithmeticError):
+        q_binomial(20, 10)
+    for route in (qdelannoy_module.q_delannoy_rec, qdelannoy_module.q_delannoy_def, qdelannoy_module.q_delannoy_alt):
+        with pytest.raises(ArithmeticError):
+            route(8, 8)
 
 
 def test_deep_arguments_have_no_recursion_limit():

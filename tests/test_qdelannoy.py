@@ -121,6 +121,15 @@ def test_deep_recurrence_has_no_recursion_limit():
     assert p == q_delannoy_rec(1, 1200) == q_delannoy_def(1200, 1) == q_delannoy_alt(1, 1200)
 
 
+@pytest.mark.parametrize("h, k", [(71, 69), (3, 100), (100, 3)])
+def test_term_ratio_routes_match_rec_at_size(h, k):
+    # def and alt derive each term from the last by exact divisions, whose
+    # quotient bounds grow with h*k; rec fills a table, so it is independent.
+    p = q_delannoy_rec(h, k)
+    assert q_delannoy_def(h, k) == p
+    assert q_delannoy_alt(h, k) == p
+
+
 def test_fill_memory_is_bounded():
     tracemalloc.start()
     try:

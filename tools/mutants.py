@@ -120,23 +120,55 @@ MUTANTS = [
         "stack.append((x + 1, y + 1, s + x))",
         ("tests/test_congruence.py",),
     ),
-    # The one Gaussian fill's update shifting one slot too far.
+    # The exact division by 2**s - 1 without its multiply-back check: an
+    # inexact value or an undersized bound returns a wrong quotient.
     Mutant(
-        "gaussian-fill-shift",
+        "exact-division-unchecked",
         "qcore.py",
-        "row[a] = row[a - 1] + (row[a] << (a * bits))",
-        "row[a] = row[a - 1] + (row[a] << ((a + 1) * bits))",
+        "if (quotient << s) - quotient != value:",
+        "if False:",
+        (
+            "tests/test_qcore.py::test_over_q_power_minus_one_raises_for_inexact_value",
+            "tests/test_qcore.py::test_over_q_power_minus_one_raises_for_undersized_bound",
+        ),
+    ),
+    # def's first quotient, T_(j+1) (q^(h+k-j) - 1), bounded as if it were a
+    # term: the division's check raises on most cells.
+    Mutant(
+        "def-first-quotient-bound-short",
+        "qdelannoy.py",
+        "(h * k + 1 + h + k) * bits",
+        "(h * k + 1) * bits",
+        ("tests/test_qdelannoy.py",),
+    ),
+    # alt's shift from q^((h-j)(k-j)) to q^((h-j-1)(k-j-1)) one slot too far.
+    Mutant(
+        "alt-shift-off-by-one",
+        "qdelannoy.py",
+        "term >>= (h + k - 2 * j - 1) * bits",
+        "term >>= (h + k - 2 * j) * bits",
+        ("tests/test_qdelannoy.py",),
+    ),
+    # Packed slots half as wide as the sum bound needs, at every packed site:
+    # the routes and q_binomial raise from their read-back's sum check.
+    Mutant(
+        "slots-half-width",
+        "polyring.py",
+        "return 8 * ((bound.bit_length() + 7) // 8)",
+        "return 8 * max(1, (bound.bit_length() + 7) // 16)",
         ("tests/test_qcore.py", "tests/test_qdelannoy.py"),
     ),
-    # The fill's width taken from the narrowest wanted entry, not the
-    # widest: a wider entry's cell is then out of the row.  `q_binomial`
-    # asks for one entry, so only callers that mix widths see it.
+    # The read-back's sum check dropped: an overflowed slot reads back as a
+    # wrong polynomial.
     Mutant(
-        "gaussian-fill-width",
-        "qcore.py",
-        "width = max(min(k, n - k)",
-        "width = min(min(k, n - k)",
-        ("tests/test_qcore.py::test_gaussian_binomials_mixes_wide_and_narrow_entries", "tests/test_qdelannoy.py"),
+        "read-back-unchecked",
+        "polyring.py",
+        "if total is not None and sum(poly.coeffs) != total:",
+        "if False:",
+        (
+            "tests/test_polyring.py::test_from_packed_checks_the_coefficient_sum",
+            "tests/test_qcore.py::test_packed_read_back_is_checked_at_every_call_site",
+        ),
     ),
     # `SweepConfig` letting a bound of -1 through.
     Mutant(
