@@ -2,9 +2,12 @@
 
 `main` parses argv, looks up its leaf's row in `COMMANDS`, checks --h and
 --k once for every leaf that takes them, then calls the leaf and renders
-the result with its command's renderer.  A call reads the function it runs
-from this module's globals when it runs, so a name rebound here (by a
-test's monkeypatch or the benchmark's tracer) reaches every request.
+the result with its command's renderer.  This module binds the library
+modules, never their names, and the package binds them lazily: a module's
+code runs only when a request first reads one of its attributes.  A call
+reads the function it runs from its module when it runs, so a name rebound
+there (by a test's monkeypatch or the benchmark's tracer) reaches every
+request.
 
 All output is deterministic: byte-identical across runs and across --jobs
 settings.  Exit codes: 0 all checks passed, 1 a verification failed, 2
@@ -17,22 +20,16 @@ import argparse
 import gc
 import sys
 
-from .congruence import STATEMENTS, SweepConfig, SweepSummary, sweep
-from .cyclotomic import cyclotomic
-from .orbits import AuditReport, CornerFrame, audit
-from .qcore import delannoy, q_binomial
-from .qdelannoy import ROUTES, q_delannoy
-from .paths import sigma_poly
-from .polyring import IntPoly
+from . import congruence, cyclotomic, orbits, paths, polyring, qcore, qdelannoy
 
 
-def _render_value(value: int | IntPoly, params: dict, as_json: bool) -> tuple[object, int]:
+def _render_value(value: int | polyring.IntPoly, params: dict, as_json: bool) -> tuple[object, int]:
     if isinstance(value, int):
         return ({**params, "value": str(value)} if as_json else str(value)), 0
     return ({**params, "coeffs": value.to_json_coeffs()} if as_json else value.to_text()), 0
 
 
-def _render_summary(summary: SweepSummary, params: dict, as_json: bool) -> tuple[object, int]:
+def _render_summary(summary: congruence.SweepSummary, params: dict, as_json: bool) -> tuple[object, int]:
     status = 0 if summary.failed == 0 else 1
     if as_json:
         return summary.to_json(), status
@@ -43,7 +40,7 @@ def _render_summary(summary: SweepSummary, params: dict, as_json: bool) -> tuple
     return "\n".join(lines), status
 
 
-def _render_report(report: AuditReport, params: dict, as_json: bool) -> tuple[object, int]:
+def _render_report(report: orbits.AuditReport, params: dict, as_json: bool) -> tuple[object, int]:
     status = 0 if report.ok else 1
     if as_json:
         return report.to_json(), status
@@ -68,34 +65,37 @@ _OUTPUT = (
     ("--out", {"default": None, "help": "write output to a file instead of stdout"}),
 )
 
-# command -> (help, dest of its leaf, leaf -> (help or None, flags before
-# _OUTPUT, call), renderer), in the order help lists them.  A flag is (name,
-# add_argument keywords).  A call takes its leaf's flag values by argparse
-# dest, and is a lambda so that no row holds a library function itself.  A
-# renderer takes (result, those flag values, --json) and returns the output,
-# text or a JSON payload, and the exit status.
+# command -> (help, dest of its leaf, leaves, renderer), in the order help
+# lists them.  `leaves()` returns leaf -> (help or None, flags before _OUTPUT,
+# call); only the command argv names calls it, so a request loads only the
+# modules its own command's rows read.  A flag is (name, add_argument
+# keywords).  A call takes its leaf's flag values by argparse dest, and is a
+# lambda so that no row holds a library function itself.  A renderer takes
+# (result, those flag values, --json) and returns the output, text or a JSON
+# payload, and the exit status.
 COMMANDS = {
-    "compute": ("print one exact value", "what", {
-        "delannoy": ("classical Delannoy number", _HK, lambda h, k: delannoy(h, k)),
-        "qdelannoy": ("q-Delannoy polynomial", (("--route", {"choices": sorted(ROUTES), "default": "rec"}), *_HK),
-                      lambda route, h, k: q_delannoy(h, k, route=route)),
-        "qbinom": ("Gaussian binomial coefficient", _HK, lambda h, k: q_binomial(h, k)),
-        "cyclotomic": ("cyclotomic polynomial", (("--n", _REQUIRED_INT),), lambda n: cyclotomic(n)),
-        "sigma-poly": ("path-statistic polynomial by enumeration", _HK, lambda h, k: sigma_poly(h, k)),
+    "compute": ("print one exact value", "what", lambda: {
+        "delannoy": ("classical Delannoy number", _HK, lambda h, k: qcore.delannoy(h, k)),
+        "qdelannoy": ("q-Delannoy polynomial",
+                      (("--route", {"choices": sorted(qdelannoy.ROUTES), "default": "rec"}), *_HK),
+                      lambda route, h, k: qdelannoy.q_delannoy(h, k, route=route)),
+        "qbinom": ("Gaussian binomial coefficient", _HK, lambda h, k: qcore.q_binomial(h, k)),
+        "cyclotomic": ("cyclotomic polynomial", (("--n", _REQUIRED_INT),), lambda n: cyclotomic.cyclotomic(n)),
+        "sigma-poly": ("path-statistic polynomial by enumeration", _HK, lambda h, k: paths.sigma_poly(h, k)),
     }, _render_value),
-    "verify": ("sweep a statement over a parameter grid", "statement", {
+    "verify": ("sweep a statement over a parameter grid", "statement", lambda: {
         name: (None, (
             *((f"--max-{axis}", {"type": int, "default": 0,
                                  "help": "modulus bound (primes for lucas/dlucas)" if axis == "n" else None})
               for axis in entry.axes),
             ("--jobs", {"type": int, "default": 1}),
             # The default binds this row's name; a closure would see the last one.
-        ), lambda statement=name, **bounds: sweep(SweepConfig(statement, **bounds)))
-        for name, entry in STATEMENTS.items()
+        ), lambda statement=name, **bounds: congruence.sweep(congruence.SweepConfig(statement, **bounds)))
+        for name, entry in congruence.STATEMENTS.items()
     }, _render_summary),
-    "orbits": ("group-action machinery", "action", {
+    "orbits": ("group-action machinery", "action", lambda: {
         "audit": ("exhaustively audit one frame", (*_HK, ("--n", _REQUIRED_INT)),
-                  lambda h, k, n: audit(CornerFrame(h, k, n))),
+                  lambda h, k, n: orbits.audit(orbits.CornerFrame(h, k, n))),
     }, _render_report),
 }
 
@@ -121,7 +121,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
             continue
         command_parser = commands.add_parser(command, help=command_help, allow_abbrev=False)
         sub = command_parser.add_subparsers(dest=dest, required=True)
-        for leaf, (leaf_help, flags, _) in leaves.items():
+        for leaf, (leaf_help, flags, _) in leaves().items():
             named = words[1:] == [leaf]
             p = sub.add_parser(leaf, add_help=named, **({} if leaf_help is None else {"help": leaf_help}))
             for flag, options in (*flags, *_OUTPUT) if named else ():
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     _, dest, leaves, render = COMMANDS[args.command]
-    _, flags, call = leaves[getattr(args, dest)]
+    _, flags, call = leaves()[getattr(args, dest)]
     params = {name: getattr(args, name) for name in (flag[2:].replace("-", "_") for flag, _ in flags)}
     try:
         if "h" in params and min(params["h"], params["k"]) < 0:
@@ -171,11 +171,13 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry of `python -m qdelannoy` and the `qdelannoy` script.
 
-    Every module is imported by now and its objects live until exit, so
-    `gc.freeze` moves them out of the collector: no later collection, the
-    ones at shutdown included, walks them, and forked --jobs workers do not
-    copy their pages to write GC headers.  `main` never freezes, because its
-    other callers are long-lived processes.
+    The package binds its library modules lazily, so only `cli`, the package
+    root and what they import are loaded by now; those objects live until
+    exit, so `gc.freeze` moves them out of the collector: no later
+    collection, the ones at shutdown included, walks them, and forked --jobs
+    workers do not copy their pages to write GC headers.  The modules a
+    request loads inside `main` stay tracked.  `main` never freezes, because
+    its other callers are long-lived processes.
     """
     gc.freeze()
     sys.exit(main())

@@ -41,11 +41,12 @@ from collections.abc import Callable
 from math import comb
 from typing import NamedTuple
 
-from .cyclotomic import reduce_mod
+# Modules, not names: only the oracle reads `cyclotomic` and only interp
+# reads `paths`, so a passing thm2, thm1 or Lucas sweep never loads them.
+from . import cyclotomic, paths
 from .polyring import IntPoly
 from .qcore import delannoy, is_prime, q_binomial
 from .qdelannoy import q_delannoy_rec
-from .paths import sigma_counts, sigma_poly
 from .residue import binomial_table, delannoy_table, phi_test
 
 
@@ -96,7 +97,7 @@ def _split_report(
     lhs = count(a * m + b, c * m + d)
     rhs = count(b, d) * factor(a, c)
     if key == "n":
-        return CongruenceReport(tag, params, lhs, rhs, reduce_mod(lhs - rhs, m))
+        return CongruenceReport(tag, params, lhs, rhs, cyclotomic.reduce_mod(lhs - rhs, m))
     return CongruenceReport(tag, params, IntPoly((lhs,)), IntPoly((rhs,)), IntPoly(((lhs - rhs) % m,)))
 
 
@@ -122,7 +123,7 @@ def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
     lhs = q_delannoy_rec(h + n, k + n)
     rhs = q_delannoy_rec(h + n, k) + q_delannoy_rec(h, k + n) + q_delannoy_rec(h, k) * _thm2_sign(n)
     tag = "thm2-odd" if n % 2 else "thm2-even"
-    return CongruenceReport(tag, {"n": n, "h": h, "k": k}, lhs, rhs, reduce_mod(lhs - rhs, n))
+    return CongruenceReport(tag, {"n": n, "h": h, "k": k}, lhs, rhs, cyclotomic.reduce_mod(lhs - rhs, n))
 
 
 def verify_theorem1(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
@@ -151,7 +152,7 @@ def verify_delannoy_lucas(p: int, a: int, b: int, c: int, d: int) -> CongruenceR
 
 
 def _interp_report(h: int, k: int) -> CongruenceReport:
-    lhs = sigma_poly(h, k)
+    lhs = paths.sigma_poly(h, k)
     rhs = q_delannoy_rec(h, k)
     return CongruenceReport("interp", {"h": h, "k": k}, lhs, rhs, lhs - rhs)
 
@@ -346,7 +347,7 @@ def _dlucas_failures(config: SweepConfig, p: int) -> tuple[int, list[tuple[int, 
 
 def _interp_failures(config: SweepConfig, _: int) -> tuple[int, list[tuple[int, ...]]]:
     """Cases (h, k) over h, then k: the path counts by sigma must be the coefficients of P(h,k) exactly."""
-    counts = sigma_counts(config.max_h, config.max_k)
+    counts = paths.sigma_counts(config.max_h, config.max_k)
     cells = ((h, k, c) for h, row in enumerate(counts) for k, c in enumerate(row))
     failing = [(h, k) for h, k, c in cells if c != q_delannoy_rec(h, k)]
     return (config.max_h + 1) * (config.max_k + 1), failing

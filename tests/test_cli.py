@@ -226,6 +226,39 @@ def test_only_json_requests_import_json():
     assert _loaded_after(requests, ("json",)) == "0 False\n" * 4 + "0 True\n"
 
 
+# The package binds its modules lazily: each is in sys.modules from the
+# start, but its code runs only when a request first reads one of its
+# attributes, and only then is its type the plain module type.  Each request,
+# in a fresh process, and the package modules it runs.
+RUNS = {
+    "compute delannoy --h 2 --k 2": "cli polyring qcore qdelannoy",
+    "compute qdelannoy --h 2 --k 2": "cli polyring qcore qdelannoy",
+    "verify thm2 --max-n 3 --max-h 2 --max-k 2": "cli congruence polyring qcore qdelannoy residue",
+    "verify lucas --max-n 3 --max-a 1 --max-c 1": "cli congruence polyring qcore qdelannoy residue",
+    "orbits audit --h 1 --k 0 --n 3": "cli cyclotomic orbits paths polyring qcore qdelannoy residue",
+}
+
+# Prints the exit code, the modules that ran, "|", and the modules still lazy.
+RAN_SCRIPT = (
+    "import contextlib, io, sys, types\n"
+    "from qdelannoy.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1].split())\n"
+    "package = {name[10:]: type(m) for name, m in sys.modules.items() if name.startswith('qdelannoy.')}\n"
+    "print(code, *sorted(n for n, t in package.items() if t is types.ModuleType), '|',\n"
+    "      *sorted(n for n, t in package.items() if t is not types.ModuleType and issubclass(t, types.ModuleType)))\n"
+)
+
+
+@pytest.mark.parametrize("argv", RUNS)
+def test_a_request_runs_only_the_modules_it_uses(argv):
+    result = subprocess.run([sys.executable, "-c", RAN_SCRIPT, argv], capture_output=True, env=_src_env(), text=True)
+    assert result.returncode == 0, result.stderr
+    ran = RUNS[argv].split()
+    library = {"congruence", "cyclotomic", "orbits", "paths", "polyring", "qcore", "qdelannoy", "residue"}
+    assert result.stdout.split() == ["0", *ran, "|", *sorted(library - set(ran))]
+
+
 def test_process_entry_freezes_start_up_objects_and_main_does_not():
     # `python -m qdelannoy` runs cli.run, which freezes what the imports
     # made before it calls main; main alone, as a library caller runs it,
@@ -248,7 +281,7 @@ def test_process_entry_freezes_start_up_objects_and_main_does_not():
 LEVELS = [
     (),
     *((command,) for command in COMMANDS),
-    *((command, leaf) for command, (_, _, leaves, _) in COMMANDS.items() for leaf in leaves),
+    *((command, leaf) for command, (_, _, leaves, _) in COMMANDS.items() for leaf in leaves()),
 ]
 
 
@@ -261,11 +294,11 @@ def test_help_lists_the_registry(level):
     text = result.stdout.decode()
     assert text.startswith(f"usage: {' '.join(('qdelannoy', *level))} [-h]")
     if len(level) < 2:
-        helps = {name: entry[0] for name, entry in (COMMANDS if not level else COMMANDS[level[0]][2]).items()}
+        helps = {name: entry[0] for name, entry in (COMMANDS if not level else COMMANDS[level[0]][2]()).items()}
         assert re.findall(r"\{([^}]*)\}", text)[0].split(",") == list(helps)
         assert dict(re.findall(r"^    (\S+) *(.*)$", text, re.M)) == {k: v for k, v in helps.items() if v}
     else:
-        flags = COMMANDS[level[0]][2][level[1]][1]
+        flags = COMMANDS[level[0]][2]()[level[1]][1]
         assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) == {
             "-h", "--help", *(flag for flag, _ in flags), "--json", "--out"
         }
@@ -278,7 +311,7 @@ def test_usage_error_names_its_level(level):
     if len(level) < 2:
         bad = ("nonsense",)
     else:
-        bad = (COMMANDS[level[0]][2][level[1]][1][0][0],)
+        bad = (COMMANDS[level[0]][2]()[level[1]][1][0][0],)
     result = run_cli(*level, *bad)
     prog = " ".join(("qdelannoy", *level))
     lines = result.stderr.decode().splitlines()
@@ -308,7 +341,7 @@ def test_main_callable_in_process(capsys):
 
 
 def test_audit_violations_exit_1(monkeypatch, capsys):
-    import qdelannoy.cli as cli_module
+    import qdelannoy.orbits as orbits_module
     from qdelannoy.orbits import AuditReport
 
     broken = AuditReport(
@@ -323,10 +356,22 @@ def test_audit_violations_exit_1(monkeypatch, capsys):
         grand_total=IntPoly([1, 2]),
         violations=["synthetic violation"],
     )
-    monkeypatch.setattr(cli_module, "audit", lambda frame: broken)
+    monkeypatch.setattr(orbits_module, "audit", lambda frame: broken)
     code = main(["orbits", "audit", "--h", "0", "--k", "0", "--n", "1"])
     assert code == 1
     assert "VIOLATION synthetic violation" in capsys.readouterr().out
+
+
+# The library module each leaf's call reads its function from.
+CALLED_FROM = {
+    "cyclotomic": "cyclotomic",
+    "sweep": "congruence",
+    "audit": "orbits",
+    "delannoy": "qcore",
+    "q_delannoy": "qdelannoy",
+    "q_binomial": "qcore",
+    "sigma_poly": "paths",
+}
 
 
 @pytest.mark.parametrize(
@@ -344,14 +389,12 @@ def test_audit_violations_exit_1(monkeypatch, capsys):
 def test_out_of_memory_exits_2(name, argv, monkeypatch, capsys):
     # Exit 1 means a check failed, so running out of memory is reported like
     # a usage error: one line on stderr, nothing on stdout.  Each leaf must
-    # call through the name patched on `cli`; the arguments are small, so a
-    # leaf that does not fails at once with exit 0.
-    import qdelannoy.cli as cli_module
-
+    # call through the name patched on its library module; the arguments are
+    # small, so a leaf that does not fails at once with exit 0.
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli_module, name, exhausted)
+    monkeypatch.setattr(getattr(qdelannoy, CALLED_FROM[name]), name, exhausted)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

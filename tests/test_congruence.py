@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from qdelannoy import congruence, paths, residue as residue_module
+from qdelannoy import congruence, cyclotomic as cyclotomic_module, paths, residue as residue_module
 from qdelannoy.cli import main
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.paths import sigma
@@ -513,7 +513,7 @@ def test_qlucas_engine_failures_match_oracle_with_wrong_factor(monkeypatch):
 def test_passing_phi_sweep_divides_nothing(monkeypatch, config):
     # Every case passes the packed test, so no sweep reaches reduce_mod or the oracle.
     calls = []
-    monkeypatch.setattr(congruence, "reduce_mod", lambda *args: calls.append(args))
+    monkeypatch.setattr(cyclotomic_module, "reduce_mod", lambda *args: calls.append(args))
     monkeypatch.setattr(congruence, "run_case", lambda *args: calls.append(args))
     summary = sweep(config)
     assert summary.total > 0 and summary.failed == 0
@@ -609,12 +609,14 @@ def test_mod_p_shard_memory_is_one_table(statement):
 
 
 def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):
+    sigma_counts = paths.sigma_counts
+
     def corrupt(max_h, max_k):
-        counts = paths.sigma_counts(max_h, max_k)
+        counts = sigma_counts(max_h, max_k)
         counts[0][max_k] += ONE  # one more path of sigma 0
         return counts
 
-    monkeypatch.setattr(congruence, "sigma_counts", corrupt)
+    monkeypatch.setattr(paths, "sigma_counts", corrupt)
     with pytest.raises(RuntimeError, match=r"interp case \(0, 2\) fails .* passes the oracle check"):
         sweep(SweepConfig("interp", max_h=2, max_k=2))
 
@@ -706,7 +708,8 @@ def test_sigma_counts_match_box_walk():
 
 def test_interp_sweep_walks_the_box_once(monkeypatch):
     walks = []
-    monkeypatch.setattr(congruence, "sigma_counts", lambda *args: walks.append(args) or paths.sigma_counts(*args))
+    sigma_counts = paths.sigma_counts
+    monkeypatch.setattr(paths, "sigma_counts", lambda *args: walks.append(args) or sigma_counts(*args))
     for jobs in (1, 2):
         summary = sweep(SweepConfig("interp", max_h=5, max_k=3, jobs=jobs))
         assert (summary.total, summary.failed) == (6 * 4, 0)

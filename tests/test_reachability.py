@@ -67,7 +67,7 @@ ALLOWED = {
 
 def _corpus():
     for command, (_, _, leaves, _) in COMMANDS.items():
-        for leaf, (_, flags, _) in leaves.items():
+        for leaf, (_, flags, _) in leaves().items():
             argv = [command, leaf, *(word for flag, _ in flags for word in (flag, ARGS[flag]))]
             yield argv
             yield [*argv, "--json"]

@@ -223,6 +223,25 @@ MUTANTS = [
         "corner.shift(h * i + 1)",
         ("tests/test_orbits.py::test_heads_and_segments_match_reference",),
     ),
+    # `cli` binding a library name, not its module, so every request runs
+    # `congruence` at import, a compute request included.
+    Mutant(
+        "cli-loads-congruence-at-import",
+        "cli.py",
+        "from . import congruence, cyclotomic, orbits, paths, polyring, qcore, qdelannoy\n",
+        "from . import congruence, cyclotomic, orbits, paths, polyring, qcore, qdelannoy\n"
+        "from .congruence import STATEMENTS\n",
+        ("tests/test_cli.py::test_a_request_runs_only_the_modules_it_uses",),
+    ),
+    # `congruence` binding interp's name, not its module, so a passing thm2
+    # or Lucas sweep runs `paths` too.
+    Mutant(
+        "congruence-loads-paths-at-import",
+        "congruence.py",
+        "from . import cyclotomic, paths\n",
+        "from . import cyclotomic, paths\nfrom .paths import sigma_counts\n",
+        ("tests/test_cli.py::test_a_request_runs_only_the_modules_it_uses",),
+    ),
     # The CLI's one --h/--k check letting -1 through.
     Mutant(
         "cli-negative-hk",
