@@ -14,12 +14,13 @@ and the engine that decides one shard.  `SweepConfig`, `run_case`, `sweep`
 and the CLI read the entry and never branch on the statement's name.
 
 Each engine walks its own shard's ranges in grid order and decides every
-case from one table: thm2, thm1 and qlucas in Z[q]/(q^n - 1), each entry
-packed into one integer and each case decided with no division by
-`residue.phi_test`; lucas and dlucas at q = 1 with every entry reduced mod
-p; and interp from the path counts of `paths.sigma_counts`, one band's
-prefix trie swept across the box, compared exactly with P(h,k).  An
-engine builds a case tuple only for a case that fails.
+case from the rows of one fill, keeping only the rows it still reads: thm2,
+thm1 and qlucas in Z[q]/(q^n - 1), each entry packed into one integer and
+each case decided with no division by `residue.phi_test`; lucas and dlucas
+at q = 1 with every entry reduced mod p; and interp from the path counts
+of `paths.sigma_counts`, one band's prefix trie swept across the box,
+compared exactly with P(h,k).  An engine builds a case tuple only for a
+case that fails.
 
 `sweep` has one runner, `_forked`: the calling process is seat 0 of up to
 `jobs` seats and forks the rest, so `jobs=1` forks nothing.  Each seat
@@ -37,7 +38,9 @@ from __future__ import annotations
 
 import marshal
 import os
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterator
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -47,7 +50,7 @@ from . import cyclotomic, paths
 from .polyring import IntPoly
 from .qcore import delannoy, is_prime, q_binomial
 from .qdelannoy import q_delannoy_rec
-from .residue import binomial_table, delannoy_table, phi_test
+from .residue import binomial_rows, delannoy_rows, phi_test
 
 
 class CongruenceReport(NamedTuple):
@@ -241,7 +244,7 @@ class Statement(NamedTuple):
     `check` reports one case and is the oracle.  `axes` names the grid
     bounds the statement reads, one letter per `SweepConfig.max_*` field.
     `keys` lists a grid's shard keys in grid order, smallest shard first.
-    `failures(config, key)` decides every case of one shard from one table
+    `failures(config, key)` decides every case of one shard from one fill
     and returns the shard's case count and its failing cases, in grid order.
     Case tuples sort in grid order: each starts with its shard key, and a
     shard's cases run in lexicographic order (interp's one shard is every
@@ -267,14 +270,17 @@ def _thm2_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ..
     """Cases (n, h, k) over h, then k; lhs - rhs is pos - neg, with P(h,k) on the side its sign puts it.
 
     D(h+n,k) + D(h,k+n) + D(h,k) <= D(h+n,k+n), so 2 D(max_h+n, max_k+n)
-    bounds every slot of either side.
+    bounds every slot of either side.  The window holds rows h..h+n, the
+    last n+1 rows of the fill.
     """
     bits, divides = phi_test(n, 2 * delannoy(config.max_h + n, config.max_k + n))
-    t = delannoy_table(n, bits, config.max_h + n + 1, config.max_k + n + 1)
+    rows = delannoy_rows(n, bits, config.max_k + n + 1)
+    window = deque(islice(rows, n), maxlen=n + 1)
     sign = _thm2_sign(n)
     failing = []
     for h in range(config.max_h + 1):
-        low, high = t[h], t[h + n]
+        window.append(next(rows))
+        low, high = window[0], window[-1]
         for k in range(config.max_k + 1):
             pos, neg = high[k + n], high[k] + low[k + n]
             if sign > 0:
@@ -289,37 +295,39 @@ def _thm2_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ..
 def _split_failures(
     config: SweepConfig,
     m: int,
-    table: Callable[..., list[list[int]]],
+    fill: Callable[..., Iterator[list[int]]],
     factor: Callable[[int, int], int],
     mod: int | None = None,
     peak: Callable[[int, int], int] | None = None,
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Cases (m, a, b, c, d) over a, b, c, d: count(am+b, cm+d) vs factor(a,c)*count(b,d); factor(a,c) >= 0.
 
-    The table is in Z[q]/(q^m - 1) and decided by `phi_test`.  `peak(h, k)`
-    bounds every slot of every table entry at or below (h, k), so with the
-    largest factor it bounds every slot of either side.  With `mod` set the
-    table is at q = 1, reduced mod `mod`, and a case passes when its two
-    sides agree mod `mod`.
+    The fill's rows are in Z[q]/(q^m - 1) and decided by `phi_test`.
+    `peak(h, k)` bounds every slot of every entry at or below (h, k), so
+    with the largest factor it bounds every slot of either side.  With `mod`
+    set the rows are at q = 1, reduced mod `mod`, and a case passes when its
+    two sides agree mod `mod`.  Rows b < m, which every right side reads, are
+    kept; row am+b is read once, as it arrives.
     """
     rows, cols = (config.max_a + 1) * m, (config.max_c + 1) * m
     f = [[factor(a, c) for c in range(config.max_c + 1)] for a in range(config.max_a + 1)]
     if mod:
-        t = table(1, 0, rows, cols, mod)
+        t = fill(1, 0, cols, mod)
 
         def divides(pos: int, neg: int) -> bool:
             return (pos - neg) % mod == 0
 
     else:
         bits, divides = phi_test(m, max(peak(rows - 1, cols - 1), max(map(max, f)) * peak(m - 1, m - 1)))
-        t = table(m, bits, rows, cols)
+        t = fill(m, bits, cols)
+    low = list(islice(t, m))
     failing = [
         (m, a, b, c, d)
         for a in range(config.max_a + 1)
-        for b in range(m)
+        for b, row in enumerate(islice(t, m) if a else low)
         for c in range(config.max_c + 1)
         for d in range(m)
-        if not divides(t[a * m + b][c * m + d], f[a][c] * t[b][d])
+        if not divides(row[c * m + d], f[a][c] * low[b][d])
     ]
     return rows * cols, failing
 
@@ -330,19 +338,19 @@ def _binomial_peak(h: int, k: int) -> int:
 
 
 def _thm1_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ...]]]:
-    return _split_failures(config, n, delannoy_table, _thm1_factor(n), peak=delannoy)
+    return _split_failures(config, n, delannoy_rows, _thm1_factor(n), peak=delannoy)
 
 
 def _qlucas_failures(config: SweepConfig, n: int) -> tuple[int, list[tuple[int, ...]]]:
-    return _split_failures(config, n, binomial_table, comb, peak=_binomial_peak)
+    return _split_failures(config, n, binomial_rows, comb, peak=_binomial_peak)
 
 
 def _lucas_failures(config: SweepConfig, p: int) -> tuple[int, list[tuple[int, ...]]]:
-    return _split_failures(config, p, binomial_table, comb, p)
+    return _split_failures(config, p, binomial_rows, comb, p)
 
 
 def _dlucas_failures(config: SweepConfig, p: int) -> tuple[int, list[tuple[int, ...]]]:
-    return _split_failures(config, p, delannoy_table, delannoy, p)
+    return _split_failures(config, p, delannoy_rows, delannoy, p)
 
 
 def _interp_failures(config: SweepConfig, _: int) -> tuple[int, list[tuple[int, ...]]]:

@@ -2,10 +2,10 @@
 
 Every q-object in this package (Gaussian binomials, q-Delannoy numbers,
 cyclotomic moduli) lives in this ring.  Coefficients are stored ascending
-by degree; the zero polynomial stores no coefficients at all, and its
-degree is the sentinel -1.  A polynomial with nonnegative coefficients can
-also be packed as its value at q = 2**bits, in slots of `slot_bits` bits,
-and read back with `IntPoly.from_packed`.
+by degree, so the degree is len(coeffs) - 1; the zero polynomial stores no
+coefficients at all.  A polynomial with nonnegative coefficients can also
+be packed as its value at q = 2**bits, in slots of `slot_bits` bits, and
+read back with `IntPoly.from_packed`.
 """
 
 from __future__ import annotations
@@ -48,16 +48,8 @@ class IntPoly:
             raise ValueError("monomial exponent must be nonnegative")
         return cls([0] * exponent + [1])
 
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
@@ -66,9 +58,6 @@ class IntPoly:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly([-c for c in self.coeffs])
 
     def __add__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):

@@ -5,8 +5,9 @@ only on its image in Z[q]/(q^n - 1), where coefficient i collects every q^e
 with e = i mod n.  Running the recurrences in that ring keeps every entry at
 n coefficients, whatever the degree of the polynomial it stands for; this is
 the reduction argument behind the congruences (Sagan, "Congruence
-properties of q-analogs", Adv. Math. 95, 1992).  Tables are filled row by
-row, with no recursion.
+properties of q-analogs", Adv. Math. 95, 1992).  Each fill yields its
+rows in turn, with no recursion, so a caller keeps only the rows it still
+reads.
 
 An element is packed as in `qcore`: its n coefficients, all in
 [0, 2**bits), are the slots of one integer, its value at q = 2**bits.
@@ -27,15 +28,15 @@ Expanded, the product is a signed sum of 2^omega(n) powers of q, half of
 them + and half - once n > 1, so in Z[q]/(q^n - 1) the test compares two
 sums of rotations of v.  When every slot of the two sides of v lies in
 [0, M], those sums stay at most 2^omega(n) * M per slot, which fixes the
-slot width of the test and of the tables it reads.
+slot width of the test and of the rows it reads.
 
-With `mod` set a table is at q = 1 (n = 1) and holds Delannoy numbers or
+With `mod` set the rows are at q = 1 (n = 1) and hold Delannoy numbers or
 binomial coefficients, each reduced mod that integer.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .polyring import slot_bits
 from .qcore import is_prime
@@ -86,42 +87,42 @@ def _shifts(n: int, bits: int, cols: int) -> list[int]:
     return [k % n * bits for k in range(cols)]
 
 
-def delannoy_table(n: int, bits: int, rows: int, cols: int, mod: int | None = None) -> list[list[int]]:
-    """P(h,k) mod q^n - 1, packed at q = 2**bits, for 0 <= h < rows and 0 <= k < cols.
+def delannoy_rows(n: int, bits: int, cols: int, mod: int | None = None) -> Iterator[list[int]]:
+    """Rows h = 0, 1, ... of P(h,k) mod q^n - 1, packed at q = 2**bits, for 0 <= k < cols.
 
     P(h,k) = P(h,k-1) + q^k (P(h-1,k) + P(h-1,k-1)), with 1 on both axes.
-    Slots must hold D(rows - 1, cols - 1); with `mod` set, n is 1.
+    Slots must hold D(h, cols - 1) for the last row h the caller reads;
+    with `mod` set, n is 1.  Each row is a new list.
     """
     size = n * bits
     mask = (1 << size) - 1
     shifts = _shifts(n, bits, cols)
-    table = [[1] * cols]
-    for h in range(1, rows):
-        prev, row = table[-1], [1]
+    row = [1] * cols
+    while True:
+        yield row
+        prev, row = row, [1]
         for k in range(1, cols):
             up, s = prev[k] + prev[k - 1], shifts[k]
             x = row[-1] + (up << s & mask | up >> size - s if s else up)
             row.append(x % mod if mod else x)
-        table.append(row)
-    return table
 
 
-def binomial_table(n: int, bits: int, rows: int, cols: int, mod: int | None = None) -> list[list[int]]:
-    """Gaussian binomials [h,k] mod q^n - 1, packed at q = 2**bits, for 0 <= h < rows and 0 <= k < cols.
+def binomial_rows(n: int, bits: int, cols: int, mod: int | None = None) -> Iterator[list[int]]:
+    """Rows h = 0, 1, ... of the Gaussian binomials [h,k] mod q^n - 1, packed at q = 2**bits, for 0 <= k < cols.
 
     [h,k] = q^k [h-1,k] + [h-1,k-1], with [h,0] = 1 and [0,k] = 0 for k > 0,
     which makes every entry with k > h zero.  Slots must hold the largest
-    C(h,k) of the table; with `mod` set, n is 1.
+    C(h,k) of the rows the caller reads; with `mod` set, n is 1.  Each row
+    is a new list.
     """
     size = n * bits
     mask = (1 << size) - 1
     shifts = _shifts(n, bits, cols)
-    table = [[1] + [0] * (cols - 1)]
-    for h in range(1, rows):
-        prev, row = table[-1], [1]
+    row = [1] + [0] * (cols - 1)
+    while True:
+        yield row
+        prev, row = row, [1]
         for k in range(1, cols):
             up, s = prev[k], shifts[k]
             x = (up << s & mask | up >> size - s if s else up) + prev[k - 1]
             row.append(x % mod if mod else x)
-        table.append(row)
-    return table

@@ -131,7 +131,7 @@ def test_criterion_07_cyclotomic_suite():
                 if n % d == 0:
                     prod = prod * cyclotomic(d)
             assert prod == IntPoly.monomial(n) - ONE
-            assert cyclotomic(n).degree == sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
+            assert len(cyclotomic(n).coeffs) - 1 == sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
             if n % 2 == 0:
                 assert congruent(IntPoly.monomial(n // 2), IntPoly([-1]), n)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tracemalloc
+from itertools import islice
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from qdelannoy.paths import sigma
 from qdelannoy.polyring import ONE, IntPoly, ZERO, slot_bits
 from qdelannoy.qcore import delannoy, q_binomial
 from qdelannoy.qdelannoy import q_delannoy_rec
-from qdelannoy.residue import binomial_table, delannoy_table, phi_test
+from qdelannoy.residue import binomial_rows, delannoy_rows, phi_test
 from qdelannoy.congruence import (
     STATEMENTS,
     SweepConfig,
@@ -279,8 +280,8 @@ def _pack(slots, bits):
 def test_residue_tables_match_full_polynomials():
     bits = slot_bits(delannoy(20, 20))
     for n in range(1, 8):
-        delannoy_t = delannoy_table(n, bits, 21, 21)
-        binomial_t = binomial_table(n, bits, 21, 21)
+        delannoy_t = list(islice(delannoy_rows(n, bits, 21), 21))
+        binomial_t = list(islice(binomial_rows(n, bits, 21), 21))
         for h in range(21):
             for k in range(21):
                 for entry, full in ((delannoy_t[h][k], q_delannoy_rec(h, k)), (binomial_t[h][k], q_binomial(h, k))):
@@ -291,8 +292,8 @@ def test_residue_tables_match_full_polynomials():
 
 def test_mod_p_tables_are_flat_residues():
     for p in (2, 3, 7):
-        delannoy_t = delannoy_table(1, 0, 15, 15, p)
-        binomial_t = binomial_table(1, 0, 15, 15, p)
+        delannoy_t = list(islice(delannoy_rows(1, 0, 15, p), 15))
+        binomial_t = list(islice(binomial_rows(1, 0, 15, p), 15))
         for h in range(15):
             for k in range(15):
                 assert delannoy_t[h][k] == delannoy(h, k) % p
@@ -423,12 +424,11 @@ def test_sweep_failure_is_the_oracle_report(monkeypatch, capsys):
 
 
 def test_sweep_rejects_engine_oracle_disagreement(monkeypatch):
-    def corrupt(n, bits, rows, cols):
-        table = delannoy_table(n, bits, rows, cols)
-        table[1][1] += _pack([1] * n, bits)
-        return table
+    def corrupt(n, bits, cols):
+        for h, row in enumerate(delannoy_rows(n, bits, cols)):
+            yield [x + _pack([1] * n, bits) * ((h, k) == (1, 1)) for k, x in enumerate(row)]
 
-    monkeypatch.setattr(congruence, "delannoy_table", corrupt)
+    monkeypatch.setattr(congruence, "delannoy_rows", corrupt)
     with pytest.raises(RuntimeError, match="passes the oracle check"):
         sweep(SweepConfig("thm2", max_n=1, max_h=1, max_k=1))
 
@@ -492,7 +492,7 @@ def test_qlucas_engine_failures_match_oracle_with_wrong_factor(monkeypatch):
         return congruence._split_report("q-lucas", "n", q_binomial, factor, n, a, b, c, d)
 
     def failures(config, n):
-        return congruence._split_failures(config, n, binomial_table, factor, peak=congruence._binomial_peak)
+        return congruence._split_failures(config, n, binomial_rows, factor, peak=congruence._binomial_peak)
 
     entry = STATEMENTS["qlucas"]._replace(check=check, failures=failures, keys=lambda config: [6, 10, 12])
     monkeypatch.setitem(STATEMENTS, "qlucas", entry)
@@ -520,18 +520,17 @@ def test_passing_phi_sweep_divides_nothing(monkeypatch, config):
     assert calls == []
 
 
-# The mod-p engines: one table at q = 1 per prime, with its count and factor.
-MOD_P = {"lucas": ("binomial_table", binomial_table, comb), "dlucas": ("delannoy_table", delannoy_table, delannoy)}
+# The mod-p engines: one fill at q = 1 per prime, with its count and factor.
+MOD_P = {"lucas": ("binomial_rows", binomial_rows, comb), "dlucas": ("delannoy_rows", delannoy_rows, delannoy)}
 
 
 @pytest.mark.parametrize("statement", MOD_P)
 def test_mod_p_engine_rejects_corrupt_table_entry(monkeypatch, statement):
-    name, table, _ = MOD_P[statement]
+    name, fill, _ = MOD_P[statement]
 
-    def corrupt(n, bits, rows, cols, mod=None):
-        t = table(n, bits, rows, cols, mod)
-        t[1][1] = (t[1][1] + 1) % mod
-        return t
+    def corrupt(n, bits, cols, mod=None):
+        for h, row in enumerate(fill(n, bits, cols, mod)):
+            yield [(x + ((h, k) == (1, 1))) % mod for k, x in enumerate(row)]
 
     monkeypatch.setattr(congruence, name, corrupt)
     with pytest.raises(RuntimeError, match=f"{statement} case .* passes the oracle check"):
@@ -540,7 +539,7 @@ def test_mod_p_engine_rejects_corrupt_table_entry(monkeypatch, statement):
 
 def _mod_p_entry_with_factor(statement, factor):
     """The statement's registry entry with `factor` given to its engine and its oracle alike."""
-    _, table, count = MOD_P[statement]
+    _, fill, count = MOD_P[statement]
     entry = STATEMENTS[statement]
     tag = entry.check(2, 0, 0, 0, 0).tag
 
@@ -548,7 +547,7 @@ def _mod_p_entry_with_factor(statement, factor):
         return congruence._split_report(tag, "p", count, factor, p, a, b, c, d)
 
     def failures(config, p):
-        return congruence._split_failures(config, p, table, factor, p)
+        return congruence._split_failures(config, p, fill, factor, p)
 
     return entry._replace(check=check, failures=failures)
 
@@ -593,19 +592,33 @@ def test_passing_mod_p_sweep_runs_no_oracle_case(monkeypatch, statement):
     assert calls == []
 
 
-@pytest.mark.parametrize("statement", MOD_P)
-def test_mod_p_shard_memory_is_one_table(statement):
-    # The largest shard of the 60/4/4 grid (p = 59, 87 025 cases) sets a serial sweep's
-    # peak.  Its 295 x 295 table of flat residues takes about 0.7 MB; holding the case
-    # list as well would take about 7 MB more.
+@pytest.mark.parametrize(
+    "config, key, count, bound",
+    [
+        # The n = 4 shard reads rows 0..154 of its fill but holds only the
+        # last n + 1 = 5: about 0.018 MiB, where the whole table took 0.36 MiB.
+        (SweepConfig("thm2", max_n=4, max_h=150, max_k=20), 4, 151 * 21, 0.05),
+        # The n = 5 shard reads rows 0..204 but holds only rows b < 5 and the
+        # row it reads: about 0.009 MiB, where the whole table took 0.16 MiB.
+        (SweepConfig("thm1", max_n=5, max_a=40, max_c=1), 5, 205 * 10, 0.03),
+        # The largest shard of the 60/4/4 grid (p = 59) sets a serial sweep's
+        # peak.  It holds the 59 rows b < p of 295 flat residues, about
+        # 0.15 MiB; the whole 295 x 295 table took 0.71 MiB, and holding the
+        # case list as well would take about 7 MB more.
+        (SweepConfig("lucas", max_n=60, max_a=4, max_c=4), 59, 87_025, 0.25),
+        (SweepConfig("dlucas", max_n=60, max_a=4, max_c=4), 59, 87_025, 0.25),
+    ],
+    ids=["thm2", "thm1", "lucas", "dlucas"],
+)
+def test_shard_memory_is_the_rows_it_still_reads(config, key, count, bound):
     tracemalloc.start()
     try:
-        count, failing = STATEMENTS[statement].failures(SweepConfig(statement, max_n=60, max_a=4, max_c=4), 59)
+        result = STATEMENTS[config.statement].failures(config, key)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (count, failing) == (87_025, [])
-    assert peak <= 2 * 2**20
+    assert result == (count, [])
+    assert peak <= bound * 2**20
 
 
 def test_interp_engine_rejects_corrupt_trie_count(monkeypatch):

@@ -121,7 +121,7 @@ def test_q_binomial_symmetry_and_degree():
         for k in range(h + 1):
             p = q_binomial(h, k)
             assert p == q_binomial(h, h - k)
-            assert p.degree == k * (h - k)
+            assert len(p.coeffs) - 1 == k * (h - k)
             assert all(c >= 0 for c in p.coeffs)
 
 

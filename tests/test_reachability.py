@@ -56,11 +56,8 @@ ALLOWED = {
     ("orbits", "audit.<locals>.at"): _VIOLATION,
     ("orbits", "audit.<locals>.violate"): _VIOLATION,
     ("paths", "path_text"): _VIOLATION,
-    ("polyring", "IntPoly.__bool__"): _RING,
     ("polyring", "IntPoly.__hash__"): _RING,
-    ("polyring", "IntPoly.__neg__"): _RING,
     ("polyring", "IntPoly.__repr__"): _RING,
-    ("polyring", "IntPoly.degree"): _RING,
     ("qcore", "neg_q_pochhammer"): "a traced span name; the reference's alt route multiplies with it",
 }
 

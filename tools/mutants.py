@@ -170,6 +170,23 @@ MUTANTS = [
             "tests/test_qcore.py::test_packed_read_back_is_checked_at_every_call_site",
         ),
     ),
+    # thm2's window one row short, so that low is row h + 1, not row h.
+    Mutant(
+        "thm2-window-one-row-short",
+        "congruence.py",
+        "maxlen=n + 1",
+        "maxlen=n",
+        ("tests/test_congruence.py",),
+    ),
+    # The split engine keeping one low row too few, rows b < m - 1: every
+    # later row then lands one place early, and low[m - 1] is missing.
+    Mutant(
+        "split-low-rows-one-short",
+        "congruence.py",
+        "low = list(islice(t, m))",
+        "low = list(islice(t, m - 1))",
+        ("tests/test_congruence.py",),
+    ),
     # `SweepConfig` letting a bound of -1 through.
     Mutant(
         "sweep-bound-check",
