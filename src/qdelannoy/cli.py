@@ -2,7 +2,10 @@
 
 `main` parses argv, looks up its leaf's row in `COMMANDS`, checks --h and
 --k once for every leaf that takes them, then calls the leaf and renders
-the result with its command's renderer.  This module binds the library
+the result with its command's renderer.  A well-formed argv is parsed
+straight from `COMMANDS`; argparse is imported, and its parser built, only
+for the rest: --help, usage errors and the spellings argparse also takes,
+such as abbreviations.  This module binds the library
 modules, never their names, and the package binds them lazily: a module's
 code runs only when a request first reads one of its attributes.  A call
 reads the function it runs from its module when it runs, so a name rebound
@@ -11,16 +14,20 @@ request.
 
 All output is deterministic: byte-identical across runs and across --jobs
 settings.  Exit codes: 0 all checks passed, 1 a verification failed, 2
-usage error or out of memory.
+usage error, or out of memory (a size no index holds, too).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from . import congruence, cyclotomic, orbits, paths, polyring, qcore, qdelannoy
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _render_value(value: int | polyring.IntPoly, params: dict, as_json: bool) -> tuple[object, int]:
@@ -57,6 +64,20 @@ def _render_report(report: orbits.AuditReport, params: dict, as_json: bool) -> t
     return "\n".join(lines), status
 
 
+class _RouteNames:
+    """The names of `qdelannoy.ROUTES`, as the choices of --route.
+
+    argparse checks a value with `in` and lists the choices by iterating, so
+    the module is read only then, and no compute leaf but qdelannoy loads it.
+    """
+
+    def __contains__(self, route: object) -> bool:
+        return route in qdelannoy.ROUTES
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(qdelannoy.ROUTES))
+
+
 _REQUIRED_INT = {"type": int, "required": True}
 _HK = (("--h", _REQUIRED_INT), ("--k", _REQUIRED_INT))
 # The flags every leaf ends with.
@@ -77,7 +98,7 @@ COMMANDS = {
     "compute": ("print one exact value", "what", lambda: {
         "delannoy": ("classical Delannoy number", _HK, lambda h, k: qcore.delannoy(h, k)),
         "qdelannoy": ("q-Delannoy polynomial",
-                      (("--route", {"choices": sorted(qdelannoy.ROUTES), "default": "rec"}), *_HK),
+                      (("--route", {"choices": _RouteNames(), "default": "rec"}), *_HK),
                       lambda route, h, k: qdelannoy.q_delannoy(h, k, route=route)),
         "qbinom": ("Gaussian binomial coefficient", _HK, lambda h, k: qcore.q_binomial(h, k)),
         "cyclotomic": ("cyclotomic polynomial", (("--n", _REQUIRED_INT),), lambda n: cyclotomic.cyclotomic(n)),
@@ -100,6 +121,59 @@ COMMANDS = {
 }
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+# int() reads a string of this many digits or fewer under any limit that
+# sys.set_int_max_str_digits can set: a nonzero limit is never lower.
+_DIGITS_INT_READS = 640
+
+
+def _table_parse(argv: list[str]) -> dict | None:
+    """`vars(build_parser(argv).parse_args(argv))` for a well-formed argv, else None.
+
+    Well formed: a command, one of its leaves, then each flag of that leaf at
+    most once, spelled exactly, every required one included.  A valued flag
+    takes the next word, which does not start with "-": ASCII digits that
+    int() reads for an int flag, one of its choices for a flag that has
+    them.  A flag not given takes the value argparse gives it.  `main` hands
+    every other argv to argparse.
+    """
+    if len(argv) < 2 or argv[0] not in COMMANDS:
+        return None
+    command, leaf, *words = argv
+    _, dest, leaves, _ = COMMANDS[command]
+    row = leaves().get(leaf)
+    if row is None:
+        return None
+    pending = dict((*row[1], *_OUTPUT))  # the flags not given yet
+    values = {"command": command, dest: leaf}
+    words = iter(words)
+    for word in words:
+        options = pending.pop(word, None)
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            values[_dest(word)] = True
+            continue
+        value = next(words, "-")  # a flag with no word after it fails here
+        if value.startswith("-"):
+            return None
+        if options.get("type") is int:
+            if not (value.isascii() and value.isdigit() and len(value) <= _DIGITS_INT_READS):
+                return None
+            value = int(value)
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[_dest(word)] = value
+    for flag, options in pending.items():
+        if options.get("required"):
+            return None
+        values[_dest(flag)] = False if options.get("action") == "store_true" else options.get("default")
+    return values
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser of `argv`, built only as far as `argv` reaches.
 
@@ -112,6 +186,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     invalid choice.  Those parsers take no abbreviations, so a leaf's flag
     given too early, such as `--h`, is a usage error and not `--help`.
     """
+    import argparse  # here, so a well-formed request never loads it
+
     words = [arg for arg in argv if not arg.startswith("-")][:2]
     parser = argparse.ArgumentParser(prog="qdelannoy", allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -150,20 +226,20 @@ def _json_text(obj: object) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
-    _, dest, leaves, render = COMMANDS[args.command]
-    _, flags, call = leaves()[getattr(args, dest)]
-    params = {name: getattr(args, name) for name in (flag[2:].replace("-", "_") for flag, _ in flags)}
+    values = _table_parse(argv) or vars(build_parser(argv).parse_args(argv))
+    _, dest, leaves, render = COMMANDS[values["command"]]
+    _, flags, call = leaves()[values[dest]]
+    params = {name: values[name] for name in (_dest(flag) for flag, _ in flags)}
     try:
         if "h" in params and min(params["h"], params["k"]) < 0:
             raise ValueError(f"--h and --k must be nonnegative, got h={params['h']} k={params['k']}")
-        out, status = render(call(**params), params, args.json)
-        _emit(_json_text(out) if args.json else out, args.out)
+        out, status = render(call(**params), params, values["json"])
+        _emit(_json_text(out) if values["json"] else out, values["out"])
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: out of memory; the request is too large for this machine", file=sys.stderr)
         return 2
 

@@ -44,12 +44,12 @@ from itertools import islice
 from math import comb
 from typing import NamedTuple
 
-# Modules, not names: only the oracle reads `cyclotomic` and only interp
-# reads `paths`, so a passing thm2, thm1 or Lucas sweep never loads them.
-from . import cyclotomic, paths
+# Modules, not names: only the oracle reads `cyclotomic`, only interp reads
+# `paths`, and only the two read `qdelannoy`, so a passing thm2, thm1 or
+# Lucas sweep never loads them.
+from . import cyclotomic, paths, qdelannoy
 from .polyring import IntPoly
 from .qcore import delannoy, is_prime, q_binomial
-from .qdelannoy import q_delannoy_rec
 from .residue import binomial_rows, delannoy_rows, phi_test
 
 
@@ -123,8 +123,9 @@ def verify_theorem2(n: int, h: int, k: int) -> CongruenceReport:
         raise ValueError(f"modulus index must be positive, got {n}")
     if h < 0 or k < 0:
         raise ValueError("corner coordinates must be nonnegative")
-    lhs = q_delannoy_rec(h + n, k + n)
-    rhs = q_delannoy_rec(h + n, k) + q_delannoy_rec(h, k + n) + q_delannoy_rec(h, k) * _thm2_sign(n)
+    rec = qdelannoy.q_delannoy_rec
+    lhs = rec(h + n, k + n)
+    rhs = rec(h + n, k) + rec(h, k + n) + rec(h, k) * _thm2_sign(n)
     tag = "thm2-odd" if n % 2 else "thm2-even"
     return CongruenceReport(tag, {"n": n, "h": h, "k": k}, lhs, rhs, cyclotomic.reduce_mod(lhs - rhs, n))
 
@@ -136,7 +137,7 @@ def verify_theorem1(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
     P(b,d) alone.
     """
     tag = "thm1-odd" if n % 2 else "thm1-even"
-    return _split_report(tag, "n", q_delannoy_rec, _thm1_factor(n), n, a, b, c, d)
+    return _split_report(tag, "n", qdelannoy.q_delannoy_rec, _thm1_factor(n), n, a, b, c, d)
 
 
 def verify_q_lucas(n: int, a: int, b: int, c: int, d: int) -> CongruenceReport:
@@ -156,7 +157,7 @@ def verify_delannoy_lucas(p: int, a: int, b: int, c: int, d: int) -> CongruenceR
 
 def _interp_report(h: int, k: int) -> CongruenceReport:
     lhs = paths.sigma_poly(h, k)
-    rhs = q_delannoy_rec(h, k)
+    rhs = qdelannoy.q_delannoy_rec(h, k)
     return CongruenceReport("interp", {"h": h, "k": k}, lhs, rhs, lhs - rhs)
 
 
@@ -357,7 +358,7 @@ def _interp_failures(config: SweepConfig, _: int) -> tuple[int, list[tuple[int, 
     """Cases (h, k) over h, then k: the path counts by sigma must be the coefficients of P(h,k) exactly."""
     counts = paths.sigma_counts(config.max_h, config.max_k)
     cells = ((h, k, c) for h, row in enumerate(counts) for k, c in enumerate(row))
-    failing = [(h, k) for h, k, c in cells if c != q_delannoy_rec(h, k)]
+    failing = [(h, k) for h, k, c in cells if c != qdelannoy.q_delannoy_rec(h, k)]
     return (config.max_h + 1) * (config.max_k + 1), failing
 
 

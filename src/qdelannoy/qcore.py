@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from math import comb, isqrt
 
-from .polyring import ONE, IntPoly, ZERO, slot_bits
+# The module, not its names, so `delannoy` and `is_prime` load no polynomial code.
+from . import polyring
 
 
 def over_q_power_minus_one(value: int, s: int, nbits: int) -> int:
@@ -47,25 +48,25 @@ def q_binomial_packed(n: int, k: int, bits: int) -> int:
     return value
 
 
-def neg_q_pochhammer(j: int) -> IntPoly:
+def neg_q_pochhammer(j: int) -> polyring.IntPoly:
     """(-q;q)_j = (1+q)(1+q^2)...(1+q^j); the empty product is 1."""
     if j < 0:
         raise ValueError(f"Pochhammer index must be nonnegative, got {j}")
-    p = ONE
+    p = polyring.ONE
     for i in range(1, j + 1):
-        p = p * (ONE + IntPoly.monomial(i))
+        p = p * (polyring.ONE + polyring.IntPoly.monomial(i))
     return p
 
 
-def q_binomial(h: int, k: int) -> IntPoly:
+def q_binomial(h: int, k: int) -> polyring.IntPoly:
     """Gaussian binomial [h choose k]_q; zero outside 0 <= k <= h."""
     if h < 0:
         raise ValueError(f"upper index must be nonnegative, got {h}")
     if k < 0 or k > h:
-        return ZERO
+        return polyring.ZERO
     total = comb(h, k)
-    bits = slot_bits(total)
-    return IntPoly.from_packed(q_binomial_packed(h, k, bits), bits, total)
+    bits = polyring.slot_bits(total)
+    return polyring.IntPoly.from_packed(q_binomial_packed(h, k, bits), bits, total)
 
 
 def delannoy(h: int, k: int) -> int:

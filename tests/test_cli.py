@@ -11,7 +11,7 @@ import pytest
 
 import qdelannoy
 from qdelannoy.polyring import IntPoly
-from qdelannoy.cli import COMMANDS, main
+from qdelannoy.cli import COMMANDS, build_parser, main
 from reference import poly_from_json
 
 # Where the imported package lives, so a subprocess runs the same copy.
@@ -170,7 +170,10 @@ def _loaded_after(requests, modules):
         "from qdelannoy.cli import main\n"
         "for argv in sys.argv[2:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = main(argv.split())\n"
+        "        try:\n"
+        "            code = main(argv.split())\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
         "    print(code, *(m in sys.modules for m in sys.argv[1].split()))\n"
     )
     argv = [sys.executable, "-c", script, " ".join(modules), *requests]
@@ -215,6 +218,22 @@ def test_requests_do_not_import_dataclasses_or_inspect():
     assert _loaded_after(requests, ("dataclasses", "inspect")) == "0 False False\n" * len(requests)
 
 
+def test_well_formed_requests_do_not_import_argparse():
+    # A well-formed argv is parsed from COMMANDS.  Only --help and a usage
+    # error build argparse's parser, and its first gettext lookup imports
+    # locale.
+    requests = (
+        "compute delannoy --h 0 --k 0",
+        "compute qdelannoy --route alt --h 2 --k 1 --json",
+        "verify thm2 --max-n 2 --max-h 1 --max-k 1 --jobs 1",
+        "orbits audit --h 1 --k 0 --n 3",
+    )
+    modules = ("argparse", "gettext", "locale")
+    assert _loaded_after(requests, modules) == "0 False False False\n" * len(requests)
+    assert _loaded_after(("compute delannoy --help",), modules) == "0 True True True\n"
+    assert _loaded_after(("compute delannoy --h 1",), modules) == "2 True True True\n"
+
+
 def test_only_json_requests_import_json():
     requests = (
         "compute delannoy --h 0 --k 0",
@@ -231,10 +250,10 @@ def test_only_json_requests_import_json():
 # attributes, and only then is its type the plain module type.  Each request,
 # in a fresh process, and the package modules it runs.
 RUNS = {
-    "compute delannoy --h 2 --k 2": "cli polyring qcore qdelannoy",
+    "compute delannoy --h 2 --k 2": "cli qcore",
     "compute qdelannoy --h 2 --k 2": "cli polyring qcore qdelannoy",
-    "verify thm2 --max-n 3 --max-h 2 --max-k 2": "cli congruence polyring qcore qdelannoy residue",
-    "verify lucas --max-n 3 --max-a 1 --max-c 1": "cli congruence polyring qcore qdelannoy residue",
+    "verify thm2 --max-n 3 --max-h 2 --max-k 2": "cli congruence polyring qcore residue",
+    "verify lucas --max-n 3 --max-a 1 --max-c 1": "cli congruence polyring qcore residue",
     "orbits audit --h 1 --k 0 --n 3": "cli cyclotomic orbits paths polyring qcore qdelannoy residue",
 }
 
@@ -319,6 +338,178 @@ def test_usage_error_names_its_level(level):
     assert result.stdout == b""
     assert lines[0].startswith(f"usage: {prog} [-h]")
     assert lines[-1].startswith(f"{prog}: error: ")
+
+
+def _exit_and_output(argv, capsys):
+    """`main(argv)`'s exit code, --help and usage errors included, and its stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each level's --help and of four usage errors' stderr, at 80
+# columns, recorded before a well-formed argv skipped argparse; argparse
+# still writes all of them.  Its wording varies across Python versions, so
+# they are checked on the version they were recorded with.
+ARGPARSE_RECORDED = pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse")
+HELP_DIGESTS = {
+    "": "b486993ce1a3af49f1426893c7535847b9735e14d02904bf51bce32ab57cb2a2",
+    "compute": "62a5736c6550d6e65fdd5b02d9f506f10e769564c0682af04ee0384075716382",
+    "verify": "7cfc4b338d735c37bf999158d296df15c4d5bc52f7e2fe4262118b50d421871c",
+    "orbits": "b1661381bacc8f2ecc596982af7df7735546c64cd04d16d9017aeb3f880c29e4",
+    "compute delannoy": "92b6cccc30360270e6dc14d9529ead9ffd254829a2b2124fcae6ac1219ef1b24",
+    "compute qdelannoy": "e52f749d2bedbf6274a8d16be60aa90d99a23f2e72a570b0c8d5743d36c8d914",
+    "compute qbinom": "5db342907402e0e0632725b90807d1c90a34047965fd443314e05121b24e22a0",
+    "compute cyclotomic": "cc4a80ced5ceba66e26c2680c4a8db716aa39fc12853b64a464c161023f76fac",
+    "compute sigma-poly": "a11ff4b8469de829a4d763286eaf6736b8ef17ad6648496992ed3a6245033e91",
+    "verify lucas": "13434604eaac44f73057e8535ce3e960cba0551f5165b1aa6d776ca13598aea7",
+    "verify dlucas": "d949f9b70e919ece58133aa3d37e5f959642890c7787cba1f0c002215caddb8f",
+    "verify qlucas": "f1538de86409d2aa3a5920f10c8d963e3a9ebf0719820d1f4cc6e0186b19724f",
+    "verify thm1": "e56fefe24f059f62083eacb6ebc564d3cee975a38b338f885641449ea85e1a6c",
+    "verify thm2": "e8266d86d39dfaa963b073cdaedce97b568b9f95409d8804c33377ef1faf766e",
+    "verify interp": "1745a625d63d85d1115729d7994f3897901f3f2e7aa3ee038a8be39a05c5d680",
+    "orbits audit": "034022a44ef20344d402a7e48d30d1264163e384ce3e9329038e5c154e9554b8",
+}
+USAGE_ERROR_DIGESTS = [
+    ("compute qdelannoy --route x --h 1 --k 1", "857762463c0a7490b1fc9e6917b4d2cc15e6f931c07bd93dc4be1ccce18e3eec"),
+    ("compute delannoy --h 1", "b2b21c3ee96ed5368a96f3592ffbb5a8a07625630534f6ee4f597efd4be645b3"),
+    ("compute delannoy --h ² --k 1", "63ba4a676ff8a3b6a9878ef7b64de8e066265514cb9e99f33591dd22d11f7443"),
+    ("verify thm2 --max-a 1", "03cea2b33b29993b6f2f184e43bf9798088787fc0107426445a3c08edfd82c21"),
+]
+
+
+def test_help_digests_cover_every_level():
+    assert sorted(HELP_DIGESTS) == sorted(" ".join(level) for level in LEVELS)
+
+
+@ARGPARSE_RECORDED
+@pytest.mark.parametrize("level, digest", HELP_DIGESTS.items(), ids=[level or "root" for level in HELP_DIGESTS])
+def test_help_bytes_are_unchanged(level, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_and_output([*level.split(), "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert _sha256(out) == digest
+
+
+@ARGPARSE_RECORDED
+@pytest.mark.parametrize("argv, digest", USAGE_ERROR_DIGESTS, ids=[argv for argv, _ in USAGE_ERROR_DIGESTS])
+def test_usage_error_bytes_are_unchanged(argv, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_and_output(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert _sha256(err) == digest
+
+
+# Spellings only argparse reads, their canonical forms, and the sha256 of
+# the stdout both print.
+SPELLINGS = [
+    ("compute qdelannoy --h=3 --k 2", "compute qdelannoy --h 3 --k 2",
+     "ba83828a799e99bac454d8ae366974ed30818b98af61df02d9e33a32cbf3e6c1"),
+    ("compute qdelannoy --ro rec --h 3 --k 2", "compute qdelannoy --route rec --h 3 --k 2",
+     "ba83828a799e99bac454d8ae366974ed30818b98af61df02d9e33a32cbf3e6c1"),
+    ("compute qdelannoy --h 3 --k 2 --json --json", "compute qdelannoy --h 3 --k 2 --json",
+     "345bab07aa2398641f53673d6d969f6bc6dbe7d47299995b6d9864789052ad90"),
+]
+
+
+@pytest.mark.parametrize("argv, canonical, digest", SPELLINGS, ids=[argv for argv, _, _ in SPELLINGS])
+def test_argparse_spellings_print_their_canonical_form(argv, canonical, digest, capsys):
+    for words in (argv, canonical):
+        code, out, err = _exit_and_output(words.split(), capsys)
+        assert (code, err) == (0, "")
+        assert _sha256(out) == digest
+
+
+def test_table_parse_agrees_with_argparse():
+    # Whenever the table parse reads an argv, argparse reads the same values
+    # from it and does not exit.
+    from qdelannoy.cli import _OUTPUT, _table_parse
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rows = [
+        (command, leaf, (*flags, *_OUTPUT))
+        for command, (_, _, leaves, _) in COMMANDS.items()
+        for leaf, (_, flags, _) in leaves().items()
+    ]
+    flags = sorted({flag for _, _, row_flags in rows for flag, _ in row_flags})
+    # Values argparse reads differently or not at all, and every name, flag,
+    # abbreviation and --flag=value spelling in the registry.
+    odd = ["-3", "²", "١", "9" * 5000, "-", "--", ""]
+    words = sorted({
+        *odd, "-h", "--help", *(word for command, leaf, _ in rows for word in (command, leaf)), *flags,
+        *(flag[:-1] for flag in flags if len(flag) > 3), *(f"{flag}=3" for flag in flags),
+    })
+
+    def good(options):
+        if options.get("type") is int:
+            return st.sampled_from(["0", "3", "12"])
+        return st.sampled_from(list(options.get("choices", ["out.txt"])))
+
+    @st.composite
+    def argvs(draw):
+        command, leaf, row_flags = draw(st.sampled_from(rows))
+        given = [flag for flag in draw(st.permutations(row_flags)) if draw(st.integers(0, 3))]
+        if given and not draw(st.integers(0, 3)):
+            given.append(draw(st.sampled_from(given)))
+        argv = [command, leaf]
+        for flag, options in given:
+            argv.append(flag)
+            if options.get("action") != "store_true":
+                argv.append(draw(st.sampled_from(odd) if draw(st.integers(0, 3)) == 0 else good(options)))
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(words)))
+        return argv
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(argvs())
+    @hypothesis.example(["compute", "qdelannoy", "--route", "alt", "--h", "3", "--k", "2", "--json", "--out", "x"])
+    @hypothesis.example(["compute", "delannoy", "--h", "²", "--k", "1"])
+    @hypothesis.example(["compute", "delannoy", "--h", "9" * 5000, "--k", "1"])
+    @hypothesis.example(["compute", "delannoy", "--h", "1"])
+    @hypothesis.example(["verify", "thm2", "--max-n", "3"])
+    def agrees(argv):
+        values = _table_parse(argv)
+        if values is None:
+            return
+        try:
+            namespace = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"argparse exits on {argv}, which the table parse reads") from exc
+        assert vars(namespace) == values
+
+    agrees()
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(f"compute qdelannoy --route {route} --h {HUGE} --k 1" for route in ("rec", "def", "alt")),
+        f"compute qbinom --h {HUGE} --k 1",
+        f"compute sigma-poly --h {HUGE} --k 1",
+        f"compute cyclotomic --n {HUGE}",
+        f"verify thm1 --max-n {HUGE}",
+        f"verify qlucas --max-n {HUGE}",
+    ],
+)
+def test_overflow_exits_2(argv, capsys):
+    # A size no machine word holds raises OverflowError before anything is
+    # allocated; like running out of memory, that is one line and exit 2,
+    # never exit 1, which means a check failed.
+    code, out, err = _exit_and_output(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

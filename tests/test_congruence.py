@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from qdelannoy import congruence, cyclotomic as cyclotomic_module, paths, residue as residue_module
+from qdelannoy import congruence, cyclotomic as cyclotomic_module, paths, qdelannoy as qdelannoy_module
+from qdelannoy import residue as residue_module
 from qdelannoy.cli import main
 from qdelannoy.cyclotomic import congruent, cyclotomic, reduce_mod
 from qdelannoy.paths import sigma
@@ -669,7 +670,7 @@ def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
     def rec(h, k):
         return q_delannoy_rec(h, k) + (ONE if (h, k) == (3, 2) else ZERO)
 
-    monkeypatch.setattr(congruence, "q_delannoy_rec", rec)
+    monkeypatch.setattr(qdelannoy_module, "q_delannoy_rec", rec)
     summary = sweep(SweepConfig("interp", max_h=4, max_k=3))
     assert (summary.total, summary.failed) == (5 * 4, 1)
     assert summary.failures == (run_case("interp", (3, 2)).to_json(),)
@@ -685,7 +686,7 @@ def test_interp_engine_failure_is_the_oracle_report(monkeypatch, capsys):
 
 
 def test_interp_engine_failures_match_oracle_in_every_case(monkeypatch):
-    monkeypatch.setattr(congruence, "q_delannoy_rec", lambda h, k: q_delannoy_rec(h, k) + ONE)
+    monkeypatch.setattr(qdelannoy_module, "q_delannoy_rec", lambda h, k: q_delannoy_rec(h, k) + ONE)
     assert len(_engine_failures_match_oracle(SweepConfig("interp", max_h=3, max_k=3))) == 4 * 4
 
 

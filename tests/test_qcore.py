@@ -234,7 +234,7 @@ def test_packed_read_back_is_checked_at_every_call_site(monkeypatch):
     # slot: each route and q_binomial raises instead of returning a wrong
     # polynomial, through its read-back's sum or an exact division's check.
     half = lambda bound: max(8, slot_bits(bound) // 16 * 8)
-    monkeypatch.setattr(qcore_module, "slot_bits", half)
+    monkeypatch.setattr(qcore_module.polyring, "slot_bits", half)
     monkeypatch.setattr(qdelannoy_module, "slot_bits", half)
     with pytest.raises(ArithmeticError):
         q_binomial(20, 10)

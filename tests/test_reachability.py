@@ -2,8 +2,8 @@
 
 The corpus runs `cli.main` in this process under `sys.setprofile`: every
 leaf of the command registry with small arguments, each as text and as
-`--json`, the `def` and `alt` routes of `compute qdelannoy`, and one sweep
-on forked workers.  A function defined in the package that no request
+`--json`, the `def` and `alt` routes of `compute qdelannoy`, one sweep on
+forked workers, and one usage error, which only argparse parses.  A function defined in the package that no request
 calls and that `ALLOWED` does not name fails the test: delete it, or add a
 request that reaches it.  A name in `ALLOWED` that a request does reach, or
 that no longer exists, fails too, so the list stays short.  Stdlib only.
@@ -25,6 +25,9 @@ PACKAGE = Path(qdelannoy.__file__).parent
 # modulus n = 3 and the prime p = 3.
 ARGS = {"--h": "2", "--k": "2", "--n": "3", "--route": "rec", "--jobs": "1"}
 ARGS.update({f"--max-{axis}": "3" for axis in "nhkac"})
+
+# An unknown route: argparse exits 2 and lists the routes.
+USAGE_ERROR = ["compute", "qdelannoy", "--route", "x", "--h", "2", "--k", "2"]
 
 _ORACLE = "the oracle a sweep runs only on a case its engine fails"
 _VIOLATION = "runs only when the audit finds a violation"
@@ -71,6 +74,7 @@ def _corpus():
     for route in ("def", "alt"):
         yield ["compute", "qdelannoy", "--route", route, "--h", "2", "--k", "2"]
     yield ["verify", "thm2", "--max-n", "3", "--max-h", "3", "--max-k", "3", "--jobs", "2"]
+    yield USAGE_ERROR
 
 
 def _defined():
@@ -107,13 +111,15 @@ def _called():
                 called.add((path.stem, code.co_firstlineno))
 
     for argv in _corpus():
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             sys.setprofile(profile)
             try:
                 status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
             finally:
                 sys.setprofile(None)
-        assert status == 0, argv
+        assert status == (2 if argv == USAGE_ERROR else 0), argv
     return called
 
 

@@ -7,7 +7,9 @@ must fail once the replacement is made.  For each row the script copies
 node under `pytest -x` with the copy first on `PYTHONPATH`; the tests
 import whatever `qdelannoy` that finds.  A node kills the mutant when
 pytest reports failed tests (exit status 1); a collection or usage error
-does not count.  The checkout itself is never edited.
+does not count.  The checkout itself is never edited.  pytest loads no
+installed plugin: the tests use none, and loading them (hypothesis's and
+pytest-benchmark's, where installed) took most of each node's start-up.
 
 Run it from anywhere as `python tools/mutants.py`; it needs only the
 stdlib and the pytest the tests use.  It exits 1 when a snippet is
@@ -100,7 +102,10 @@ MUTANTS = [
         "paths.py",
         "<< (c * (k - y) * bits)",
         "<< ((c * (k - y) + 1) * bits)",
-        ("tests/test_congruence.py", "tests/test_orbits.py"),
+        (
+            "tests/test_congruence.py::test_sigma_counts_match_reference_paths",
+            "tests/test_orbits.py::test_heads_and_segments_match_reference",
+        ),
     ),
     # A forked sweep seat's results are read and dropped, so a --jobs sweep
     # loses the case counts and failing cases of every seat but the first.
@@ -201,7 +206,7 @@ MUTANTS = [
         "congruence.py",
         "for d in range(m)",
         "for d in range(m - 1)",
-        ("tests/test_congruence.py",),
+        ("tests/test_congruence.py::test_mod_p_engine_failures_match_oracle_in_every_case",),
     ),
     # Packed slots one byte short whenever the bound's bit length is 8w + 1,
     # so a coefficient at the bound carries into the next slot.  The slot
@@ -212,7 +217,10 @@ MUTANTS = [
         "polyring.py",
         "(bound.bit_length() + 7) // 8",
         "max(1, (bound.bit_length() + 6) // 8)",
-        ("tests/test_polyring.py::test_slot_bits_boundaries", "tests/test_congruence.py"),
+        (
+            "tests/test_polyring.py::test_slot_bits_boundaries",
+            "tests/test_congruence.py::test_residue_engine_matches_oracle",
+        ),
     ),
     # The audit's heads: an east-arm point's heads keep the paths through
     # the corner.
@@ -255,8 +263,8 @@ MUTANTS = [
     Mutant(
         "congruence-loads-paths-at-import",
         "congruence.py",
-        "from . import cyclotomic, paths\n",
-        "from . import cyclotomic, paths\nfrom .paths import sigma_counts\n",
+        "from . import cyclotomic, paths, qdelannoy\n",
+        "from . import cyclotomic, paths, qdelannoy\nfrom .paths import sigma_counts\n",
         ("tests/test_cli.py::test_a_request_runs_only_the_modules_it_uses",),
     ),
     # The CLI's one --h/--k check letting -1 through.
@@ -265,7 +273,34 @@ MUTANTS = [
         "cli.py",
         'min(params["h"], params["k"]) < 0',
         'min(params["h"], params["k"]) < -1',
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_negative_h_or_k_exits_2",),
+    ),
+    # The table parse taking any Unicode digits for an int flag: int() reads
+    # some, such as "١", as argparse does, and raises on others, such as "²".
+    Mutant(
+        "table-parse-non-ascii-digits",
+        "cli.py",
+        "value.isascii() and value.isdigit()",
+        "value.isdigit()",
+        ("tests/test_cli.py::test_table_parse_agrees_with_argparse",),
+    ),
+    # The table parse not striking a flag off once given: a repeated flag is
+    # accepted, and every flag given then takes its default.
+    Mutant(
+        "table-parse-repeated-flag",
+        "cli.py",
+        "options = pending.pop(word, None)",
+        "options = pending.get(word)",
+        ("tests/test_cli.py::test_table_parse_agrees_with_argparse",),
+    ),
+    # The table parse reading an argv that lacks a required flag, on which
+    # argparse exits 2.
+    Mutant(
+        "table-parse-required-flag-unchecked",
+        "cli.py",
+        'if options.get("required"):',
+        "if False:",
+        ("tests/test_cli.py::test_table_parse_agrees_with_argparse",),
     ),
 ]
 
@@ -279,7 +314,11 @@ def run(mutant: Mutant, scratch: Path) -> list[str]:
     if text.count(mutant.snippet) != 1:
         return [f"snippet occurs {text.count(mutant.snippet)} times in {mutant.path}, not once: {mutant.snippet!r}"]
     target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]),
+        PYTEST_DISABLE_PLUGIN_AUTOLOAD="1",
+    )
     problems = []
     for node in mutant.nodes:
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node]
